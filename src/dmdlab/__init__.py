@@ -6,7 +6,6 @@ engine plus distribution-matching regularizer), and measures the resulting
 dynamics with distribution-level metrics.
 """
 
-from .precision import get_dtype, set_dtype
 from .net import (NULL_LABEL, NetConfig, NetParams, Gradients, init_params,
                   net_forward, net_forward_cached, net_backward,
                   zeros_like_params)
@@ -29,7 +28,6 @@ from .metrics import (MetricRecord, batch_sample_stats, ikl_estimate,
                       mode_coverage, sliced_wasserstein2, wasserstein2_1d)
 
 __all__ = [
-    "get_dtype", "set_dtype",
     "NULL_LABEL", "NetConfig", "NetParams", "Gradients", "init_params",
     "net_forward", "net_forward_cached", "net_backward", "zeros_like_params",
     "AdamState", "init_adam", "adam_step", "ema_update",

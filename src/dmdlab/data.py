@@ -133,20 +133,14 @@ def sample_points_for_labels(spec: MixtureSpec, labels: np.ndarray,
     return points
 
 
-def sample_dataset(spec: MixtureSpec, n: int, rng: np.random.Generator,
-                   label_priors=None) -> LabeledBatch:
-    """Draw n i.i.d. labelled points: label uniform (or by priors), component
-    by weight within the label, point Gaussian around the component center."""
+def sample_dataset(spec: MixtureSpec, n: int,
+                   rng: np.random.Generator) -> LabeledBatch:
+    """Draw n i.i.d. labelled points: label uniform, component by weight
+    within the label, point Gaussian around the component center."""
     if n <= 0:
         raise ValueError("n must be positive")
     spec.validate()
-    if label_priors is None:
-        labels = rng.integers(0, spec.label_count, size=n)
-    else:
-        p = np.asarray(label_priors, dtype=float)
-        if p.shape != (spec.label_count,) or np.any(p < 0):
-            raise ValueError("label_priors must be a nonnegative vector per label")
-        labels = rng.choice(spec.label_count, size=n, p=p / p.sum())
+    labels = rng.integers(0, spec.label_count, size=n)
     return LabeledBatch(points=sample_points_for_labels(spec, labels, rng),
                         labels=labels)
 

@@ -27,8 +27,8 @@ import numpy as np
 from .data import MixtureSpec, expected_sample_stats, sample_points_for_labels
 from .flow import as_predictor, renoise
 from .metrics import MetricRecord, batch_sample_stats
-from .net import (NULL_LABEL, NetConfig, NetParams, init_params, net_backward,
-                  net_forward, net_forward_cached)
+from .net import (NULL_LABEL, NetConfig, NetParams, _sigmoid, init_params,
+                  net_backward, net_forward, net_forward_cached)
 from .optim import AdamState, adam_step, init_adam
 
 
@@ -109,13 +109,13 @@ class DistillConfig:
             raise ValueError("n_steps must be one of {1, 2, 4} (or give step_grid)")
         grid = self.grid
         if grid[0] != 0.0:
-            raise ValueError("step grid must start at 0")
+            raise ValueError("step_grid must start at 0")
         if any(b <= a for a, b in zip(grid, grid[1:])) or grid[-1] >= 1.0:
-            raise ValueError("step grid must be strictly increasing within [0, 1)")
+            raise ValueError("step_grid must be strictly increasing within [0, 1)")
         if self.ttur_ratio < 0 or self.batch <= 0:
             raise ValueError("ttur_ratio must be >= 0 and batch positive")
         if self.lr_gen <= 0 or self.lr_fake <= 0:
-            raise ValueError("learning rates must be positive")
+            raise ValueError("lr_gen and lr_fake must be positive")
         if (self.meanvar_var_target is not None
                 and self.meanvar_var_target <= 0):
             raise ValueError("meanvar_var_target must be > 0")
@@ -298,28 +298,19 @@ def dmd_direction_coupled(real, fake, gen_out: np.ndarray, t: float, cond,
         schedule = ScheduleConfig(SchedulePolicy.COUPLED_SHARED)
     if schedule.policy != SchedulePolicy.COUPLED_SHARED:
         raise ValueError("coupled direction requires the COUPLED_SHARED policy")
-    tau, _, _ = sample_tau(schedule, t, rng)
-    eps = rng.standard_normal(gen_out.shape)
-    x_tau = renoise(gen_out, tau, eps)
-    direction = _assemble_direction(real, fake, gen_out, cond, config,
-                                    x_tau, tau, x_tau, tau)
-    return direction, tau, tau
+    return dmd_direction_decoupled(real, fake, gen_out, t, cond, config,
+                                   schedule, rng)
 
 
 def dmd_direction_decoupled(real, fake, gen_out: np.ndarray, t: float, cond,
                             config: DistillConfig, schedule: ScheduleConfig,
                             rng: np.random.Generator):
-    """Independent (tau, eps) per term as dictated by the schedule policy."""
+    """(tau, eps) per term as dictated by the schedule policy; under a shared
+    policy one draw and one renoised point serve both terms."""
     tau_ca, tau_dm, shared = sample_tau(schedule, t, rng)
-    if shared:
-        eps = rng.standard_normal(gen_out.shape)
-        x_ca = renoise(gen_out, tau_ca, eps)
-        x_dm = renoise(gen_out, tau_dm, eps)
-    else:
-        eps_ca = rng.standard_normal(gen_out.shape)
-        x_ca = renoise(gen_out, tau_ca, eps_ca)
-        eps_dm = rng.standard_normal(gen_out.shape)
-        x_dm = renoise(gen_out, tau_dm, eps_dm)
+    x_ca = renoise(gen_out, tau_ca, rng.standard_normal(gen_out.shape))
+    x_dm = x_ca if shared else renoise(gen_out, tau_dm,
+                                       rng.standard_normal(gen_out.shape))
     direction = _assemble_direction(real, fake, gen_out, cond, config,
                                     x_ca, tau_ca, x_dm, tau_dm)
     return direction, tau_ca, tau_dm
@@ -415,11 +406,6 @@ def meanvar_kl_loss(batch: np.ndarray, targets: RegularizerTargets):
     return loss, grad
 
 
-def _sigmoid(z):
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def _softplus(z):
     return np.logaddexp(0.0, z)
 
@@ -481,9 +467,6 @@ def generator_update(state: DistillState, teacher, config: DistillConfig,
 
     if direction_fn is not None:
         direction, tau_ca, tau_dm = direction_fn(gen_out, t, labels, rng)
-    elif schedule.policy == SchedulePolicy.COUPLED_SHARED:
-        direction, tau_ca, tau_dm = dmd_direction_coupled(
-            teacher, state.fake, gen_out, t, labels, config, rng, schedule)
     else:
         direction, tau_ca, tau_dm = dmd_direction_decoupled(
             teacher, state.fake, gen_out, t, labels, config, schedule, rng)

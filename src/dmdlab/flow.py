@@ -37,7 +37,7 @@ class TeacherConfig:
         if self.lr_final is not None and not 0.0 < self.lr_final <= self.lr:
             raise ValueError("lr_final must lie in (0, lr]")
         if self.tau_law != "uniform":
-            raise ValueError(f"unknown noise-level law {self.tau_law!r}")
+            raise ValueError(f"tau_law must be 'uniform', got {self.tau_law!r}")
         if self.ema_decay is not None and not 0.0 <= self.ema_decay <= 1.0:
             raise ValueError("ema_decay must lie in [0, 1]")
 

@@ -16,10 +16,10 @@ import sys
 from pathlib import Path
 
 from ..distill import NonFiniteError
-from .config import ConfigError, load_run_config, load_teacher_config
+from .config import ConfigError, load_teacher_config
 from .plots import PlotDataError, plot_run
 from .presets import PRESET_NAMES, run_preset
-from .runner import run_config, train_teacher_cli
+from .runner import run, train_teacher_cli
 
 
 def _parse_override(text: str):
@@ -63,12 +63,7 @@ def main(argv=None) -> int:
                                     Path(args.out))
             print(f"teacher checkpoint written to {out}")
         elif args.command == "run":
-            cfg = load_run_config(args.config)
-            out_dir = args.out or cfg["out_dir"] or (
-                Path(args.config).resolve().parent
-                / (Path(args.config).stem + "_run"))
-            artifacts = run_config(cfg, out_dir)
-            print(f"run artifacts in {artifacts.dir}")
+            print(f"run artifacts in {run(args.config, args.out).dir}")
         elif args.command == "preset":
             overrides = dict(_parse_override(o) for o in args.override)
             out_root = Path(args.out or f"runs/{args.name}")
@@ -79,9 +74,6 @@ def main(argv=None) -> int:
             for path in written:
                 print(path)
     except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except KeyError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NonFiniteError as err:

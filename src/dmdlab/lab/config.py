@@ -1,17 +1,19 @@
 """JSON run configurations with key-aware validation.
 
-Schema violations raise ConfigError naming the offending key; the CLI turns
-that into exit code 2. The LAB_SEED environment variable overrides the seed
-at load time and is baked into snapshots so that a snapshot re-runs
-identically regardless of the environment.
+Loaders return the validated config as a plain dict. Schema violations raise
+ConfigError naming the offending key; the CLI turns that into exit code 2.
+The LAB_SEED environment variable overrides the seed at load time and is
+baked into snapshots so that a snapshot re-runs identically regardless of
+the environment.
 """
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+import sys
 from pathlib import Path
 
 from ..distill import DistillConfig, Mode, Regularizer, ScheduleConfig, SchedulePolicy
+from ..flow import TeacherConfig
 
 
 class ConfigError(ValueError):
@@ -36,7 +38,6 @@ RUN_OPTIONAL = {
     "out_dir": None,
     "lr_gen": 1e-4,
     "lr_fake": 1e-4,
-    "precision": "fp64",
     "backward_sim_fresh_noise": True,
     "meanvar_mu_target": None,
     "meanvar_var_target": None,
@@ -53,76 +54,95 @@ TEACHER_OPTIONAL = {
     "lr_final": 1e-5,
     "ema_decay": None,
     "tau_law": "uniform",
-    "precision": "fp64",
 }
 
-
-@dataclass
-class RunConfig:
-    values: dict = field(default_factory=dict)
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    def to_snapshot(self) -> dict:
-        return dict(self.values)
-
-    def distill_config(self) -> DistillConfig:
-        v = self.values
-        return DistillConfig(
-            alpha=v["alpha"], lam=v["lambda"], n_steps=v["n_steps"],
-            step_grid=tuple(v["step_grid"]) if v["step_grid"] else None,
-            ttur_ratio=v["ttur_ratio"], mode=Mode(v["mode"]),
-            regularizer=Regularizer(v["regularizer"]),
-            normalizer_on=v["normalizer_on"], w_gan=v["w_gan"],
-            w_meanvar=v["w_meanvar"], batch=v["batch"], lr_gen=v["lr_gen"],
-            lr_fake=v["lr_fake"],
-            backward_sim_fresh_noise=v["backward_sim_fresh_noise"],
-            meanvar_mu_target=v["meanvar_mu_target"],
-            meanvar_var_target=v["meanvar_var_target"],
-        )
-
-    def schedule_config(self) -> ScheduleConfig:
-        v = self.values
-        return ScheduleConfig(
-            policy=SchedulePolicy(v["schedule_policy"]),
-            tau_ca_range=tuple(v["tau_ca_range"]) if v["tau_ca_range"] else None,
-            tau_dm_range=tuple(v["tau_dm_range"]) if v["tau_dm_range"] else None,
-        )
+# integer keys with their lower bounds; JSON tools occasionally write them as
+# floats, so they are normalized to int after the check
+_RUN_INTS = {"n_steps": 1, "ttur_ratio": 0, "seed": 0, "iterations": 1,
+             "batch": 1, "eval_every": 1, "eval_n": 4, "eval_ref_n": 4}
+_TEACHER_INTS = {"iterations": 1, "batch": 1, "seed": 0}
 
 
-@dataclass
-class TeacherRunConfig:
-    values: dict = field(default_factory=dict)
+def distill_config(cfg: dict) -> DistillConfig:
+    return DistillConfig(
+        alpha=cfg["alpha"], lam=cfg["lambda"], n_steps=cfg["n_steps"],
+        step_grid=tuple(cfg["step_grid"]) if cfg["step_grid"] else None,
+        ttur_ratio=cfg["ttur_ratio"], mode=Mode(cfg["mode"]),
+        regularizer=Regularizer(cfg["regularizer"]),
+        normalizer_on=cfg["normalizer_on"], w_gan=cfg["w_gan"],
+        w_meanvar=cfg["w_meanvar"], batch=cfg["batch"], lr_gen=cfg["lr_gen"],
+        lr_fake=cfg["lr_fake"],
+        backward_sim_fresh_noise=cfg["backward_sim_fresh_noise"],
+        meanvar_mu_target=cfg["meanvar_mu_target"],
+        meanvar_var_target=cfg["meanvar_var_target"],
+    )
 
-    def __getitem__(self, key):
-        return self.values[key]
 
-    def to_snapshot(self) -> dict:
-        return dict(self.values)
+def schedule_config(cfg: dict) -> ScheduleConfig:
+    return ScheduleConfig(
+        policy=SchedulePolicy(cfg["schedule_policy"]),
+        tau_ca_range=tuple(cfg["tau_ca_range"]) if cfg["tau_ca_range"] else None,
+        tau_dm_range=tuple(cfg["tau_dm_range"]) if cfg["tau_dm_range"] else None,
+    )
 
 
-def _check_number(key, value, kind=float, lo=None, hi=None):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(key, f"expected a number, got {value!r}")
+def teacher_config(cfg: dict) -> TeacherConfig:
+    return TeacherConfig(iterations=cfg["iterations"], batch=cfg["batch"],
+                         lr=cfg["lr"], lr_final=cfg["lr_final"],
+                         p_uncond=cfg["p_uncond"], tau_law=cfg["tau_law"],
+                         ema_decay=cfg["ema_decay"])
+
+
+def _finite(value) -> bool:
+    # bools are not numbers here; NaN, +-inf and ints beyond the float range
+    # all fail the magnitude test
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _check_number(key, value, kind=float, lo=None, optional=False):
+    if optional and value is None:
+        return
+    if not _finite(value):
+        raise ConfigError(key, f"expected a finite number, got {value!r}")
     if kind is int and int(value) != value:
         raise ConfigError(key, f"expected an integer, got {value!r}")
     if lo is not None and value < lo:
         raise ConfigError(key, f"must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(key, f"must be <= {hi}, got {value}")
+
+
+def _check_str(key, value, optional=False):
+    if not (isinstance(value, str) or optional and value is None):
+        raise ConfigError(key, f"expected a string, got {value!r}")
+
+
+def _check_choice(key, value, enum):
+    choices = [e.value for e in enum]
+    if value not in choices:  # a list, so unhashable values fail cleanly
+        raise ConfigError(key, f"must be one of {choices}")
+
+
+def _levels_ok(value, n=None) -> bool:
+    return (isinstance(value, (list, tuple))
+            and 0 < len(value) == (n or len(value))
+            and all(map(_finite, value)))
 
 
 def _check_range(key, value):
     if value is None:
         return None
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(x, (int, float)) for x in value)):
+    if not _levels_ok(value, 2):
         raise ConfigError(key, "expected [lo, hi]")
     lo, hi = float(value[0]), float(value[1])
     if not (0.0 <= lo < hi <= 1.0):
         raise ConfigError(key, "needs 0 <= lo < hi <= 1")
     return [lo, hi]
+
+
+def _check_ints(values: dict, bounds: dict) -> None:
+    for key, lo in bounds.items():
+        _check_number(key, values[key], kind=int, lo=lo)
+        values[key] = int(values[key])
 
 
 def _merge(raw: dict, required, optional, path):
@@ -142,52 +162,34 @@ def _merge(raw: dict, required, optional, path):
 
 
 def validate_run_values(values: dict) -> dict:
-    if values["mode"] not in {m.value for m in Mode}:
-        raise ConfigError("mode", f"must be one of {[m.value for m in Mode]}")
-    if values["schedule_policy"] not in {p.value for p in SchedulePolicy}:
-        raise ConfigError("schedule_policy",
-                          f"must be one of {[p.value for p in SchedulePolicy]}")
-    if values["regularizer"] not in {r.value for r in Regularizer}:
-        raise ConfigError("regularizer",
-                          f"must be one of {[r.value for r in Regularizer]}")
+    _check_choice("mode", values["mode"], Mode)
+    _check_choice("schedule_policy", values["schedule_policy"], SchedulePolicy)
+    _check_choice("regularizer", values["regularizer"], Regularizer)
     _check_number("alpha", values["alpha"], lo=0.0)
     _check_number("lambda", values["lambda"])
     if values["lambda"] <= 0:
         raise ConfigError("lambda", "must be > 0")
-    _check_number("n_steps", values["n_steps"], kind=int, lo=1)
-    _check_number("ttur_ratio", values["ttur_ratio"], kind=int, lo=0)
+    _check_ints(values, _RUN_INTS)
     _check_number("w_gan", values["w_gan"], lo=0.0)
     _check_number("w_meanvar", values["w_meanvar"], lo=0.0)
-    if not isinstance(values["normalizer_on"], bool):
-        raise ConfigError("normalizer_on", "expected true/false")
-    if not isinstance(values["backward_sim_fresh_noise"], bool):
-        raise ConfigError("backward_sim_fresh_noise", "expected true/false")
-    if not isinstance(values["observer_mode"], bool):
-        raise ConfigError("observer_mode", "expected true/false")
-    _check_number("seed", values["seed"], kind=int, lo=0)
-    _check_number("iterations", values["iterations"], kind=int, lo=1)
-    _check_number("batch", values["batch"], kind=int, lo=1)
-    _check_number("eval_every", values["eval_every"], kind=int, lo=1)
-    _check_number("eval_n", values["eval_n"], kind=int, lo=4)
-    _check_number("eval_ref_n", values["eval_ref_n"], kind=int, lo=4)
+    for key in ("normalizer_on", "backward_sim_fresh_noise", "observer_mode"):
+        if not isinstance(values[key], bool):
+            raise ConfigError(key, "expected true/false")
     _check_number("lr_gen", values["lr_gen"], lo=1e-12)
     _check_number("lr_fake", values["lr_fake"], lo=1e-12)
     _check_number("radius_mult", values["radius_mult"], lo=1e-9)
-    if values["precision"] not in ("fp64", "fp32"):
-        raise ConfigError("precision", "must be 'fp64' or 'fp32'")
+    _check_number("meanvar_mu_target", values["meanvar_mu_target"],
+                  optional=True)
+    _check_number("meanvar_var_target", values["meanvar_var_target"],
+                  lo=1e-12, optional=True)
+    _check_str("data", values["data"])
+    _check_str("teacher", values["teacher"], optional=True)
+    _check_str("out_dir", values["out_dir"], optional=True)
     values["tau_ca_range"] = _check_range("tau_ca_range", values["tau_ca_range"])
     values["tau_dm_range"] = _check_range("tau_dm_range", values["tau_dm_range"])
-    if values["step_grid"] is not None:
-        grid = values["step_grid"]
-        if (not isinstance(grid, (list, tuple)) or not grid
-                or any(not isinstance(x, (int, float)) for x in grid)):
-            raise ConfigError("step_grid", "expected a list of levels")
-    if values["meanvar_var_target"] is not None:
-        _check_number("meanvar_var_target", values["meanvar_var_target"], lo=1e-12)
-    # integers arrive as floats from JSON tools occasionally; normalize
-    for key in ("n_steps", "ttur_ratio", "seed", "iterations", "batch",
-                "eval_every", "eval_n", "eval_ref_n"):
-        values[key] = int(values[key])
+    grid = values["step_grid"]
+    if grid is not None and not _levels_ok(grid):
+        raise ConfigError("step_grid", "expected a list of finite levels")
     return values
 
 
@@ -201,46 +203,46 @@ def _apply_env_seed(values: dict) -> dict:
     return values
 
 
-def run_config_from_dict(raw: dict) -> RunConfig:
-    values = _merge(raw, RUN_REQUIRED, RUN_OPTIONAL, "run config")
-    values = validate_run_values(_apply_env_seed(values))
-    # construct once so invalid combinations surface as ConfigError here
-    cfg = RunConfig(values)
+def _load_json(path):
     try:
-        cfg.distill_config().validate()
-        cfg.schedule_config()
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise ConfigError("<json>", f"{path}: {e}")
+
+
+def run_config_from_dict(raw: dict) -> dict:
+    cfg = validate_run_values(_apply_env_seed(
+        _merge(raw, RUN_REQUIRED, RUN_OPTIONAL, "run config")))
+    # construct once so invalid combinations surface as ConfigError here
+    try:
+        distill_config(cfg).validate()
+        schedule_config(cfg)
     except ValueError as e:
         raise ConfigError("<combination>", str(e))
     return cfg
 
 
-def load_run_config(path) -> RunConfig:
+def load_run_config(path) -> dict:
+    return run_config_from_dict(_load_json(path))
+
+
+def teacher_config_from_dict(raw: dict) -> dict:
+    cfg = _apply_env_seed(
+        _merge(raw, TEACHER_REQUIRED, TEACHER_OPTIONAL, "teacher config"))
+    _check_ints(cfg, _TEACHER_INTS)
+    _check_number("lr", cfg["lr"], lo=1e-12)
+    _check_number("p_uncond", cfg["p_uncond"])
+    _check_number("lr_final", cfg["lr_final"], optional=True)
+    _check_number("ema_decay", cfg["ema_decay"], optional=True)
+    for key in ("data", "out", "tau_law"):
+        _check_str(key, cfg[key])
+    _check_str("log", cfg["log"], optional=True)
     try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError("<json>", f"{path}: {e}")
-    return run_config_from_dict(raw)
+        teacher_config(cfg).validate()
+    except ValueError as e:
+        raise ConfigError("<combination>", str(e))
+    return cfg
 
 
-def teacher_config_from_dict(raw: dict) -> TeacherRunConfig:
-    values = _merge(raw, TEACHER_REQUIRED, TEACHER_OPTIONAL, "teacher config")
-    values = _apply_env_seed(values)
-    _check_number("iterations", values["iterations"], kind=int, lo=1)
-    _check_number("batch", values["batch"], kind=int, lo=1)
-    _check_number("lr", values["lr"], lo=1e-12)
-    _check_number("seed", values["seed"], kind=int, lo=0)
-    if not isinstance(values["p_uncond"], (int, float)) or not 0 < values["p_uncond"] < 1:
-        raise ConfigError("p_uncond", "must lie in (0, 1)")
-    if values["precision"] not in ("fp64", "fp32"):
-        raise ConfigError("precision", "must be 'fp64' or 'fp32'")
-    for key in ("iterations", "batch", "seed"):
-        values[key] = int(values[key])
-    return TeacherRunConfig(values)
-
-
-def load_teacher_config(path) -> TeacherRunConfig:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError("<json>", f"{path}: {e}")
-    return teacher_config_from_dict(raw)
+def load_teacher_config(path) -> dict:
+    return teacher_config_from_dict(_load_json(path))

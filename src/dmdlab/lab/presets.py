@@ -24,7 +24,7 @@ import numpy as np
 from ..checkpoint import save_params
 from ..distill import NonFiniteError
 from ..flow import TeacherConfig, train_teacher
-from .config import RUN_OPTIONAL, run_config_from_dict
+from .config import RUN_OPTIONAL, ConfigError, run_config_from_dict
 from .runner import RunArtifacts, resolve_data, run_config
 
 BASE_RUN = {
@@ -139,7 +139,7 @@ def run_preset(name: str, out_root, overrides=None) -> list:
     base.update(PRESET_DEFAULTS.get(name, {}))
     for key, value in (overrides or {}).items():
         if key not in BASE_RUN and key not in RUN_OPTIONAL:
-            raise KeyError(f"unknown override key {key!r}")
+            raise ConfigError(key, "unknown override key")
         base[key] = value
     base["teacher"] = _ensure_shared_teacher(base, out_root)
 

@@ -28,8 +28,8 @@ from ..flow import TeacherConfig, train_teacher
 from ..metrics import (CSV_COLUMNS, batch_sample_stats, mode_coverage,
                        sliced_wasserstein2)
 from ..net import NetParams
-from ..precision import set_dtype
-from .config import RunConfig, TeacherRunConfig
+from .config import (distill_config, load_run_config, schedule_config,
+                     teacher_config)
 
 _REF_TAG = 0x5EED_0001
 _EVAL_TAG = 0x5EED_0002
@@ -52,7 +52,7 @@ def resolve_data(name_or_path) -> MixtureSpec:
     return MixtureSpec.load(name_or_path)
 
 
-def ensure_teacher(cfg: RunConfig, spec: MixtureSpec, out_dir: Path) -> tuple:
+def ensure_teacher(cfg: dict, spec: MixtureSpec, out_dir: Path) -> tuple:
     """Load the configured teacher checkpoint, or train one into the run dir."""
     if cfg["teacher"] is not None:
         path = Path(cfg["teacher"])
@@ -69,18 +69,13 @@ def ensure_teacher(cfg: RunConfig, spec: MixtureSpec, out_dir: Path) -> tuple:
     return teacher, path
 
 
-def train_teacher_cli(cfg: TeacherRunConfig, out_dir: Path) -> Path:
-    set_dtype(cfg["precision"])
+def train_teacher_cli(cfg: dict, out_dir: Path) -> Path:
     spec = resolve_data(cfg["data"])
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / cfg["out"]
     log = out_dir / (cfg["log"] or (Path(cfg["out"]).stem + "_log.csv"))
-    tc = TeacherConfig(iterations=cfg["iterations"], batch=cfg["batch"],
-                       lr=cfg["lr"], lr_final=cfg["lr_final"],
-                       p_uncond=cfg["p_uncond"], tau_law=cfg["tau_law"],
-                       ema_decay=cfg["ema_decay"])
-    teacher = train_teacher(spec, tc, np.random.default_rng(cfg["seed"]),
-                            log_path=log)
+    teacher = train_teacher(spec, teacher_config(cfg),
+                            np.random.default_rng(cfg["seed"]), log_path=log)
     save_params(teacher, out)
     return out
 
@@ -99,8 +94,7 @@ def _eval_cloud(state: DistillState, grid, spec: MixtureSpec, seed: int,
     return np.concatenate(clouds), np.concatenate(labels)
 
 
-def run_config(cfg: RunConfig, out_dir) -> RunArtifacts:
-    set_dtype(cfg["precision"])
+def run_config(cfg: dict, out_dir) -> RunArtifacts:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     samples_dir = out_dir / "samples"
@@ -111,13 +105,13 @@ def run_config(cfg: RunConfig, out_dir) -> RunArtifacts:
     spec = resolve_data(cfg["data"])
     teacher, teacher_path = ensure_teacher(cfg, spec, out_dir)
 
-    snapshot = cfg.to_snapshot()
+    snapshot = dict(cfg)
     snapshot["teacher"] = str(teacher_path)
     config_path = out_dir / "config_snapshot.json"
     config_path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
 
-    dconfig = cfg.distill_config()
-    schedule = cfg.schedule_config()
+    dconfig = distill_config(cfg)
+    schedule = schedule_config(cfg)
     state = init_distill_state(teacher, dconfig, spec, seed=cfg["seed"],
                                observer_mode=cfg["observer_mode"])
 
@@ -191,7 +185,7 @@ def run_config(cfg: RunConfig, out_dir) -> RunArtifacts:
 
 
 def _write_observer_probe(out_dir: Path, state: DistillState, teacher,
-                          spec: MixtureSpec, cfg: RunConfig,
+                          spec: MixtureSpec, cfg: dict,
                           taus=(0.1, 0.3, 0.5, 0.7, 0.9)) -> None:
     """Per-label probe of the (unused) DM term against the measured drift of
     the generator's samples away from the data mean."""
@@ -199,7 +193,7 @@ def _write_observer_probe(out_dir: Path, state: DistillState, teacher,
     rng = np.random.default_rng([cfg["seed"], 0x0B5E])
     for label in range(spec.label_count):
         cond = np.full(256, label)
-        cloud = sample_generator(state.generator, cfg.distill_config().grid,
+        cloud = sample_generator(state.generator, distill_config(cfg).grid,
                                  cond, rng)
         data_mean, _ = target_stats(spec, label)
         drift = cloud.mean(axis=0) - data_mean
@@ -217,8 +211,8 @@ def _write_observer_probe(out_dir: Path, state: DistillState, teacher,
 
 
 def run(config_path, out_dir=None) -> RunArtifacts:
-    from .config import load_run_config
-
+    """Load a run config file and run it; the output directory defaults to
+    the config's out_dir, else <config stem>_run next to the config file."""
     cfg = load_run_config(config_path)
     if out_dir is None:
         out_dir = cfg["out_dir"] or (Path(config_path).resolve().parent

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .precision import get_dtype
-
 NULL_LABEL = -1  # reserved unconditional id; uses the last embedding row
 
 
@@ -104,19 +102,18 @@ def zeros_like_params(params: NetParams) -> NetParams:
 def init_params(config: NetConfig, rng: np.random.Generator) -> NetParams:
     """Glorot-uniform weights, zero biases, N(0, 0.02^2) condition embeddings,
     geometrically spaced sinusoidal frequencies."""
-    dt = get_dtype()
 
     def glorot(fan_in, fan_out):
         a = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-a, a, size=(fan_in, fan_out)).astype(dt)
+        return rng.uniform(-a, a, size=(fan_in, fan_out))
 
     dims = [config.input_dim] + [config.hidden] * config.n_hidden + [config.output_dim]
     weights = [glorot(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-    biases = [np.zeros(dims[i + 1], dtype=dt) for i in range(len(dims) - 1)]
-    cond_embed = (0.02 * rng.standard_normal((config.n_labels + 1, config.cond_dim))).astype(dt)
-    time_freqs = np.geomspace(config.freq_lo, config.freq_hi, config.n_freq).astype(dt)
+    biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
+    cond_embed = 0.02 * rng.standard_normal((config.n_labels + 1, config.cond_dim))
+    time_freqs = np.geomspace(config.freq_lo, config.freq_hi, config.n_freq)
     time_w = glorot(2 * config.n_freq, config.temb_dim)
-    time_b = np.zeros(config.temb_dim, dtype=dt)
+    time_b = np.zeros(config.temb_dim)
     return NetParams(config, weights, biases, cond_embed, time_freqs, time_w, time_b)
 
 

@@ -264,6 +264,7 @@ def test_criterion_05_moment_kl_values():
            f"(want 0.0034722...); FD rel err {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_06_teacher_quality_gate(teacher_bundle):
     spec = teacher_bundle["spec"]
     teacher = teacher_bundle["params"]
@@ -292,6 +293,7 @@ def test_criterion_06_teacher_quality_gate(teacher_bundle):
            f"modes {cov_hits:.0f}/8; trained in {seconds:.0f}s (<=600s)")
 
 
+@pytest.mark.slow
 def test_criterion_07_decompose_analogue(decompose_result):
     root, arts = decompose_result
     by_name = {a.dir.name: read_metrics(a.metrics_path) for a in arts}
@@ -342,6 +344,7 @@ def test_criterion_07_decompose_analogue(decompose_result):
            fallback=not clause_final)
 
 
+@pytest.mark.slow
 def test_criterion_08_variance_analogue(regularizers_result):
     root, arts = regularizers_result
     spec = gmm8()
@@ -376,6 +379,7 @@ def test_criterion_08_variance_analogue(regularizers_result):
            f"[{min(mv):.2f},{max(mv):.2f}]")
 
 
+@pytest.mark.slow
 def test_criterion_09_observer_corrective_mechanism(teacher_bundle):
     spec = teacher_bundle["spec"]
     teacher = teacher_bundle["params"]
@@ -416,6 +420,7 @@ def test_criterion_09_observer_corrective_mechanism(teacher_bundle):
            + ", ".join(f"tau={t}: {a:.3f}" for t, a in aligns.items()))
 
 
+@pytest.mark.slow
 def test_criterion_10_reproducibility_gate(schedule_result):
     root, arts, elapsed = schedule_result
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmdlab import NULL_LABEL, NetConfig, init_params, net_forward
 from dmdlab.data import Component, MixtureSpec, gmm8
@@ -283,6 +285,47 @@ class TestDirections:
                 real, fake, gen_out, 0.75, cond, cfg, sched, rng)
             assert tau_ca >= 0.75
             assert 0.0 <= tau_dm <= 1.0
+
+
+class TestDirectionFold:
+    """One direction function serves all four policies; the coupled entry
+    point is the shared-draw case of it, with no tolerance anywhere."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(real_seed=st.integers(0, 10_000), fake_seed=st.integers(0, 10_000),
+           seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.0, 8.0),
+           t=st.sampled_from((0.0, 0.25, 0.5, 0.75)),
+           mode=st.sampled_from(list(Mode)), normalizer=st.booleans(),
+           policy=st.sampled_from(list(SchedulePolicy)))
+    def test_fold_bit_exact(self, real_seed, fake_seed, seed, alpha, t, mode,
+                            normalizer, policy):
+        real, fake = tiny_net(real_seed), tiny_net(fake_seed)
+        data = np.random.default_rng(seed)
+        gen_out = data.standard_normal((5, 2))
+        cond = data.integers(0, 4, size=5)
+        cfg = base_config(alpha=alpha, mode=mode, normalizer_on=normalizer)
+        d, tau_ca, tau_dm = dmd_direction_decoupled(
+            real, fake, gen_out, t, cond, cfg, ScheduleConfig(policy),
+            np.random.default_rng(seed))
+        assert np.array_equal(d.delta_total, d.delta_ca + d.delta_dm)
+        if policy != SchedulePolicy.COUPLED_SHARED:
+            return
+        c, c_ca, c_dm = dmd_direction_coupled(real, fake, gen_out, t, cond,
+                                              cfg, np.random.default_rng(seed))
+        assert (c_ca, c_dm) == (tau_ca, tau_dm) and tau_ca == tau_dm
+        for name in ("delta_dm", "delta_ca", "delta_total"):
+            assert np.array_equal(getattr(c, name), getattr(d, name))
+        assert np.array_equal(c.delta_total, c.delta_ca + c.delta_dm)
+
+    @pytest.mark.parametrize("policy", [p for p in SchedulePolicy
+                                        if p != SchedulePolicy.COUPLED_SHARED])
+    def test_coupled_rejects_other_policies(self, policy):
+        gen_out = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="COUPLED_SHARED"):
+            dmd_direction_coupled(tiny_net(0), tiny_net(1), gen_out, 0.0,
+                                  np.zeros(2, int), base_config(),
+                                  np.random.default_rng(0),
+                                  ScheduleConfig(policy))
 
 
 class TestProxyLoss:

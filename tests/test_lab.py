@@ -4,11 +4,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmdlab import NetConfig, init_params, save_params
 from dmdlab.distill import NonFiniteError
 from dmdlab.lab.cli import main as cli_main
-from dmdlab.lab.config import (ConfigError, load_run_config,
+from dmdlab.lab.config import (RUN_OPTIONAL, RUN_REQUIRED, TEACHER_OPTIONAL,
+                               TEACHER_REQUIRED, ConfigError, load_run_config,
                                run_config_from_dict, teacher_config_from_dict)
 from dmdlab.lab.plots import PlotDataError, plot_run
 from dmdlab.lab.presets import TAU_PROBE_RANGES, run_preset
@@ -35,6 +38,10 @@ def small_cfg(teacher, **over):
     }
     cfg.update(over)
     return cfg
+
+
+TEACHER_CFG = {"iterations": 40, "batch": 16, "lr": 1e-3, "p_uncond": 0.1,
+               "seed": 5, "out": "t.ckpt"}
 
 
 class TestConfigValidation:
@@ -149,6 +156,20 @@ class TestRunner:
         assert (tmp_path / "run" / "diagnostic_dump.json").exists()
         assert "diagnostic" in capsys.readouterr().err
 
+    def test_internal_key_error_propagates(self, tmp_path, tiny_teacher_ckpt,
+                                           monkeypatch):
+        # only config problems map to exit 2; a bug inside a run is not one
+        import dmdlab.lab.runner as runner_mod
+
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(runner_mod, "generator_update", broken)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_cfg(tiny_teacher_ckpt)))
+        with pytest.raises(KeyError, match="internal"):
+            cli_main(["run", str(path), "--out", str(tmp_path / "run")])
+
 
 class TestPresets:
     def preset_overrides(self, teacher):
@@ -236,21 +257,101 @@ class TestPlots:
         assert not (run_dir / "plots" / "sw2.svg").exists()
 
 
-class TestPrecisionOption:
-    def test_fp32_run(self, tmp_path, tiny_teacher_ckpt):
-        import dmdlab
+class TestRemovedPrecisionKey:
+    """fp64 is the only precision; a stale "precision" key is rejected."""
 
-        cfg = run_config_from_dict(small_cfg(tiny_teacher_ckpt,
-                                             precision="fp32", iterations=4,
-                                             eval_every=2))
+    def test_run_config_rejects_precision(self, tmp_path, tiny_teacher_ckpt,
+                                          capsys):
+        raw = small_cfg(tiny_teacher_ckpt, precision="fp64")
+        with pytest.raises(ConfigError) as err:
+            run_config_from_dict(raw)
+        assert err.value.key == "precision"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert "precision" in capsys.readouterr().err
+
+    def test_teacher_config_rejects_precision(self, tmp_path, capsys):
+        raw = {**TEACHER_CFG, "precision": "fp32"}
+        with pytest.raises(ConfigError) as err:
+            teacher_config_from_dict(raw)
+        assert err.value.key == "precision"
+        path = tmp_path / "teacher.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["train-teacher", str(path), "--out",
+                         str(tmp_path)]) == 2
+        assert "precision" in capsys.readouterr().err
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestMalformedValues:
+    """Each malformed value exits 2 at load with a message naming its key."""
+
+    @pytest.mark.parametrize("key,value", [
+        ("lr_gen", NAN), ("lambda", INF), ("alpha", NAN), ("w_gan", NAN),
+        ("mode", []), ("schedule_policy", {}), ("step_grid", [0, NAN]),
+        ("meanvar_mu_target", "a"), ("radius_mult", INF), ("data", 3),
+        ("teacher", 3), ("normalizer_on", 1), ("tau_ca_range", [0, True]),
+        ("step_grid", [0.0, 0.7, 0.4]), ("n_steps", 3),
+    ])
+    def test_run_value(self, tmp_path, tiny_teacher_ckpt, capsys, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**small_cfg(tiny_teacher_ckpt),
+                                    key: value}))
+        code = cli_main(["run", str(path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("lr", NAN), ("ema_decay", 5), ("lr_final", "x"),
+        ("tau_law", "cosine"), ("iterations", INF), ("p_uncond", 1.0),
+        ("out", None),
+    ])
+    def test_teacher_value(self, tmp_path, capsys, key, value):
+        path = tmp_path / "teacher.json"
+        path.write_text(json.dumps({**TEACHER_CFG, key: value}))
+        code = cli_main(["train-teacher", str(path), "--out",
+                         str(tmp_path / "out")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([NAN, INF, -INF]), st.text(max_size=6))
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
+                    st.dictionaries(st.text(max_size=4), _SCALARS,
+                                    max_size=2))
+
+
+class TestConfigFuzz:
+    """Loaders return a dict or raise ConfigError, whatever one key holds; a
+    returned dict holds no NaN or infinity (strict JSON refuses them)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(key=st.sampled_from(RUN_REQUIRED + list(RUN_OPTIONAL)),
+           value=_VALUES)
+    def test_run_config(self, key, value):
         try:
-            art = run_config(cfg, tmp_path / "run")
-        finally:
-            dmdlab.set_dtype("fp64")
-        assert art.metrics_path.exists()
-        # loaded teacher keeps its stored fp64; fresh nets would be fp32
-        with open(art.metrics_path, newline="") as fh:
-            assert len(list(csv.DictReader(fh))) == 2
+            cfg = run_config_from_dict({**small_cfg("t.ckpt"), key: value})
+        except ConfigError:
+            return
+        json.dumps(cfg, allow_nan=False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.sampled_from(TEACHER_REQUIRED + list(TEACHER_OPTIONAL)),
+           value=_VALUES)
+    def test_teacher_config(self, key, value):
+        try:
+            cfg = teacher_config_from_dict({**TEACHER_CFG, key: value})
+        except ConfigError:
+            return
+        json.dumps(cfg, allow_nan=False)
 
 
 class TestPresetCli:
@@ -275,10 +376,8 @@ class TestPresetCli:
 
 class TestTeacherCli:
     def test_train_teacher_cli(self, tmp_path, capsys):
-        cfg = {"iterations": 40, "batch": 16, "lr": 1e-3, "p_uncond": 0.1,
-               "seed": 5, "out": "t.ckpt"}
         path = tmp_path / "teacher.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(TEACHER_CFG))
         code = cli_main(["train-teacher", str(path), "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "t.ckpt").exists()
