@@ -9,15 +9,17 @@ Layout (little-endian throughout):
   data    raw array bytes in declaration order
 
 The network structure is recovered from the shape table alone, so a file is
-self-describing for any NetConfig produced by init_params.
+self-describing for any NetConfig produced by init_params. The data section
+is the network's flat parameter buffer, so it loads as one array.
 """
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .net import NetConfig, NetParams
+from .net import NetConfig, NetParams, slot_shapes
 
 MAGIC = b"DMDL"
 VERSION = 1
@@ -60,38 +62,33 @@ def load_params(path) -> NetParams:
         dims = struct.unpack_from(f"<{ndim}I", buf, off)
         off += 4 * ndim
         shapes.append(tuple(int(d) for d in dims))
-    arrays = []
-    for shape in shapes:
-        n = int(np.prod(shape)) if shape else 1
-        a = np.frombuffer(buf, dtype=dtype, count=n, offset=off).reshape(shape).copy()
-        off += n * dtype.itemsize
-        arrays.append(a)
-    if off != len(buf):
-        raise ValueError(f"{path}: trailing bytes in checkpoint")
-    return _rebuild(arrays)
+    n = sum(math.prod(shape) for shape in shapes)
+    if off + n * dtype.itemsize != len(buf):
+        raise ValueError(f"{path}: data section does not match the array table")
+    flat = np.frombuffer(buf, dtype=dtype, count=n, offset=off).copy()
+    return NetParams.from_flat(_config_from_shapes(shapes), flat)
 
 
-def _rebuild(arrays) -> NetParams:
+def _config_from_shapes(shapes) -> NetConfig:
     # Declaration order: weights, biases, cond_embed, time_freqs, time_w, time_b.
-    if len(arrays) < 6 or (len(arrays) - 4) % 2 != 0:
+    if len(shapes) < 6 or (len(shapes) - 4) % 2 != 0:
         raise ValueError("malformed checkpoint array table")
-    n_layers = (len(arrays) - 4) // 2
-    weights = arrays[:n_layers]
-    biases = arrays[n_layers:2 * n_layers]
-    cond_embed, time_freqs, time_w, time_b = arrays[2 * n_layers:]
-    n_freq = time_freqs.shape[0]
-    temb_dim = time_w.shape[1]
-    cond_dim = cond_embed.shape[1]
-    dim = weights[0].shape[0] - temb_dim - cond_dim
+    n_layers = (len(shapes) - 4) // 2
+    ndims = [2] * n_layers + [1] * n_layers + [2, 1, 2, 1]
+    if [len(shape) for shape in shapes] != ndims:
+        raise ValueError("malformed checkpoint array table")
+    cond_embed, time_freqs, time_w, _ = shapes[2 * n_layers:]
+    temb_dim, cond_dim = time_w[1], cond_embed[1]
     config = NetConfig(
-        dim=dim,
-        n_labels=cond_embed.shape[0] - 1,
-        hidden=weights[0].shape[1],
+        dim=shapes[0][0] - temb_dim - cond_dim,
+        n_labels=cond_embed[0] - 1,
+        hidden=shapes[0][1],
         n_hidden=n_layers - 1,
-        out_dim=weights[-1].shape[1],
+        out_dim=shapes[n_layers - 1][1],
         cond_dim=cond_dim,
         temb_dim=temb_dim,
-        n_freq=n_freq,
+        n_freq=time_freqs[0],
     )
-    return NetParams(config, list(weights), list(biases), cond_embed,
-                     time_freqs, time_w, time_b)
+    if config.dim < 1 or config.n_labels < 1 or slot_shapes(config) != shapes:
+        raise ValueError("malformed checkpoint array table")
+    return config

@@ -27,8 +27,8 @@ import numpy as np
 from .data import MixtureSpec, expected_sample_stats, sample_points_for_labels
 from .flow import as_predictor, renoise
 from .metrics import MetricRecord, batch_sample_stats
-from .net import (NULL_LABEL, NetConfig, NetParams, _sigmoid, init_params,
-                  net_backward, net_forward, net_forward_cached)
+from .net import (NULL_LABEL, NetConfig, NetParams, NonFiniteError, _sigmoid,
+                  init_params, net_backward, net_forward, net_forward_cached)
 from .optim import AdamState, adam_step, init_adam
 
 
@@ -63,14 +63,6 @@ class Regularizer(str, Enum):
 _DEFAULT_GRIDS = {1: (0.0,), 2: (0.0, 0.5), 4: (0.0, 0.25, 0.5, 0.75)}
 
 
-class NonFiniteError(RuntimeError):
-    """Raised when a training quantity stops being finite; carries context."""
-
-    def __init__(self, message, context=None):
-        super().__init__(message)
-        self.context = context or {}
-
-
 @dataclass
 class DistillConfig:
     alpha: float = 4.0
@@ -101,6 +93,7 @@ class DistillConfig:
         return _DEFAULT_GRIDS[self.n_steps]
 
     def validate(self) -> None:
+        """Each message starts with the run-config key at fault."""
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         if self.lam <= 0:
@@ -112,10 +105,14 @@ class DistillConfig:
             raise ValueError("step_grid must start at 0")
         if any(b <= a for a, b in zip(grid, grid[1:])) or grid[-1] >= 1.0:
             raise ValueError("step_grid must be strictly increasing within [0, 1)")
-        if self.ttur_ratio < 0 or self.batch <= 0:
-            raise ValueError("ttur_ratio must be >= 0 and batch positive")
-        if self.lr_gen <= 0 or self.lr_fake <= 0:
-            raise ValueError("lr_gen and lr_fake must be positive")
+        if self.ttur_ratio < 0:
+            raise ValueError("ttur_ratio must be >= 0")
+        if self.batch <= 0:
+            raise ValueError("batch must be positive")
+        if self.lr_gen <= 0:
+            raise ValueError("lr_gen must be positive")
+        if self.lr_fake <= 0:
+            raise ValueError("lr_fake must be positive")
         if (self.meanvar_var_target is not None
                 and self.meanvar_var_target <= 0):
             raise ValueError("meanvar_var_target must be > 0")
@@ -411,8 +408,7 @@ def _softplus(z):
 
 
 def _add_grads(a: NetParams, b: NetParams) -> NetParams:
-    for (_, x), (_, y) in zip(a.slots(), b.slots()):
-        x += y
+    a.flat += b.flat
     return a
 
 
@@ -473,7 +469,7 @@ def generator_update(state: DistillState, teacher, config: DistillConfig,
 
     if not np.isfinite(direction.delta_total).all():
         raise NonFiniteError("non-finite update direction", context={
-            "iteration": state.iteration, "t": t, "tau_ca": float(tau_ca),
+            "iteration": state.iteration + 1, "t": t, "tau_ca": float(tau_ca),
             "tau_dm": float(tau_dm),
             "max_abs_gen_out": float(np.max(np.abs(gen_out))),
         })

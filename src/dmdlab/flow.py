@@ -30,8 +30,11 @@ class TeacherConfig:
     log_every: int = 100
 
     def validate(self) -> None:
-        if self.iterations <= 0 or self.batch <= 0:
-            raise ValueError("iterations and batch must be positive")
+        """Each message starts with the teacher-config key at fault."""
+        if self.iterations <= 0:
+            raise ValueError("iterations must be positive")
+        if self.batch <= 0:
+            raise ValueError("batch must be positive")
         if not 0.0 < self.p_uncond < 1.0:
             raise ValueError("p_uncond must lie in (0, 1)")
         if self.lr_final is not None and not 0.0 < self.lr_final <= self.lr:

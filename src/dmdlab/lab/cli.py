@@ -78,7 +78,7 @@ def main(argv=None) -> int:
         return 2
     except NonFiniteError as err:
         dump = err.context.get("dump_path", "<no dump>")
-        print(f"error: training aborted on non-finite direction; "
+        print(f"error: training aborted on a non-finite value; "
               f"diagnostics at {dump}", file=sys.stderr)
         return 3
     except PlotDataError as err:

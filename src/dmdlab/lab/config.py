@@ -116,6 +116,12 @@ def _check_str(key, value, optional=False):
         raise ConfigError(key, f"expected a string, got {value!r}")
 
 
+def _check_file(key, value):
+    # a missing input must fail at load, before a run directory exists
+    if not Path(value).is_file():
+        raise ConfigError(key, f"no such file: {value}")
+
+
 def _check_choice(key, value, enum):
     choices = [e.value for e in enum]
     if value not in choices:  # a list, so unhashable values fail cleanly
@@ -185,6 +191,10 @@ def validate_run_values(values: dict) -> dict:
     _check_str("data", values["data"])
     _check_str("teacher", values["teacher"], optional=True)
     _check_str("out_dir", values["out_dir"], optional=True)
+    if values["data"] != "gmm8":
+        _check_file("data", values["data"])
+    if values["teacher"] is not None:
+        _check_file("teacher", values["teacher"])
     values["tau_ca_range"] = _check_range("tau_ca_range", values["tau_ca_range"])
     values["tau_dm_range"] = _check_range("tau_dm_range", values["tau_dm_range"])
     grid = values["step_grid"]
@@ -210,6 +220,12 @@ def _load_json(path):
         raise ConfigError("<json>", f"{path}: {e}")
 
 
+def _keyed(err: ValueError, cfg: dict) -> ConfigError:
+    # the typed configs start each message with the key at fault
+    key = str(err).split(" ", 1)[0]
+    return ConfigError(key if key in cfg else "<combination>", str(err))
+
+
 def run_config_from_dict(raw: dict) -> dict:
     cfg = validate_run_values(_apply_env_seed(
         _merge(raw, RUN_REQUIRED, RUN_OPTIONAL, "run config")))
@@ -218,7 +234,7 @@ def run_config_from_dict(raw: dict) -> dict:
         distill_config(cfg).validate()
         schedule_config(cfg)
     except ValueError as e:
-        raise ConfigError("<combination>", str(e))
+        raise _keyed(e, cfg)
     return cfg
 
 
@@ -237,10 +253,12 @@ def teacher_config_from_dict(raw: dict) -> dict:
     for key in ("data", "out", "tau_law"):
         _check_str(key, cfg[key])
     _check_str("log", cfg["log"], optional=True)
+    if cfg["data"] != "gmm8":
+        _check_file("data", cfg["data"])
     try:
         teacher_config(cfg).validate()
     except ValueError as e:
-        raise ConfigError("<combination>", str(e))
+        raise _keyed(e, cfg)
     return cfg
 
 

@@ -9,7 +9,7 @@ Layout of a run directory:
     manifest.json          timestamps and durations (the only file allowed
                            to differ between identical runs)
     diagnostic_dump.json   written only when training aborts on a non-finite
-                           direction
+                           value; holds the error's context and iteration
 """
 
 import csv
@@ -156,6 +156,7 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
                                         + [int(label)])
         except NonFiniteError as err:
             aborted = err
+            err.context.setdefault("iteration", it)
             dump = dict(err.context)
             dump["error"] = str(err)
             (out_dir / "diagnostic_dump.json").write_text(

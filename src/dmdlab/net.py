@@ -6,13 +6,56 @@ embedding] that predicts a clean sample (x0 parameterization). Score and
 velocity views are derived elsewhere from this prediction.
 
 The noise level lives in [0, 1] with 0 = pure noise and 1 = clean data.
+
+Each network keeps all its parameters in one contiguous buffer, so Adam, EMA
+and copies are single vector operations. The passes write into buffers of
+their own with in-place operations, and importing this module tells glibc to
+keep freed heap memory in the process (see _keep_freed_heap).
 """
 
-from dataclasses import dataclass, field
+import ctypes
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 NULL_LABEL = -1  # reserved unconditional id; uses the last embedding row
+
+# glibc mallopt parameters (malloc.h) and the value given to both
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_KEEP_HEAP_BYTES = 32 * 1024 * 1024  # glibc's largest mmap threshold on 64-bit
+
+
+def _keep_freed_heap() -> None:
+    """Serve the passes' temporaries from a heap that is never handed back.
+
+    Every pass allocates and frees many ~128 KB arrays. By default glibc maps
+    each one with mmap and unmaps it on free (or trims it off the top of the
+    heap), so the next pass faults the same pages in from the kernel again:
+    about 3,900 minor faults per FULL_DMD update at batch 128. With both
+    thresholds at 32 MB freed blocks stay in the heap for reuse. A C library
+    without mallopt is left alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _KEEP_HEAP_BYTES)
+    mallopt(_M_MMAP_THRESHOLD, _KEEP_HEAP_BYTES)
+
+
+_keep_freed_heap()
+
+
+class NonFiniteError(ValueError):
+    """Raised when a training quantity stops being finite; carries context."""
+
+    def __init__(self, message, context=None):
+        super().__init__(message)
+        self.context = context or {}
 
 
 @dataclass
@@ -37,22 +80,50 @@ class NetConfig:
         return self.dim + self.temb_dim + self.cond_dim
 
 
+def slot_shapes(config: NetConfig) -> list:
+    """Shapes of the parameter slots in declaration order: weights, biases,
+    cond_embed (n_labels + 1, cond_dim; last row = null), time_freqs,
+    time_w, time_b."""
+    dims = [config.input_dim] + [config.hidden] * config.n_hidden + [config.output_dim]
+    return ([(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
+            + [(d,) for d in dims[1:]]
+            + [(config.n_labels + 1, config.cond_dim), (config.n_freq,),
+               (2 * config.n_freq, config.temb_dim), (config.temb_dim,)])
+
+
 @dataclass
 class NetParams:
-    """All learnable arrays of one network, in fixed declaration order.
+    """All learnable arrays of one network.
 
-    The slot order (weights, biases, cond_embed, time_freqs, time_w, time_b)
-    is the canonical traversal used by the optimizer, EMA and the checkpoint
-    container.
+    flat holds every parameter contiguously in declaration order (weights,
+    biases, cond_embed, time_freqs, time_w, time_b), the order of the
+    checkpoint container. Each slot is a view into flat, so write slots in
+    place; never rebind them.
     """
 
     config: NetConfig
-    weights: list = field(default_factory=list)
-    biases: list = field(default_factory=list)
-    cond_embed: np.ndarray = None  # (n_labels + 1, cond_dim); last row = null
-    time_freqs: np.ndarray = None  # (n_freq,)
-    time_w: np.ndarray = None      # (2 * n_freq, temb_dim)
-    time_b: np.ndarray = None      # (temb_dim,)
+    flat: np.ndarray
+    weights: list
+    biases: list
+    cond_embed: np.ndarray
+    time_freqs: np.ndarray
+    time_w: np.ndarray
+    time_b: np.ndarray
+
+    @classmethod
+    def from_flat(cls, config: NetConfig, flat: np.ndarray) -> "NetParams":
+        """Wrap a 1-D buffer of exactly n_params values as slot views."""
+        views, off = [], 0
+        for shape in slot_shapes(config):
+            n = math.prod(shape)
+            views.append(flat[off:off + n].reshape(shape))
+            off += n
+        if flat.shape != (off,):
+            raise ValueError(f"flat buffer has shape {flat.shape}, "
+                             f"the config needs ({off},)")
+        layers = config.n_hidden + 1
+        return cls(config, flat, views[:layers], views[layers:2 * layers],
+                   *views[2 * layers:])
 
     def slots(self):
         """Yield (name, array) pairs in declaration order."""
@@ -69,18 +140,10 @@ class NetParams:
         return [a for _, a in self.slots()]
 
     def copy(self) -> "NetParams":
-        return NetParams(
-            config=self.config,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            cond_embed=self.cond_embed.copy(),
-            time_freqs=self.time_freqs.copy(),
-            time_w=self.time_w.copy(),
-            time_b=self.time_b.copy(),
-        )
+        return NetParams.from_flat(self.config, self.flat.copy())
 
     def n_params(self) -> int:
-        return sum(a.size for a in self.arrays())
+        return self.flat.size
 
 
 # Gradients share the parameter container: one slot per parameter slot.
@@ -88,15 +151,7 @@ Gradients = NetParams
 
 
 def zeros_like_params(params: NetParams) -> NetParams:
-    return NetParams(
-        config=params.config,
-        weights=[np.zeros_like(w) for w in params.weights],
-        biases=[np.zeros_like(b) for b in params.biases],
-        cond_embed=np.zeros_like(params.cond_embed),
-        time_freqs=np.zeros_like(params.time_freqs),
-        time_w=np.zeros_like(params.time_w),
-        time_b=np.zeros_like(params.time_b),
-    )
+    return NetParams.from_flat(params.config, np.zeros_like(params.flat))
 
 
 def init_params(config: NetConfig, rng: np.random.Generator) -> NetParams:
@@ -107,29 +162,26 @@ def init_params(config: NetConfig, rng: np.random.Generator) -> NetParams:
         a = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-a, a, size=(fan_in, fan_out))
 
-    dims = [config.input_dim] + [config.hidden] * config.n_hidden + [config.output_dim]
-    weights = [glorot(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-    biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-    cond_embed = 0.02 * rng.standard_normal((config.n_labels + 1, config.cond_dim))
-    time_freqs = np.geomspace(config.freq_lo, config.freq_hi, config.n_freq)
-    time_w = glorot(2 * config.n_freq, config.temb_dim)
-    time_b = np.zeros(config.temb_dim)
-    return NetParams(config, weights, biases, cond_embed, time_freqs, time_w, time_b)
+    params = NetParams.from_flat(
+        config, np.zeros(sum(math.prod(s) for s in slot_shapes(config))))
+    for w in params.weights:
+        w[:] = glorot(*w.shape)
+    params.cond_embed[:] = 0.02 * rng.standard_normal(params.cond_embed.shape)
+    params.time_freqs[:] = np.geomspace(config.freq_lo, config.freq_hi,
+                                        config.n_freq)
+    params.time_w[:] = glorot(*params.time_w.shape)
+    return params
 
 
 def _sigmoid(z):
-    # overflow-free for any magnitude
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _silu(z):
-    return z * _sigmoid(z)
-
-
-def _dsilu(z):
-    s = _sigmoid(z)
-    return s * (1.0 + z * (1.0 - s))
+    """Logistic function as 0.5 * (1 + tanh(z / 2)): no overflow at any
+    magnitude, computed in one fresh buffer."""
+    s = np.empty(np.shape(z), np.result_type(z, 0.5))
+    np.multiply(z, 0.5, out=s)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def _as_batch_scalar(v, n, name):
@@ -158,11 +210,10 @@ class ForwardCache:
     x: np.ndarray
     tau: np.ndarray
     rows: np.ndarray
-    ang: np.ndarray
-    feats: np.ndarray
-    h0: np.ndarray
-    zs: list
-    acts: list  # activations entering each layer, acts[0] == h0
+    feats: np.ndarray  # [sin(ang), cos(ang)] of the noise-level embedding
+    zs: list           # pre-activations of the hidden layers
+    sigs: list         # sigmoid(zs[l]), reused by the SiLU derivative
+    acts: list         # activations entering each layer, acts[0] is the input
 
 
 def _forward(params: NetParams, x, noise_level, cond, want_cache):
@@ -171,7 +222,7 @@ def _forward(params: NetParams, x, noise_level, cond, want_cache):
     if x.ndim != 2 or x.shape[1] != cfg.dim:
         raise ValueError(f"x must have shape (batch, {cfg.dim}), got {x.shape}")
     if not np.isfinite(x).all():
-        raise ValueError("non-finite input x")
+        raise NonFiniteError("non-finite input x")
     n = x.shape[0]
     tau = _as_batch_scalar(noise_level, n, "noise_level")
     if np.any((tau < 0.0) | (tau > 1.0)):
@@ -181,22 +232,26 @@ def _forward(params: NetParams, x, noise_level, cond, want_cache):
     tau = tau.astype(x.dtype, copy=False)
     ang = 2.0 * np.pi * tau[:, None] * params.time_freqs[None, :]
     feats = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
-    temb = feats @ params.time_w + params.time_b
-    cemb = params.cond_embed[rows]
-    h = np.concatenate([x, temb, cemb], axis=1)
+    temb = feats @ params.time_w
+    temb += params.time_b
+    h = np.concatenate([x, temb, params.cond_embed[rows]], axis=1)
 
-    zs, acts = [], [h]
+    zs, sigs, acts = [], [], [h]
     a = h
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = a @ w + b
+        z = a @ w
+        z += b
+        s = _sigmoid(z)
+        a = z * s  # SiLU
         zs.append(z)
-        a = _silu(z)
+        sigs.append(s)
         acts.append(a)
-    y = a @ params.weights[-1] + params.biases[-1]
+    y = a @ params.weights[-1]
+    y += params.biases[-1]
     if not np.isfinite(y).all():
-        raise ValueError("non-finite network output")
+        raise NonFiniteError("non-finite network output")
     if want_cache:
-        return y, ForwardCache(x, tau, rows, ang, feats, h, zs, acts)
+        return y, ForwardCache(x, tau, rows, feats, zs, sigs, acts)
     return y
 
 
@@ -218,7 +273,8 @@ def net_backward(params: NetParams, cache: ForwardCache, upstream,
                  return_input_grad: bool = False):
     """Gradients of L = sum(output * upstream) w.r.t. every parameter slot.
 
-    Requires the cache from net_forward_cached on the same inputs. With
+    Requires the cache from net_forward_cached on the same inputs; the cache
+    is only read, so it may serve several backward passes. With
     return_input_grad=True also returns dL/dx.
     """
     cfg = params.config
@@ -229,31 +285,39 @@ def net_backward(params: NetParams, cache: ForwardCache, upstream,
     if g.shape != (cache.x.shape[0], out_dim):
         raise ValueError(f"upstream must have shape ({cache.x.shape[0]}, {out_dim}), got {g.shape}")
     if not np.isfinite(g).all():
-        raise ValueError("non-finite upstream gradient")
+        raise NonFiniteError("non-finite upstream gradient")
 
-    grads = zeros_like_params(params)
-    a_last = cache.acts[-1]
-    grads.weights[-1][:] = a_last.T @ g
-    grads.biases[-1][:] = g.sum(axis=0)
+    # every slot but cond_embed is written whole below
+    grads = NetParams.from_flat(cfg, np.empty_like(params.flat))
+    grads.cond_embed[:] = 0.0
+    np.matmul(cache.acts[-1].T, g, out=grads.weights[-1])
+    g.sum(axis=0, out=grads.biases[-1])
     da = g @ params.weights[-1].T
 
     for layer in range(cfg.n_hidden - 1, -1, -1):
-        dz = da * _dsilu(cache.zs[layer])
-        grads.weights[layer][:] = cache.acts[layer].T @ dz
-        grads.biases[layer][:] = dz.sum(axis=0)
+        # SiLU derivative s * (1 + z * (1 - s)), times da
+        s = cache.sigs[layer]
+        dz = np.subtract(1.0, s)
+        dz *= cache.zs[layer]
+        dz += 1.0
+        dz *= s
+        dz *= da
+        np.matmul(cache.acts[layer].T, dz, out=grads.weights[layer])
+        dz.sum(axis=0, out=grads.biases[layer])
         da = dz @ params.weights[layer].T
 
     dx = da[:, :cfg.dim]
     dtemb = da[:, cfg.dim:cfg.dim + cfg.temb_dim]
     dcemb = da[:, cfg.dim + cfg.temb_dim:]
 
-    grads.time_w[:] = cache.feats.T @ dtemb
-    grads.time_b[:] = dtemb.sum(axis=0)
+    np.matmul(cache.feats.T, dtemb, out=grads.time_w)
+    dtemb.sum(axis=0, out=grads.time_b)
     dfeats = dtemb @ params.time_w.T
     nf = cfg.n_freq
     dsin, dcos = dfeats[:, :nf], dfeats[:, nf:]
+    sin, cos = cache.feats[:, :nf], cache.feats[:, nf:]
     scale = 2.0 * np.pi * cache.tau[:, None]
-    grads.time_freqs[:] = (scale * (dsin * np.cos(cache.ang) - dcos * np.sin(cache.ang))).sum(axis=0)
+    (scale * (dsin * cos - dcos * sin)).sum(axis=0, out=grads.time_freqs)
     np.add.at(grads.cond_embed, cache.rows, dcemb)
 
     if return_input_grad:

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Gradients, NetParams, zeros_like_params
+from .net import Gradients, NetParams, NonFiniteError, zeros_like_params
 
 
 @dataclass
@@ -25,23 +25,33 @@ def init_adam(params: NetParams, lr: float, beta1: float = 0.9,
 
 
 def adam_step(state: AdamState, params: NetParams, grads: Gradients):
-    """One bias-corrected update, in place. Returns (state, params)."""
-    for (_, g) in grads.slots():
-        if not np.isfinite(g).all():
-            raise ValueError("non-finite gradients")
+    """One bias-corrected update over the flat buffers, in place. Returns
+    (state, params)."""
+    g = grads.flat
+    if g.shape != params.flat.shape:
+        raise ValueError("gradient/parameter shape mismatch")
+    if not np.isfinite(g).all():
+        raise NonFiniteError("non-finite gradients")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    for (_, p), (_, g), (_, m), (_, v) in zip(params.slots(), grads.slots(),
-                                              state.m.slots(), state.v.slots()):
-        if p.shape != g.shape:
-            raise ValueError("gradient/parameter shape mismatch")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m, v = state.m.flat, state.v.flat
+    tmp = np.multiply(g, 1.0 - b1)
+    m *= b1
+    m += tmp
+    np.square(g, out=tmp)
+    tmp *= 1.0 - b2
+    v *= b2
+    v += tmp
+    # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in that operation order
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    step = np.divide(m, c1)
+    step *= state.lr
+    step /= tmp
+    params.flat -= step
     return state, params
 
 
@@ -49,9 +59,8 @@ def ema_update(ema: NetParams, live: NetParams, decay: float) -> NetParams:
     """ema <- decay * ema + (1 - decay) * live, elementwise and in place."""
     if not 0.0 <= decay <= 1.0:
         raise ValueError("decay must lie in [0, 1]")
-    for (_, e), (_, p) in zip(ema.slots(), live.slots()):
-        if e.shape != p.shape:
-            raise ValueError("ema/live shape mismatch")
-        e *= decay
-        e += (1.0 - decay) * p
+    if ema.flat.shape != live.flat.shape:
+        raise ValueError("ema/live shape mismatch")
+    ema.flat *= decay
+    ema.flat += (1.0 - decay) * live.flat
     return ema

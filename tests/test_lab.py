@@ -156,6 +156,23 @@ class TestRunner:
         assert (tmp_path / "run" / "diagnostic_dump.json").exists()
         assert "diagnostic" in capsys.readouterr().err
 
+    def test_nonfinite_teacher_exit_3(self, tmp_path, capsys):
+        params = init_params(NetConfig(dim=2, n_labels=4, hidden=16,
+                                       n_hidden=2), np.random.default_rng(0))
+        params.weights[0][0, 0] = np.inf
+        teacher = tmp_path / "inf.ckpt"
+        save_params(params, teacher)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_cfg(teacher)))
+        with np.errstate(invalid="ignore"):
+            code = cli_main(["run", str(path), "--out", str(tmp_path / "run")])
+        assert code == 3
+        dump = json.loads((tmp_path / "run" / "diagnostic_dump.json")
+                          .read_text())
+        assert dump["iteration"] == 1
+        assert "non-finite" in dump["error"]
+        assert "diagnostic" in capsys.readouterr().err
+
     def test_internal_key_error_propagates(self, tmp_path, tiny_teacher_ckpt,
                                            monkeypatch):
         # only config problems map to exit 2; a bug inside a run is not one
@@ -295,11 +312,16 @@ class TestMalformedValues:
         ("meanvar_mu_target", "a"), ("radius_mult", INF), ("data", 3),
         ("teacher", 3), ("normalizer_on", 1), ("tau_ca_range", [0, True]),
         ("step_grid", [0.0, 0.7, 0.4]), ("n_steps", 3),
+        ("teacher", "no/such/teacher.ckpt"), ("data", "no/such/spec.json"),
+        ("ttur_ratio", -1), ("lr_fake", 0.0),
     ])
     def test_run_value(self, tmp_path, tiny_teacher_ckpt, capsys, key, value):
+        raw = {**small_cfg(tiny_teacher_ckpt), key: value}
+        with pytest.raises(ConfigError) as err:
+            run_config_from_dict(raw)
+        assert err.value.key == key
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**small_cfg(tiny_teacher_ckpt),
-                                    key: value}))
+        path.write_text(json.dumps(raw))
         code = cli_main(["run", str(path), "--out", str(tmp_path / "run")])
         assert code == 2
         assert key in capsys.readouterr().err
@@ -308,11 +330,15 @@ class TestMalformedValues:
     @pytest.mark.parametrize("key,value", [
         ("lr", NAN), ("ema_decay", 5), ("lr_final", "x"),
         ("tau_law", "cosine"), ("iterations", INF), ("p_uncond", 1.0),
-        ("out", None),
+        ("out", None), ("data", "no/such/spec.json"), ("batch", 0),
     ])
     def test_teacher_value(self, tmp_path, capsys, key, value):
+        raw = {**TEACHER_CFG, key: value}
+        with pytest.raises(ConfigError) as err:
+            teacher_config_from_dict(raw)
+        assert err.value.key == key
         path = tmp_path / "teacher.json"
-        path.write_text(json.dumps({**TEACHER_CFG, key: value}))
+        path.write_text(json.dumps(raw))
         code = cli_main(["train-teacher", str(path), "--out",
                          str(tmp_path / "out")])
         assert code == 2
@@ -336,9 +362,10 @@ class TestConfigFuzz:
     @settings(max_examples=400, deadline=None)
     @given(key=st.sampled_from(RUN_REQUIRED + list(RUN_OPTIONAL)),
            value=_VALUES)
-    def test_run_config(self, key, value):
+    def test_run_config(self, tiny_teacher_ckpt, key, value):
         try:
-            cfg = run_config_from_dict({**small_cfg("t.ckpt"), key: value})
+            cfg = run_config_from_dict({**small_cfg(tiny_teacher_ckpt),
+                                        key: value})
         except ConfigError:
             return
         json.dumps(cfg, allow_nan=False)

@@ -1,9 +1,19 @@
+import dataclasses
+import platform
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dmdlab import (NULL_LABEL, NetConfig, init_params, net_forward,
+from dmdlab import (NULL_LABEL, NetConfig, NetParams, init_params, net_forward,
                     net_forward_cached, net_backward, zeros_like_params,
                     init_adam, adam_step, ema_update, save_params, load_params)
+from dmdlab.distill import DistillConfig, fake_model_update, init_distill_state
+from dmdlab.net import NonFiniteError, _sigmoid
 
 
 def small_config(dim=2, n_labels=3, hidden=8, n_hidden=2, out_dim=None):
@@ -32,6 +42,17 @@ def oracle_forward(params, x, tau, cond):
             h = z / (1.0 + np.exp(-z))
         out[i] = params.weights[-1].T @ h + params.biases[-1]
     return out
+
+
+def assert_slots_view_flat(params):
+    """Every slot is the next stretch of params.flat, in declaration order."""
+    start = params.flat.__array_interface__["data"][0]
+    off = 0
+    for name, a in params.slots():
+        assert a.base is params.flat, name
+        assert a.__array_interface__["data"][0] == start + off * a.itemsize, name
+        off += a.size
+    assert off == params.flat.size
 
 
 def loss_value(params, x, tau, cond, upstream):
@@ -334,3 +355,189 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError):
             load_params(path)
+
+
+def exp_sigmoid(z):
+    """The earlier exp form of the logistic function, as a reference."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+class TestSigmoid:
+    def test_matches_exp_form(self):
+        rng = np.random.default_rng(30)
+        z = np.concatenate([10.0 * rng.standard_normal(100_000),
+                            rng.uniform(-800, 800, size=1000),
+                            [1e308, -1e308, 745.0, -745.0, 0.0]])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = _sigmoid(z)
+        assert np.max(np.abs(got - exp_sigmoid(z))) <= 1e-15
+        assert (got[-5], got[-4], got[-1]) == (1.0, 0.0, 0.5)
+
+    def test_zero_is_half(self):
+        assert _sigmoid(0) == 0.5
+        assert _sigmoid(np.zeros((3, 4))).tolist() == [[0.5] * 4] * 3
+
+    def test_fresh_buffer(self):
+        z = np.linspace(-3, 3, 12).reshape(3, 4)
+        before = z.copy()
+        s = _sigmoid(z)
+        assert not np.shares_memory(s, z)
+        assert np.array_equal(z, before)
+
+
+class TestFlatLayout:
+    def test_slots_view_flat(self, tmp_path):
+        params = init_params(small_config(n_hidden=3, out_dim=1),
+                             np.random.default_rng(31))
+        assert_slots_view_flat(params)
+        assert_slots_view_flat(params.copy())
+        assert_slots_view_flat(zeros_like_params(params))
+        save_params(params, tmp_path / "p.ckpt")
+        assert_slots_view_flat(load_params(tmp_path / "p.ckpt"))
+
+    def test_copy_is_independent(self):
+        params = init_params(small_config(), np.random.default_rng(32))
+        dup = params.copy()
+        dup.weights[0][0, 0] += 1.0
+        assert dup.weights[0][0, 0] != params.weights[0][0, 0]
+
+    def test_backward_grads_view_flat(self):
+        rng = np.random.default_rng(33)
+        params = init_params(small_config(), rng)
+        _, cache = net_forward_cached(params, rng.standard_normal((4, 2)),
+                                      0.3, 1)
+        assert_slots_view_flat(net_backward(params, cache,
+                                            rng.standard_normal((4, 2))))
+
+    def test_wrong_size_rejected(self):
+        cfg = small_config()
+        n = init_params(cfg, np.random.default_rng(34)).n_params()
+        with pytest.raises(ValueError):
+            NetParams.from_flat(cfg, np.zeros(n + 1))
+
+
+def reference_adam(state, params, grads):
+    """Per-slot Adam as the optimizer computed it before the flat buffer."""
+    state.step += 1
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** state.step
+    c2 = 1.0 - b2 ** state.step
+    for p, g, m, v in zip(params.arrays(), grads.arrays(), state.m.arrays(),
+                          state.v.arrays()):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * np.square(g)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+
+
+def reference_ema(ema, live, decay):
+    for e, p in zip(ema.arrays(), live.arrays()):
+        e *= decay
+        e += (1.0 - decay) * p
+
+
+class TestFlatBitExact:
+    def test_adam_matches_per_slot_reference(self):
+        rng = np.random.default_rng(35)
+        params = init_params(small_config(n_hidden=3), rng)
+        ref = params.copy()
+        state, ref_state = init_adam(params, lr=3e-3), init_adam(ref, lr=3e-3)
+        for _ in range(6):
+            grads = zeros_like_params(params)
+            grads.flat[:] = rng.standard_normal(grads.flat.size)
+            adam_step(state, params, grads)
+            reference_adam(ref_state, ref, grads)
+            for got, want in ((params, ref), (state.m, ref_state.m),
+                              (state.v, ref_state.v)):
+                assert all(np.array_equal(a, b) for a, b
+                           in zip(got.arrays(), want.arrays()))
+        assert state.step == ref_state.step == 6
+
+    def test_ema_matches_per_slot_reference(self):
+        rng = np.random.default_rng(36)
+        live = init_params(small_config(), rng)
+        ema = zeros_like_params(live)
+        ref = ema.copy()
+        for decay in (0.9, 0.99, 0.5, 0.999):
+            live.flat[:] = rng.standard_normal(live.flat.size)
+            ema_update(ema, live, decay)
+            reference_ema(ref, live, decay)
+            assert np.array_equal(ema.flat, ref.flat)
+
+
+class TestNonFinite:
+    def test_error_type(self):
+        import dmdlab.distill
+        assert dmdlab.distill.NonFiniteError is NonFiniteError
+        assert issubclass(NonFiniteError, ValueError)
+
+    def test_forward_backward_adam_raise_it(self):
+        rng = np.random.default_rng(37)
+        params = init_params(small_config(), rng)
+        x = rng.standard_normal((3, 2))
+        with pytest.raises(NonFiniteError):
+            net_forward(params, np.array([[np.inf, 0.0]]), 0.5, 0)
+        _, cache = net_forward_cached(params, x, 0.5, 0)
+        with pytest.raises(NonFiniteError):
+            net_backward(params, cache, np.full((3, 2), np.nan))
+        grads = zeros_like_params(params)
+        grads.time_b[0] = np.nan
+        with pytest.raises(NonFiniteError):
+            adam_step(init_adam(params, lr=1e-3), params, grads)
+        bad = params.copy()
+        bad.weights[0][0, 0] = np.inf
+        with pytest.raises(NonFiniteError), np.errstate(invalid="ignore"):
+            net_forward(bad, x, 0.5, 0)
+
+
+@pytest.mark.skipif(platform.system() != "Linux"
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="the heap setting is glibc's mallopt")
+def test_fake_model_updates_do_not_fault():
+    # importing dmdlab keeps freed heap memory in the process, so a warm
+    # training step reuses its pages instead of faulting them in again
+    import resource
+
+    rng = np.random.default_rng(38)
+    teacher = init_params(NetConfig(dim=2, n_labels=4), rng)
+    state = init_distill_state(teacher, DistillConfig(batch=128), None, seed=0)
+    samples = rng.standard_normal((128, 2))
+    cond = rng.integers(0, 4, size=128)
+    for _ in range(5):
+        fake_model_update(state, samples, cond, state.rng_fake)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        fake_model_update(state, samples, cond, state.rng_fake)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 50
+
+
+_NET_CONFIGS = st.builds(
+    NetConfig, dim=st.integers(1, 4), n_labels=st.integers(1, 5),
+    hidden=st.integers(1, 9), n_hidden=st.integers(1, 3),
+    out_dim=st.none() | st.integers(1, 3), cond_dim=st.integers(1, 5),
+    temb_dim=st.integers(1, 5), n_freq=st.integers(1, 4))
+
+
+class TestCheckpointProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=_NET_CONFIGS, dtype=st.sampled_from([np.float64, np.float32]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_roundtrip(self, cfg, dtype, seed):
+        params = init_params(cfg, np.random.default_rng(seed))
+        params = NetParams.from_flat(cfg, params.flat.astype(dtype))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "net.ckpt"
+            save_params(params, path)
+            loaded = load_params(path)
+            resaved = Path(tmp) / "again.ckpt"
+            save_params(loaded, resaved)
+            assert resaved.read_bytes() == path.read_bytes()
+        assert loaded.config == dataclasses.replace(cfg,
+                                                    out_dim=cfg.output_dim)
+        assert loaded.flat.dtype == dtype
+        assert np.array_equal(loaded.flat, params.flat)
+        assert_slots_view_flat(loaded)
