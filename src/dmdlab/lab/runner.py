@@ -117,6 +117,8 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
 
     ref = sample_dataset(spec, cfg["eval_ref_n"],
                          np.random.default_rng([cfg["seed"], _REF_TAG]))
+    ref_by_label = [ref.points[ref.labels == label]
+                    for label in range(spec.label_count)]
 
     started = time.time()
     metrics_path = out_dir / "metrics.csv"
@@ -135,9 +137,8 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
                     sw_vals, cov_vals = [], []
                     for label in range(spec.label_count):
                         gen_pts = cloud[cloud_labels == label]
-                        ref_pts = ref.points[ref.labels == label]
-                        sw_vals.append(sliced_wasserstein2(gen_pts, ref_pts,
-                                                           128, sw_rng))
+                        sw_vals.append(sliced_wasserstein2(
+                            gen_pts, ref_by_label[label], 128, sw_rng))
                         cov_vals.append(mode_coverage(gen_pts, spec, label,
                                                       cfg["radius_mult"]))
                     means, variances = batch_sample_stats(cloud)
@@ -151,9 +152,9 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
                               newline="") as sf:
                         sw = csv.writer(sf)
                         sw.writerow([f"x{d}" for d in range(spec.dim)] + ["label"])
-                        for point, label in zip(cloud, cloud_labels):
-                            sw.writerow([repr(float(v)) for v in point]
-                                        + [int(label)])
+                        rows = zip(cloud.tolist(), cloud_labels.tolist())
+                        # csv writes a float as its repr(), which round-trips
+                        sw.writerows(point + [label] for point, label in rows)
         except NonFiniteError as err:
             aborted = err
             err.context.setdefault("iteration", it)

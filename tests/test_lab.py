@@ -173,6 +173,21 @@ class TestRunner:
         assert "non-finite" in dump["error"]
         assert "diagnostic" in capsys.readouterr().err
 
+    def test_nonfinite_metric_exit_3(self, tmp_path, tiny_teacher_ckpt,
+                                     capsys):
+        # the generator stays finite but its samples overflow the sw2 metric
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_cfg(
+            tiny_teacher_ckpt, mode="CA_ONLY", lr_gen=1e40)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli_main(["run", str(path), "--out", str(tmp_path / "run")])
+        assert code == 3
+        dump = json.loads((tmp_path / "run" / "diagnostic_dump.json")
+                          .read_text())
+        assert dump["iteration"] == 4
+        assert dump["field"] == "sw2"
+        assert "diagnostic" in capsys.readouterr().err
+
     def test_internal_key_error_propagates(self, tmp_path, tiny_teacher_ckpt,
                                            monkeypatch):
         # only config problems map to exit 2; a bug inside a run is not one

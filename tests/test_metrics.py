@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmdlab.data import Component, MixtureSpec, gmm8
-from dmdlab.metrics import (MetricRecord, batch_sample_stats, ikl_estimate,
-                            mode_coverage, sliced_wasserstein2,
+from dmdlab.metrics import (_PROJ_BLOCK, MetricRecord, batch_sample_stats,
+                            ikl_estimate, mode_coverage, sliced_wasserstein2,
                             wasserstein2_1d)
+from dmdlab.net import NonFiniteError
 
 
 def brute_force_w2_1d(a, b):
@@ -15,6 +18,19 @@ def brute_force_w2_1d(a, b):
     av = a[np.minimum((qs * len(a)).astype(int), len(a) - 1)]
     bv = b[np.minimum((qs * len(b)).astype(int), len(b) - 1)]
     return float(np.sqrt(np.mean((av - bv) ** 2)))
+
+
+def reference_sliced_w2(A, B, n_proj, rng):
+    """Reference: one direction drawn, normalized and projected at a time,
+    each projection's distance from wasserstein2_1d."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    total = 0.0
+    for _ in range(n_proj):
+        v = rng.standard_normal(A.shape[1])
+        v /= np.linalg.norm(v)
+        total += wasserstein2_1d(A @ v, B @ v)
+    return total / n_proj
 
 
 class TestSlicedWasserstein:
@@ -67,6 +83,38 @@ class TestSlicedWasserstein:
         with pytest.raises(ValueError):
             sliced_wasserstein2(np.zeros((3, 0)), np.zeros((3, 0)), 4,
                                 np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n_proj", [0, -3])
+    def test_n_proj_below_one_rejected(self, n_proj):
+        A = np.random.default_rng(32).standard_normal((10, 2))
+        with pytest.raises(ValueError, match="n_proj"):
+            sliced_wasserstein2(A, A + 1.0, n_proj, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n,m", [(0, 5), (5, 0), (0, 0)])
+    def test_empty_set_rejected(self, n, m):
+        with pytest.raises(ValueError, match="empty sample set"):
+            sliced_wasserstein2(np.zeros((n, 2)), np.ones((m, 2)), 4,
+                                np.random.default_rng(0))
+        with pytest.raises(ValueError, match="empty sample set"):
+            wasserstein2_1d(np.zeros(n), np.ones(m))
+
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.integers(1, 3), n=st.integers(1, 400),
+           m=st.integers(1, 600), same_size=st.booleans(),
+           n_proj=st.integers(1, 3 * _PROJ_BLOCK + 1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocked_matches_reference_bit_exact(self, dim, n, m, same_size,
+                                                 n_proj, seed):
+        data = np.random.default_rng(seed)
+        m = n if same_size else m
+        A = data.standard_normal((n, dim)) * data.uniform(0.1, 5.0)
+        B = data.standard_normal((m, dim)) + data.uniform(-2.0, 2.0)
+        rng_ref = np.random.default_rng(seed + 1)
+        rng_new = np.random.default_rng(seed + 1)
+        want = reference_sliced_w2(A, B, n_proj, rng_ref)
+        assert sliced_wasserstein2(A, B, n_proj, rng_new) == want
+        # the runner shares one rng across labels: the draw count must match
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 class TestBatchSampleStats:
@@ -190,5 +238,6 @@ class TestMetricRecord:
         row = rec.to_row()
         assert len(row) == 11
         rec.sw2 = float("nan")
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteError) as err:
             rec.to_row()
+        assert err.value.context == {"field": "sw2"}
