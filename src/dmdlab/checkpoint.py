@@ -45,23 +45,28 @@ def save_params(params: NetParams, path) -> None:
 
 
 def load_params(path) -> NetParams:
+    """Read a checkpoint; a file that is not a well-formed one is a
+    ValueError."""
     buf = Path(path).read_bytes()
     if buf[:4] != MAGIC:
         raise ValueError(f"{path}: not a DMDL checkpoint")
-    version, prec, count = struct.unpack_from("<IBI", buf, 4)
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    dtype = _PREC_INV.get(prec)
-    if dtype is None:
-        raise ValueError(f"{path}: unknown precision flag {prec}")
-    off = 4 + struct.calcsize("<IBI")
-    shapes = []
-    for _ in range(count):
-        (ndim,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        dims = struct.unpack_from(f"<{ndim}I", buf, off)
-        off += 4 * ndim
-        shapes.append(tuple(int(d) for d in dims))
+    try:
+        version, prec, count = struct.unpack_from("<IBI", buf, 4)
+        if version != VERSION:
+            raise ValueError(f"{path}: unsupported version {version}")
+        dtype = _PREC_INV.get(prec)
+        if dtype is None:
+            raise ValueError(f"{path}: unknown precision flag {prec}")
+        off = 4 + struct.calcsize("<IBI")
+        shapes = []
+        for _ in range(count):
+            (ndim,) = struct.unpack_from("<I", buf, off)
+            off += 4
+            dims = struct.unpack_from(f"<{ndim}I", buf, off)
+            off += 4 * ndim
+            shapes.append(tuple(int(d) for d in dims))
+    except struct.error as e:
+        raise ValueError(f"{path}: truncated array table ({e})")
     n = sum(math.prod(shape) for shape in shapes)
     if off + n * dtype.itemsize != len(buf):
         raise ValueError(f"{path}: data section does not match the array table")

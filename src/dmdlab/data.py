@@ -35,15 +35,17 @@ class MixtureSpec:
                 raise ValueError(f"component label {c.label} out of range")
             if c.center.shape != (self.dim,) or c.cov.shape != (self.dim,):
                 raise ValueError("component center/cov must match dim")
+            if not (np.isfinite(c.center).all() and np.isfinite(c.cov).all()):
+                raise ValueError("component center/cov must be finite")
             if np.any(c.cov <= 0):
                 raise ValueError("covariances must be strictly positive")
-            if c.weight <= 0:
+            if not c.weight > 0:  # NaN fails too
                 raise ValueError("weights must be positive")
             totals[c.label] = totals.get(c.label, 0.0) + c.weight
         for label in range(self.label_count):
             if label not in totals:
                 raise ValueError(f"label {label} has no components")
-            if abs(totals[label] - 1.0) > 1e-9:
+            if not abs(totals[label] - 1.0) <= 1e-9:
                 raise ValueError(f"label {label} weights sum to {totals[label]}, not 1")
 
     def components_for(self, label: int) -> list:
@@ -64,17 +66,21 @@ class MixtureSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MixtureSpec":
-        spec = cls(
-            dim=int(obj["dim"]),
-            label_count=int(obj["labels"]),
-            components=[
-                Component(label=int(c["label"]),
-                          center=np.asarray(c["center"], dtype=float),
-                          cov=np.asarray(c["cov"], dtype=float),
-                          weight=float(c["weight"]))
-                for c in obj["components"]
-            ],
-        )
+        """Build and validate a spec; any malformed object is a ValueError."""
+        try:
+            spec = cls(
+                dim=int(obj["dim"]),
+                label_count=int(obj["labels"]),
+                components=[
+                    Component(label=int(c["label"]),
+                              center=np.asarray(c["center"], dtype=float),
+                              cov=np.asarray(c["cov"], dtype=float),
+                              weight=float(c["weight"]))
+                    for c in obj["components"]
+                ],
+            )
+        except (KeyError, TypeError, OverflowError) as e:
+            raise ValueError(f"missing or malformed field: {e!r}") from e
         spec.validate()
         return spec
 
@@ -116,20 +122,26 @@ def gmm8(sigma: float = 0.15, radius: float = 2.0) -> MixtureSpec:
 
 def sample_points_for_labels(spec: MixtureSpec, labels: np.ndarray,
                              rng: np.random.Generator) -> np.ndarray:
-    """Draw one point per given label (component by weight, then Gaussian)."""
+    """Draw one point per given label (component by weight, then Gaussian).
+    Every label must be one of the spec's; a ValueError names the first one
+    that is not, before anything is drawn from rng."""
     labels = np.asarray(labels)
+    rows = [np.nonzero(labels == label)[0] for label in range(spec.label_count)]
+    if sum(idx.size for idx in rows) != labels.size:
+        bad = labels[~np.isin(labels, np.arange(spec.label_count))]
+        raise ValueError(f"unknown label {bad.flat[0]}: the spec has labels "
+                         f"0..{spec.label_count - 1}")
     points = np.empty((len(labels), spec.dim))
-    for label in range(spec.label_count):
-        idx = np.nonzero(labels == label)[0]
+    for label, idx in enumerate(rows):
         if idx.size == 0:
             continue
         comps = spec.components_for(label)
         w = np.array([c.weight for c in comps])
+        centers = np.stack([c.center for c in comps])
+        stds = np.sqrt(np.stack([c.cov for c in comps]))
         choice = rng.choice(len(comps), size=idx.size, p=w / w.sum())
         eps = rng.standard_normal((idx.size, spec.dim))
-        centers = np.stack([comps[k].center for k in choice])
-        stds = np.sqrt(np.stack([comps[k].cov for k in choice]))
-        points[idx] = centers + stds * eps
+        points[idx] = centers[choice] + stds[choice] * eps
     return points
 
 

@@ -12,6 +12,8 @@ import os
 import sys
 from pathlib import Path
 
+from ..checkpoint import load_params
+from ..data import MixtureSpec, gmm8
 from ..distill import DistillConfig, Mode, Regularizer, ScheduleConfig, SchedulePolicy
 from ..flow import TeacherConfig
 
@@ -122,6 +124,31 @@ def _check_file(key, value):
         raise ConfigError(key, f"no such file: {value}")
 
 
+def resolve_data(value) -> MixtureSpec:
+    """The mixture a config's data key names: gmm8, or a mixture spec file."""
+    if value == "gmm8":
+        return gmm8()
+    _check_file("data", value)
+    try:
+        return MixtureSpec.load(value)
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError too
+        raise ConfigError("data", f"{value}: not a valid mixture spec: {e}")
+
+
+def _check_teacher(value, spec: MixtureSpec) -> None:
+    _check_file("teacher", value)
+    try:
+        net = load_params(value).config
+    except ValueError as e:  # the message names the file
+        raise ConfigError("teacher", str(e))
+    if (net.dim, net.output_dim, net.n_labels) != (spec.dim, spec.dim,
+                                                   spec.label_count):
+        raise ConfigError(
+            "teacher", f"{value}: a network with input dim {net.dim}, output "
+            f"dim {net.output_dim} and {net.n_labels} labels does not fit "
+            f"the data's dim {spec.dim} and {spec.label_count} labels")
+
+
 def _check_choice(key, value, enum):
     choices = [e.value for e in enum]
     if value not in choices:  # a list, so unhashable values fail cleanly
@@ -191,10 +218,9 @@ def validate_run_values(values: dict) -> dict:
     _check_str("data", values["data"])
     _check_str("teacher", values["teacher"], optional=True)
     _check_str("out_dir", values["out_dir"], optional=True)
-    if values["data"] != "gmm8":
-        _check_file("data", values["data"])
+    spec = resolve_data(values["data"])
     if values["teacher"] is not None:
-        _check_file("teacher", values["teacher"])
+        _check_teacher(values["teacher"], spec)
     values["tau_ca_range"] = _check_range("tau_ca_range", values["tau_ca_range"])
     values["tau_dm_range"] = _check_range("tau_dm_range", values["tau_dm_range"])
     grid = values["step_grid"]
@@ -253,8 +279,7 @@ def teacher_config_from_dict(raw: dict) -> dict:
     for key in ("data", "out", "tau_law"):
         _check_str(key, cfg[key])
     _check_str("log", cfg["log"], optional=True)
-    if cfg["data"] != "gmm8":
-        _check_file("data", cfg["data"])
+    resolve_data(cfg["data"])
     try:
         teacher_config(cfg).validate()
     except ValueError as e:

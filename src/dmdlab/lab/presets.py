@@ -24,8 +24,9 @@ import numpy as np
 from ..checkpoint import save_params
 from ..distill import NonFiniteError
 from ..flow import TeacherConfig, train_teacher
-from .config import RUN_OPTIONAL, ConfigError, run_config_from_dict
-from .runner import RunArtifacts, resolve_data, run_config
+from .config import (RUN_OPTIONAL, ConfigError, resolve_data,
+                     run_config_from_dict)
+from .runner import RunArtifacts, run_config
 
 BASE_RUN = {
     "mode": "FULL_DMD",

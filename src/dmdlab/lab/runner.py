@@ -21,15 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from ..checkpoint import load_params, save_params
-from ..data import MixtureSpec, gmm8, sample_dataset, target_stats
+from ..data import MixtureSpec, sample_dataset, target_stats
 from ..distill import (DistillState, NonFiniteError, generator_update,
                        init_distill_state, observer_probe, sample_generator)
 from ..flow import TeacherConfig, train_teacher
 from ..metrics import (CSV_COLUMNS, batch_sample_stats, mode_coverage,
                        sliced_wasserstein2)
 from ..net import NetParams
-from .config import (distill_config, load_run_config, schedule_config,
-                     teacher_config)
+from .config import (distill_config, load_run_config, resolve_data,
+                     schedule_config, teacher_config)
 
 _REF_TAG = 0x5EED_0001
 _EVAL_TAG = 0x5EED_0002
@@ -44,12 +44,6 @@ class RunArtifacts:
     samples_dir: Path
     manifest_path: Path
     state: DistillState | None = None
-
-
-def resolve_data(name_or_path) -> MixtureSpec:
-    if name_or_path == "gmm8":
-        return gmm8()
-    return MixtureSpec.load(name_or_path)
 
 
 def ensure_teacher(cfg: dict, spec: MixtureSpec, out_dir: Path) -> tuple:

@@ -4,7 +4,6 @@ statistics, mode coverage, and a noise-level-integrated KL diagnostic."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
 from .data import MixtureSpec
 from .flow import renoise
@@ -163,6 +162,10 @@ def ikl_estimate(sampler_p, sampler_q, n_tau: int, n_samples: int,
     (n, rng) -> (n, dim) arrays with dim <= 3 that draw fresh samples per
     call. Returns (clamped estimate, Monte-Carlo standard error).
     """
+    # scipy.stats costs about 65 MB and 1 s to import, and nothing else in
+    # the lab uses it, so it loads only when this diagnostic runs
+    from scipy.stats import gaussian_kde
+
     if taus is None:
         taus = rng.uniform(0.0, 1.0, size=n_tau)
     taus = np.asarray(taus, dtype=float)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmdlab.data import (Component, LabeledBatch, MixtureSpec, gmm8,
-                         sample_dataset, target_stats, expected_sample_stats)
+                         sample_dataset, sample_points_for_labels,
+                         target_stats, expected_sample_stats)
 
 
 def single_component_spec(center, cov, dim=2):
@@ -65,6 +68,79 @@ class TestSampleDataset:
             Component(0, np.zeros(2), np.ones(2), 0.5)])
         with pytest.raises(ValueError):
             unnorm.validate()
+
+    @pytest.mark.parametrize("center,cov,weight", [
+        ((np.nan, 0.0), (1.0, 1.0), 1.0), ((0.0, np.inf), (1.0, 1.0), 1.0),
+        ((0.0, 0.0), (np.nan, 1.0), 1.0), ((0.0, 0.0), (np.inf, 1.0), 1.0),
+        ((0.0, 0.0), (1.0, 1.0), np.nan), ((0.0, 0.0), (1.0, 1.0), np.inf),
+    ])
+    def test_non_finite_spec_rejected(self, center, cov, weight):
+        spec = MixtureSpec(dim=2, label_count=1, components=[
+            Component(0, np.array(center), np.array(cov), weight)])
+        with pytest.raises(ValueError):
+            spec.validate()
+
+
+def reference_points_for_labels(spec, labels, rng):
+    """The per-sample gather loop that sample_points_for_labels replaced."""
+    labels = np.asarray(labels)
+    points = np.empty((len(labels), spec.dim))
+    for label in range(spec.label_count):
+        idx = np.nonzero(labels == label)[0]
+        if idx.size == 0:
+            continue
+        comps = spec.components_for(label)
+        w = np.array([c.weight for c in comps])
+        choice = rng.choice(len(comps), size=idx.size, p=w / w.sum())
+        eps = rng.standard_normal((idx.size, spec.dim))
+        centers = np.stack([comps[k].center for k in choice])
+        stds = np.sqrt(np.stack([comps[k].cov for k in choice]))
+        points[idx] = centers + stds * eps
+    return points
+
+
+@st.composite
+def specs_and_labels(draw):
+    dim = draw(st.integers(1, 3))
+    label_count = draw(st.integers(1, 5))
+    comps = []
+    for label in range(label_count):
+        k = draw(st.integers(1, 3))
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+        weights = [r / sum(raw) for r in raw]
+        weights[-1] = 1.0 - sum(weights[:-1])
+        for w in weights:
+            center = draw(st.lists(st.floats(-5, 5), min_size=dim,
+                                   max_size=dim))
+            cov = draw(st.lists(st.floats(1e-4, 4.0), min_size=dim,
+                                max_size=dim))
+            comps.append(Component(label, np.array(center), np.array(cov), w))
+    spec = MixtureSpec(dim=dim, label_count=label_count, components=comps)
+    labels = draw(st.lists(st.integers(0, label_count - 1), max_size=300))
+    return spec, np.array(labels, dtype=int), draw(st.integers(0, 2**32 - 1))
+
+
+class TestSamplePointsForLabels:
+    @settings(max_examples=150, deadline=None)
+    @given(case=specs_and_labels())
+    def test_matches_reference_bit_exact(self, case):
+        spec, labels, seed = case
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_points_for_labels(spec, labels, rng)
+        want = reference_points_for_labels(spec, labels, ref_rng)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("labels,bad", [
+        ([0, 5, 7, 9], "5"), ([-1, 0], "-1"), ([0.0, 1.5], "1.5"), ([4], "4"),
+    ])
+    def test_unknown_label_rejected_before_drawing(self, labels, bad):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"unknown label {bad}:"):
+            sample_points_for_labels(gmm8(), np.array(labels), rng)
+        assert rng.bit_generator.state == before
 
 
 class TestTargetStats:
@@ -133,6 +209,18 @@ class TestJsonRoundTrip:
             np.testing.assert_allclose(a.center, b.center)
             np.testing.assert_allclose(a.cov, b.cov)
             assert a.weight == b.weight
+
+    @pytest.mark.parametrize("obj", [
+        [1, 2], {"dim": 2, "labels": 1}, {"dim": None, "labels": 1,
+                                          "components": []},
+        {"dim": 1, "labels": 1, "components": [3]},
+        {"dim": 1, "labels": float("inf"), "components": []},
+        {"dim": 1, "labels": 1, "components": [
+            {"label": 0, "center": [0.0], "cov": [1.0]}]},
+    ])
+    def test_malformed_json_is_value_error(self, obj):
+        with pytest.raises(ValueError):
+            MixtureSpec.from_json(obj)
 
     def test_gmm8_structure(self):
         spec = gmm8()

@@ -1,13 +1,18 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmdlab
 from dmdlab import NetConfig, init_params, save_params
+from dmdlab.data import Component, MixtureSpec, gmm8
 from dmdlab.distill import NonFiniteError
 from dmdlab.lab.cli import main as cli_main
 from dmdlab.lab.config import (RUN_OPTIONAL, RUN_REQUIRED, TEACHER_OPTIONAL,
@@ -331,7 +336,11 @@ class TestMalformedValues:
         ("ttur_ratio", -1), ("lr_fake", 0.0),
     ])
     def test_run_value(self, tmp_path, tiny_teacher_ckpt, capsys, key, value):
-        raw = {**small_cfg(tiny_teacher_ckpt), key: value}
+        self.assert_run_rejected(
+            tmp_path, capsys, {**small_cfg(tiny_teacher_ckpt), key: value}, key)
+
+    @staticmethod
+    def assert_run_rejected(tmp_path, capsys, raw, key):
         with pytest.raises(ConfigError) as err:
             run_config_from_dict(raw)
         assert err.value.key == key
@@ -342,13 +351,8 @@ class TestMalformedValues:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("key,value", [
-        ("lr", NAN), ("ema_decay", 5), ("lr_final", "x"),
-        ("tau_law", "cosine"), ("iterations", INF), ("p_uncond", 1.0),
-        ("out", None), ("data", "no/such/spec.json"), ("batch", 0),
-    ])
-    def test_teacher_value(self, tmp_path, capsys, key, value):
-        raw = {**TEACHER_CFG, key: value}
+    @staticmethod
+    def assert_teacher_rejected(tmp_path, capsys, raw, key):
         with pytest.raises(ConfigError) as err:
             teacher_config_from_dict(raw)
         assert err.value.key == key
@@ -359,6 +363,60 @@ class TestMalformedValues:
         assert code == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,write", [
+        ("teacher", lambda path: path.write_text("not a checkpoint")),
+        ("teacher", lambda path: path.write_bytes(b"DMDL\x01\x00")),
+        ("teacher", lambda path: save_params(init_params(
+            NetConfig(dim=2, n_labels=8, hidden=8, n_hidden=1),
+            np.random.default_rng(0)), path)),
+        ("teacher", lambda path: save_params(init_params(
+            NetConfig(dim=3, n_labels=4, hidden=8, n_hidden=1),
+            np.random.default_rng(0)), path)),
+        ("teacher", lambda path: save_params(init_params(
+            NetConfig(dim=2, n_labels=4, hidden=8, n_hidden=1, out_dim=1),
+            np.random.default_rng(0)), path)),
+        ("data", lambda path: path.write_text("{not json")),
+        ("data", lambda path: path.write_text('{"dim": 2, "labels": 4}')),
+        ("data", lambda path: path.write_text("[1, 2]")),
+        ("data", lambda path: path.write_text(json.dumps(
+            {**gmm8().to_json(), "labels": 5}))),
+    ], ids=["not_dmdl", "truncated", "eight_labels", "dim_3", "out_dim_1",
+            "bad_json", "no_components", "not_object", "label_without_data"])
+    def test_run_file(self, tmp_path, tiny_teacher_ckpt, capsys, key, write):
+        bad = tmp_path / "bad_input"
+        write(bad)
+        self.assert_run_rejected(
+            tmp_path, capsys, {**small_cfg(tiny_teacher_ckpt), key: str(bad)},
+            key)
+
+    def test_teacher_must_fit_data_file(self, tmp_path, tiny_teacher_ckpt):
+        # a valid spec that is not gmm8-shaped: the 2-D, 4-label teacher
+        # does not fit 1-D data
+        spec = MixtureSpec(dim=1, label_count=4, components=[
+            Component(label, np.array([float(label)]), np.array([0.1]), 1.0)
+            for label in range(4)])
+        spec.save(tmp_path / "line.json")
+        with pytest.raises(ConfigError) as err:
+            run_config_from_dict(small_cfg(tiny_teacher_ckpt,
+                                           data=str(tmp_path / "line.json")))
+        assert err.value.key == "teacher"
+
+    @pytest.mark.parametrize("text", ["{not json", '{"dim": 2}', "[]"])
+    def test_teacher_data_file(self, tmp_path, capsys, text):
+        (tmp_path / "spec.json").write_text(text)
+        self.assert_teacher_rejected(
+            tmp_path, capsys,
+            {**TEACHER_CFG, "data": str(tmp_path / "spec.json")}, "data")
+
+    @pytest.mark.parametrize("key,value", [
+        ("lr", NAN), ("ema_decay", 5), ("lr_final", "x"),
+        ("tau_law", "cosine"), ("iterations", INF), ("p_uncond", 1.0),
+        ("out", None), ("data", "no/such/spec.json"), ("batch", 0),
+    ])
+    def test_teacher_value(self, tmp_path, capsys, key, value):
+        self.assert_teacher_rejected(tmp_path, capsys,
+                                     {**TEACHER_CFG, key: value}, key)
 
 
 _SCALARS = st.one_of(
@@ -429,3 +487,17 @@ class TestTeacherCli:
         path = tmp_path / "teacher.json"
         path.write_text(json.dumps({"iterations": 10}))
         assert cli_main(["train-teacher", str(path)]) == 2
+
+
+def test_lab_import_loads_no_scipy_stats():
+    # scipy.stats costs about 65 MB and 1 s at import; only ikl_estimate
+    # needs it, so importing the package and the CLI must not load it
+    src = str(Path(dmdlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, dmdlab, dmdlab.lab.cli, dmdlab.lab.presets; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
