@@ -3,7 +3,7 @@
 Layout (little-endian throughout):
   magic   4 bytes  b"DMDL"
   version u32      currently 1
-  prec    u8       0 = float64, 1 = float32
+  prec    u8       0 = float64, the only precision
   count   u32      number of arrays
   table   per array: ndim u32, then ndim dims as u32
   data    raw array bytes in declaration order
@@ -23,24 +23,19 @@ from .net import NetConfig, NetParams, slot_shapes
 
 MAGIC = b"DMDL"
 VERSION = 1
-_PREC = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
-_PREC_INV = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
+_DTYPE = np.dtype("<f8")
 
 
 def save_params(params: NetParams, path) -> None:
+    if params.flat.dtype != np.float64:
+        raise ValueError(f"only float64 parameters can be saved, "
+                         f"got {params.flat.dtype}")
     arrays = params.arrays()
-    dtypes = {a.dtype for a in arrays}
-    if len(dtypes) != 1:
-        raise ValueError("mixed-precision parameter sets cannot be saved")
-    prec = _PREC.get(dtypes.pop())
-    if prec is None:
-        raise ValueError("only float64/float32 parameters are supported")
-    out = [MAGIC, struct.pack("<IBI", VERSION, prec, len(arrays))]
+    out = [MAGIC, struct.pack("<IBI", VERSION, 0, len(arrays))]
     for a in arrays:
         out.append(struct.pack("<I", a.ndim))
         out.append(struct.pack(f"<{a.ndim}I", *a.shape))
-    for a in arrays:
-        out.append(np.ascontiguousarray(a, dtype=_PREC_INV[prec]).tobytes())
+    out.append(params.flat.astype(_DTYPE, copy=False).tobytes())
     Path(path).write_bytes(b"".join(out))
 
 
@@ -54,9 +49,9 @@ def load_params(path) -> NetParams:
         version, prec, count = struct.unpack_from("<IBI", buf, 4)
         if version != VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        dtype = _PREC_INV.get(prec)
-        if dtype is None:
-            raise ValueError(f"{path}: unknown precision flag {prec}")
+        if prec != 0:
+            raise ValueError(f"{path}: precision flag {prec}; the lab reads "
+                             f"float64 checkpoints only")
         off = 4 + struct.calcsize("<IBI")
         shapes = []
         for _ in range(count):
@@ -68,9 +63,9 @@ def load_params(path) -> NetParams:
     except struct.error as e:
         raise ValueError(f"{path}: truncated array table ({e})")
     n = sum(math.prod(shape) for shape in shapes)
-    if off + n * dtype.itemsize != len(buf):
+    if off + n * _DTYPE.itemsize != len(buf):
         raise ValueError(f"{path}: data section does not match the array table")
-    flat = np.frombuffer(buf, dtype=dtype, count=n, offset=off).copy()
+    flat = np.frombuffer(buf, dtype=_DTYPE, count=n, offset=off).copy()
     return NetParams.from_flat(_config_from_shapes(shapes), flat)
 
 

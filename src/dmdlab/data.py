@@ -26,6 +26,9 @@ class MixtureSpec:
     label_count: int
     components: list
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         if self.dim < 1 or self.label_count < 1:
             raise ValueError("dim and label_count must be positive")
@@ -68,7 +71,7 @@ class MixtureSpec:
     def from_json(cls, obj: dict) -> "MixtureSpec":
         """Build and validate a spec; any malformed object is a ValueError."""
         try:
-            spec = cls(
+            return cls(
                 dim=int(obj["dim"]),
                 label_count=int(obj["labels"]),
                 components=[
@@ -81,8 +84,6 @@ class MixtureSpec:
             )
         except (KeyError, TypeError, OverflowError) as e:
             raise ValueError(f"missing or malformed field: {e!r}") from e
-        spec.validate()
-        return spec
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")
@@ -115,9 +116,7 @@ def gmm8(sigma: float = 0.15, radius: float = 2.0) -> MixtureSpec:
                 cov=np.array([sigma ** 2, sigma ** 2]),
                 weight=w,
             ))
-    spec = MixtureSpec(dim=2, label_count=4, components=comps)
-    spec.validate()
-    return spec
+    return MixtureSpec(dim=2, label_count=4, components=comps)
 
 
 def sample_points_for_labels(spec: MixtureSpec, labels: np.ndarray,
@@ -151,7 +150,6 @@ def sample_dataset(spec: MixtureSpec, n: int,
     within the label, point Gaussian around the component center."""
     if n <= 0:
         raise ValueError("n must be positive")
-    spec.validate()
     labels = rng.integers(0, spec.label_count, size=n)
     return LabeledBatch(points=sample_points_for_labels(spec, labels, rng),
                         labels=labels)

@@ -105,10 +105,17 @@ class DistillConfig:
             raise ValueError("step_grid must start at 0")
         if any(b <= a for a, b in zip(grid, grid[1:])) or grid[-1] >= 1.0:
             raise ValueError("step_grid must be strictly increasing within [0, 1)")
+        if len(grid) != self.n_steps:
+            raise ValueError(f"n_steps must equal the {len(grid)} step_grid "
+                             f"levels, got {self.n_steps}")
         if self.ttur_ratio < 0:
             raise ValueError("ttur_ratio must be >= 0")
         if self.batch <= 0:
             raise ValueError("batch must be positive")
+        if self.w_gan < 0:
+            raise ValueError("w_gan must be >= 0")
+        if self.w_meanvar < 0:
+            raise ValueError("w_meanvar must be >= 0")
         if self.lr_gen <= 0:
             raise ValueError("lr_gen must be positive")
         if self.lr_fake <= 0:
@@ -386,8 +393,6 @@ def meanvar_kl_loss(batch: np.ndarray, targets: RegularizerTargets):
     batch = np.asarray(batch)
     if batch.ndim != 2 or batch.shape[1] < 2:
         raise ValueError("per-sample variance needs dim >= 2")
-    if targets.var_target <= 0:
-        raise ValueError("var_target must be > 0")
     n, d = batch.shape
     mu = batch.mean(axis=1)
     var = batch.var(axis=1)

@@ -8,7 +8,6 @@ a velocity.
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +24,6 @@ class TeacherConfig:
     lr: float = 1e-3
     lr_final: float | None = 1e-5  # cosine decay target; None keeps lr fixed
     p_uncond: float = 0.1
-    tau_law: str = "uniform"
     ema_decay: float | None = None
     log_every: int = 100
 
@@ -37,10 +35,10 @@ class TeacherConfig:
             raise ValueError("batch must be positive")
         if not 0.0 < self.p_uncond < 1.0:
             raise ValueError("p_uncond must lie in (0, 1)")
+        if self.lr <= 0:
+            raise ValueError("lr must be > 0")
         if self.lr_final is not None and not 0.0 < self.lr_final <= self.lr:
             raise ValueError("lr_final must lie in (0, lr]")
-        if self.tau_law != "uniform":
-            raise ValueError(f"tau_law must be 'uniform', got {self.tau_law!r}")
         if self.ema_decay is not None and not 0.0 <= self.ema_decay <= 1.0:
             raise ValueError("ema_decay must lie in [0, 1]")
 

@@ -19,14 +19,9 @@ import csv
 import json
 from pathlib import Path
 
-import numpy as np
-
-from ..checkpoint import save_params
 from ..distill import NonFiniteError
-from ..flow import TeacherConfig, train_teacher
-from .config import (RUN_OPTIONAL, ConfigError, resolve_data,
-                     run_config_from_dict)
-from .runner import RunArtifacts, run_config
+from .config import RUN_OPTIONAL, ConfigError, run_config_from_dict
+from .runner import RunArtifacts, run_config, train_default_teacher
 
 BASE_RUN = {
     "mode": "FULL_DMD",
@@ -115,11 +110,7 @@ def _ensure_shared_teacher(base: dict, out_root: Path) -> str:
     if base.get("teacher"):
         return base["teacher"]
     path = out_root / "teacher.ckpt"
-    if not path.exists():
-        spec = resolve_data(base.get("data", "gmm8"))
-        teacher = train_teacher(spec, TeacherConfig(),
-                                np.random.default_rng(base["seed"]))
-        save_params(teacher, path)
+    train_default_teacher(base.get("data", "gmm8"), base["seed"], path)
     return str(path)
 
 
@@ -135,13 +126,15 @@ def run_preset(name: str, out_root, overrides=None) -> list:
     if name not in _SWEEPS:
         raise KeyError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     out_root = Path(out_root)
-    out_root.mkdir(parents=True, exist_ok=True)
     base = dict(BASE_RUN)
     base.update(PRESET_DEFAULTS.get(name, {}))
     for key, value in (overrides or {}).items():
         if key not in BASE_RUN and key not in RUN_OPTIONAL:
             raise ConfigError(key, "unknown override key")
         base[key] = value
+    for _, raw in _SWEEPS[name](base):
+        run_config_from_dict(raw)  # bad overrides fail before any training
+    out_root.mkdir(parents=True, exist_ok=True)
     base["teacher"] = _ensure_shared_teacher(base, out_root)
 
     artifacts = []
@@ -156,10 +149,7 @@ def run_preset(name: str, out_root, overrides=None) -> list:
             # a collapsed run (engine-only training diverges by design) still
             # contributes its trajectory up to the failure point
             aborted = True
-            art = RunArtifacts(run_dir, run_dir / "config_snapshot.json",
-                               run_dir / "metrics.csv",
-                               run_dir / "checkpoints", run_dir / "samples",
-                               run_dir / "manifest.json")
+            art = RunArtifacts(run_dir)
         artifacts.append(art)
         final = _final_row(art.metrics_path)
         summary_rows.append({

@@ -27,7 +27,6 @@ from ..distill import (DistillState, NonFiniteError, generator_update,
 from ..flow import TeacherConfig, train_teacher
 from ..metrics import (CSV_COLUMNS, batch_sample_stats, mode_coverage,
                        sliced_wasserstein2)
-from ..net import NetParams
 from .config import (distill_config, load_run_config, resolve_data,
                      schedule_config, teacher_config)
 
@@ -37,30 +36,33 @@ _EVAL_TAG = 0x5EED_0002
 
 @dataclass
 class RunArtifacts:
+    """A run directory; every file's place in it is derived from dir."""
+
     dir: Path
-    config_path: Path
-    metrics_path: Path
-    checkpoint_dir: Path
-    samples_dir: Path
-    manifest_path: Path
     state: DistillState | None = None
 
+    def __post_init__(self):
+        self.config_path = self.dir / "config_snapshot.json"
+        self.metrics_path = self.dir / "metrics.csv"
+        self.checkpoint_dir = self.dir / "checkpoints"
+        self.samples_dir = self.dir / "samples"
+        self.manifest_path = self.dir / "manifest.json"
 
-def ensure_teacher(cfg: dict, spec: MixtureSpec, out_dir: Path) -> tuple:
+
+def train_default_teacher(data: str, seed: int, path: Path) -> None:
+    """Save the teacher of every run and preset that names none at path:
+    the default TeacherConfig trained from the seed, unless already there."""
+    if not path.exists():
+        save_params(train_teacher(resolve_data(data), TeacherConfig(),
+                                  np.random.default_rng(seed)), path)
+
+
+def ensure_teacher(cfg: dict, art: RunArtifacts) -> tuple:
     """Load the configured teacher checkpoint, or train one into the run dir."""
-    if cfg["teacher"] is not None:
-        path = Path(cfg["teacher"])
-        if not path.exists():
-            raise FileNotFoundError(f"teacher checkpoint not found: {path}")
-        return load_params(path), path
-    path = out_dir / "checkpoints" / "teacher.ckpt"
-    if path.exists():
-        return load_params(path), path
-    tc = TeacherConfig()
-    teacher = train_teacher(spec, tc, np.random.default_rng(cfg["seed"]))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_params(teacher, path)
-    return teacher, path
+    path = Path(cfg["teacher"] or art.checkpoint_dir / "teacher.ckpt")
+    if cfg["teacher"] is None:
+        train_default_teacher(cfg["data"], cfg["seed"], path)
+    return load_params(path), path
 
 
 def train_teacher_cli(cfg: dict, out_dir: Path) -> Path:
@@ -89,20 +91,17 @@ def _eval_cloud(state: DistillState, grid, spec: MixtureSpec, seed: int,
 
 
 def run_config(cfg: dict, out_dir) -> RunArtifacts:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    samples_dir = out_dir / "samples"
-    samples_dir.mkdir(exist_ok=True)
-    ckpt_dir = out_dir / "checkpoints"
-    ckpt_dir.mkdir(exist_ok=True)
+    art = RunArtifacts(Path(out_dir))
+    art.samples_dir.mkdir(parents=True, exist_ok=True)
+    art.checkpoint_dir.mkdir(exist_ok=True)
 
     spec = resolve_data(cfg["data"])
-    teacher, teacher_path = ensure_teacher(cfg, spec, out_dir)
+    teacher, teacher_path = ensure_teacher(cfg, art)
 
     snapshot = dict(cfg)
     snapshot["teacher"] = str(teacher_path)
-    config_path = out_dir / "config_snapshot.json"
-    config_path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
+    art.config_path.write_text(
+        json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
 
     dconfig = distill_config(cfg)
     schedule = schedule_config(cfg)
@@ -115,10 +114,9 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
                     for label in range(spec.label_count)]
 
     started = time.time()
-    metrics_path = out_dir / "metrics.csv"
-    manifest_path = out_dir / "manifest.json"
+    dump_path = art.dir / "diagnostic_dump.json"
     aborted = None
-    with open(metrics_path, "w", newline="") as fh:
+    with open(art.metrics_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         try:
@@ -142,7 +140,7 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
                     record.mean_of_vars = float(variances.mean())
                     writer.writerow(record.to_row())
                     fh.flush()
-                    with open(samples_dir / f"iter_{it:06d}.csv", "w",
+                    with open(art.samples_dir / f"iter_{it:06d}.csv", "w",
                               newline="") as sf:
                         sw = csv.writer(sf)
                         sw.writerow([f"x{d}" for d in range(spec.dim)] + ["label"])
@@ -154,30 +152,29 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
             err.context.setdefault("iteration", it)
             dump = dict(err.context)
             dump["error"] = str(err)
-            (out_dir / "diagnostic_dump.json").write_text(
+            dump_path.write_text(
                 json.dumps(dump, indent=2, sort_keys=True) + "\n")
 
-    save_params(state.generator, ckpt_dir / "generator.ckpt")
-    save_params(state.fake, ckpt_dir / "fake.ckpt")
+    save_params(state.generator, art.checkpoint_dir / "generator.ckpt")
+    save_params(state.fake, art.checkpoint_dir / "fake.ckpt")
     if state.disc is not None:
-        save_params(state.disc, ckpt_dir / "disc.ckpt")
+        save_params(state.disc, art.checkpoint_dir / "disc.ckpt")
 
     if cfg["observer_mode"]:
-        _write_observer_probe(out_dir, state, teacher, spec, cfg)
+        _write_observer_probe(art.dir, state, teacher, spec, cfg)
 
-    manifest_path.write_text(json.dumps({
+    art.manifest_path.write_text(json.dumps({
         "started_unix": started,
         "finished_unix": time.time(),
         "duration_seconds": time.time() - started,
         "aborted": bool(aborted),
     }, indent=2) + "\n")
 
-    artifacts = RunArtifacts(out_dir, config_path, metrics_path, ckpt_dir,
-                             samples_dir, manifest_path, state=state)
+    art.state = state
     if aborted is not None:
-        aborted.context["dump_path"] = str(out_dir / "diagnostic_dump.json")
+        aborted.context["dump_path"] = str(dump_path)
         raise aborted
-    return artifacts
+    return art
 
 
 def _write_observer_probe(out_dir: Path, state: DistillState, teacher,

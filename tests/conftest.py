@@ -30,6 +30,16 @@ def _teacher_key() -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def write_fp32_checkpoint(params, path) -> None:
+    """Write params the way save_params once wrote float32 networks: the same
+    array table, precision flag 1 and a float32 data section."""
+    save_params(params, path)
+    buf = path.read_bytes()
+    table = buf[9:len(buf) - params.flat.nbytes]
+    path.write_bytes(buf[:8] + b"\x01" + table
+                     + params.flat.astype("<f4").tobytes())
+
+
 @pytest.fixture(scope="session")
 def teacher_bundle():
     """dict with spec, trained teacher params, training-log rows and wall time."""

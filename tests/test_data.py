@@ -60,14 +60,12 @@ class TestSampleDataset:
         with pytest.raises(ValueError):
             sample_dataset(single_component_spec((0, 0), (1, 1)), 0,
                            np.random.default_rng(0))
-        bad = MixtureSpec(dim=2, label_count=1, components=[
-            Component(0, np.zeros(2), np.array([1.0, -1.0]), 1.0)])
         with pytest.raises(ValueError):
-            sample_dataset(bad, 10, np.random.default_rng(0))
-        unnorm = MixtureSpec(dim=2, label_count=1, components=[
-            Component(0, np.zeros(2), np.ones(2), 0.5)])
+            MixtureSpec(dim=2, label_count=1, components=[
+                Component(0, np.zeros(2), np.array([1.0, -1.0]), 1.0)])
         with pytest.raises(ValueError):
-            unnorm.validate()
+            MixtureSpec(dim=2, label_count=1, components=[
+                Component(0, np.zeros(2), np.ones(2), 0.5)])
 
     @pytest.mark.parametrize("center,cov,weight", [
         ((np.nan, 0.0), (1.0, 1.0), 1.0), ((0.0, np.inf), (1.0, 1.0), 1.0),
@@ -75,10 +73,9 @@ class TestSampleDataset:
         ((0.0, 0.0), (1.0, 1.0), np.nan), ((0.0, 0.0), (1.0, 1.0), np.inf),
     ])
     def test_non_finite_spec_rejected(self, center, cov, weight):
-        spec = MixtureSpec(dim=2, label_count=1, components=[
-            Component(0, np.array(center), np.array(cov), weight)])
         with pytest.raises(ValueError):
-            spec.validate()
+            MixtureSpec(dim=2, label_count=1, components=[
+                Component(0, np.array(center), np.array(cov), weight)])
 
 
 def reference_points_for_labels(spec, labels, rng):

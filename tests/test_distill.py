@@ -675,7 +675,19 @@ class TestConfigValidation:
             DistillConfig(step_grid=(0.0, 0.5, 0.4)).validate()
         with pytest.raises(ValueError):
             DistillConfig(step_grid=(0.0, 1.0)).validate()
-        DistillConfig(step_grid=(0.0, 0.3, 0.9)).validate()
+        DistillConfig(n_steps=3, step_grid=(0.0, 0.3, 0.9)).validate()
+
+    def test_grid_length_must_match_n_steps(self):
+        for n_steps in (7, 0, 1):
+            with pytest.raises(ValueError, match="^n_steps"):
+                DistillConfig(n_steps=n_steps, step_grid=(0.0, 0.5)).validate()
+        DistillConfig(n_steps=2, step_grid=(0.0, 0.5)).validate()
+
+    @pytest.mark.parametrize("key", ["w_gan", "w_meanvar"])
+    def test_weights_non_negative(self, key):
+        with pytest.raises(ValueError, match=f"^{key}"):
+            DistillConfig(**{key: -1e-3}).validate()
+        DistillConfig(**{key: 0.0}).validate()
 
     def test_default_grids(self):
         assert DistillConfig(n_steps=1).grid == (0.0,)

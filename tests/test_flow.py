@@ -189,9 +189,13 @@ class TestTeacherTraining:
         with pytest.raises(ValueError):
             TeacherConfig(p_uncond=0.0).validate()
         with pytest.raises(ValueError):
-            TeacherConfig(tau_law="cosine").validate()
-        with pytest.raises(ValueError):
             TeacherConfig(lr=1e-3, lr_final=1e-2).validate()
+
+    @pytest.mark.parametrize("lr_final", [None, 1e-5])
+    def test_lr_must_be_positive(self, lr_final):
+        for lr in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="^lr "):
+                TeacherConfig(lr=lr, lr_final=lr_final).validate()
 
     def test_ema_smoothed_training(self):
         spec = MixtureSpec(dim=2, label_count=1, components=[

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ from dmdlab.lab.config import (RUN_OPTIONAL, RUN_REQUIRED, TEACHER_OPTIONAL,
 from dmdlab.lab.plots import PlotDataError, plot_run
 from dmdlab.lab.presets import TAU_PROBE_RANGES, run_preset
 from dmdlab.lab.runner import run_config
+
+from conftest import write_fp32_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -376,13 +379,17 @@ class TestMalformedValues:
         ("teacher", lambda path: save_params(init_params(
             NetConfig(dim=2, n_labels=4, hidden=8, n_hidden=1, out_dim=1),
             np.random.default_rng(0)), path)),
+        ("teacher", lambda path: write_fp32_checkpoint(init_params(
+            NetConfig(dim=2, n_labels=4, hidden=8, n_hidden=1),
+            np.random.default_rng(0)), path)),
         ("data", lambda path: path.write_text("{not json")),
         ("data", lambda path: path.write_text('{"dim": 2, "labels": 4}')),
         ("data", lambda path: path.write_text("[1, 2]")),
         ("data", lambda path: path.write_text(json.dumps(
             {**gmm8().to_json(), "labels": 5}))),
     ], ids=["not_dmdl", "truncated", "eight_labels", "dim_3", "out_dim_1",
-            "bad_json", "no_components", "not_object", "label_without_data"])
+            "fp32", "bad_json", "no_components", "not_object",
+            "label_without_data"])
     def test_run_file(self, tmp_path, tiny_teacher_ckpt, capsys, key, write):
         bad = tmp_path / "bad_input"
         write(bad)
@@ -454,6 +461,65 @@ class TestConfigFuzz:
         json.dumps(cfg, allow_nan=False)
 
 
+class TestRangesOwnedByTypedConfigs:
+    """The loader checks types; the typed configs alone check value ranges,
+    and their messages reach the key at fault."""
+
+    @pytest.mark.parametrize("over,key", [
+        ({"n_steps": 4, "step_grid": [0.0, 0.5]}, "n_steps"),
+        ({"n_steps": 0, "step_grid": [0.0]}, "n_steps"),
+        ({"n_steps": 0}, "n_steps"), ({"alpha": -0.5}, "alpha"),
+        ({"lambda": 0}, "lambda"), ({"batch": 0}, "batch"),
+        ({"w_gan": -1.0}, "w_gan"), ({"w_meanvar": -1e-3}, "w_meanvar"),
+        ({"lr_gen": -1e-4}, "lr_gen"),
+        ({"meanvar_var_target": 0}, "meanvar_var_target"),
+        ({"tau_dm_range": [0.5, 0.5]}, "tau_dm_range"),
+        ({"tau_ca_range": [-0.1, 0.5]}, "tau_ca_range"),
+    ])
+    def test_run_range(self, tiny_teacher_ckpt, over, key):
+        with pytest.raises(ConfigError) as err:
+            run_config_from_dict(small_cfg(tiny_teacher_ckpt, **over))
+        assert err.value.key == key
+
+    @pytest.mark.parametrize("over,key", [
+        ({"lr": -1e-3, "lr_final": None}, "lr"), ({"lr": 0.0}, "lr"),
+        ({"iterations": 0}, "iterations"), ({"batch": -2}, "batch"),
+    ])
+    def test_teacher_range(self, over, key):
+        with pytest.raises(ConfigError) as err:
+            teacher_config_from_dict({**TEACHER_CFG, **over})
+        assert err.value.key == key
+
+
+class TestRunIdentities:
+    """The alpha = 1 reduction and THEORY_DMD hold for whole runs: the
+    metrics.csv bytes equal DM_ONLY's."""
+
+    @pytest.mark.parametrize("normalizer_on", [True, False])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), alpha=st.floats(0.0, 8.0),
+           policy=st.sampled_from(["COUPLED_SHARED", "DECOUPLED_FULL",
+                                   "DECOUPLED_CONSTRAINED",
+                                   "DECOUPLED_HYBRID"]),
+           n_steps=st.sampled_from([1, 2]))
+    def test_alpha_one_and_theory_equal_dm_only(
+            self, tiny_teacher_ckpt, seed, alpha, normalizer_on, policy,
+            n_steps):
+        base = small_cfg(tiny_teacher_ckpt, seed=seed, iterations=12,
+                         eval_every=6, normalizer_on=normalizer_on,
+                         schedule_policy=policy, n_steps=n_steps)
+        variants = {"dm_only": {"mode": "DM_ONLY", "alpha": alpha},
+                    "full_alpha_1": {"mode": "FULL_DMD", "alpha": 1.0},
+                    "theory": {"mode": "THEORY_DMD", "alpha": alpha}}
+        with tempfile.TemporaryDirectory() as tmp:
+            metrics = {
+                name: run_config(run_config_from_dict({**base, **over}),
+                                 Path(tmp) / name).metrics_path.read_bytes()
+                for name, over in variants.items()}
+        assert metrics["full_alpha_1"] == metrics["dm_only"]
+        assert metrics["theory"] == metrics["dm_only"]
+
+
 class TestPresetCli:
     def test_cli_preset_with_overrides(self, tmp_path, tiny_teacher_ckpt,
                                        capsys):
@@ -467,6 +533,18 @@ class TestPresetCli:
         assert code == 0
         assert (tmp_path / "ob" / "summary.csv").exists()
         assert "1 runs" in capsys.readouterr().out
+
+    def test_override_checked_before_teacher(self, tmp_path, capsys):
+        # a bad value must not wait for the 20k-iteration default teacher
+        with pytest.raises(ConfigError) as err:
+            run_preset("decompose", tmp_path / "p", {"alpha": NAN})
+        assert err.value.key == "alpha"
+        assert not (tmp_path / "p" / "teacher.ckpt").exists()
+        code = cli_main(["preset", "decompose", "--out", str(tmp_path / "c"),
+                         "--override", "alpha=NaN"])
+        assert code == 2
+        assert "alpha" in capsys.readouterr().err
+        assert not (tmp_path / "c" / "teacher.ckpt").exists()
 
     def test_cli_preset_unknown_override_exit_2(self, tmp_path, capsys):
         code = cli_main(["preset", "decompose", "--out", str(tmp_path / "x"),

@@ -15,6 +15,8 @@ from dmdlab import (NULL_LABEL, NetConfig, NetParams, init_params, net_forward,
 from dmdlab.distill import DistillConfig, fake_model_update, init_distill_state
 from dmdlab.net import NonFiniteError, _sigmoid
 
+from conftest import write_fp32_checkpoint
+
 
 def small_config(dim=2, n_labels=3, hidden=8, n_hidden=2, out_dim=None):
     return NetConfig(dim=dim, n_labels=n_labels, hidden=hidden,
@@ -335,20 +337,18 @@ class TestCheckpoint:
         assert path.read_bytes()[:4] == b"DMDL"
 
     def test_fp32_flag(self, tmp_path):
-        rng = np.random.default_rng(19)
-        params = init_params(small_config(), rng)
-        params32 = params.copy()
-        params32.weights = [w.astype(np.float32) for w in params32.weights]
-        params32.biases = [b.astype(np.float32) for b in params32.biases]
-        params32.cond_embed = params32.cond_embed.astype(np.float32)
-        params32.time_freqs = params32.time_freqs.astype(np.float32)
-        params32.time_w = params32.time_w.astype(np.float32)
-        params32.time_b = params32.time_b.astype(np.float32)
+        # the lab is fp64-only: float32 networks are neither saved nor loaded
+        params = init_params(small_config(), np.random.default_rng(19))
+        params32 = NetParams.from_flat(params.config,
+                                       params.flat.astype(np.float32))
         path = tmp_path / "net32.ckpt"
-        save_params(params32, path)
-        loaded = load_params(path)
-        assert loaded.weights[0].dtype == np.float32
+        with pytest.raises(ValueError, match="float64"):
+            save_params(params32, path)
+        assert not path.exists()
+        write_fp32_checkpoint(params, path)
         assert path.read_bytes()[8] == 1
+        with pytest.raises(ValueError, match="precision flag 1"):
+            load_params(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -524,11 +524,9 @@ _NET_CONFIGS = st.builds(
 
 class TestCheckpointProperty:
     @settings(max_examples=60, deadline=None)
-    @given(cfg=_NET_CONFIGS, dtype=st.sampled_from([np.float64, np.float32]),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_roundtrip(self, cfg, dtype, seed):
+    @given(cfg=_NET_CONFIGS, seed=st.integers(0, 2 ** 32 - 1))
+    def test_roundtrip(self, cfg, seed):
         params = init_params(cfg, np.random.default_rng(seed))
-        params = NetParams.from_flat(cfg, params.flat.astype(dtype))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "net.ckpt"
             save_params(params, path)
@@ -538,6 +536,6 @@ class TestCheckpointProperty:
             assert resaved.read_bytes() == path.read_bytes()
         assert loaded.config == dataclasses.replace(cfg,
                                                     out_dim=cfg.output_dim)
-        assert loaded.flat.dtype == dtype
+        assert loaded.flat.dtype == np.float64
         assert np.array_equal(loaded.flat, params.flat)
         assert_slots_view_flat(loaded)
