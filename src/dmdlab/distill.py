@@ -437,7 +437,8 @@ def gan_losses(disc: NetParams, real_batch: np.ndarray, fake_batch: np.ndarray,
                             net_backward(disc, cache_f, up_f))
     gen_adv_loss = float(np.mean(_softplus(-lf_)))
     up_gen = (_sigmoid(lf_) - 1.0)[:, None]
-    _, gen_grad = net_backward(disc, cache_f, up_gen, return_input_grad=True)
+    _, gen_grad = net_backward(disc, cache_f, up_gen, return_input_grad=True,
+                               param_grads=False)
     return disc_loss, disc_grads, gen_grad, gen_adv_loss
 
 
@@ -504,6 +505,8 @@ def generator_update(state: DistillState, teacher, config: DistillConfig,
 
     grads = net_backward(state.generator, cache, out_grad)
     adam_step(state.gen_opt, state.generator, grads)
+    # the TTUR phase reads none of these; let them go before it allocates
+    del cache, grads, out_grad
 
     loss_fake = 0.0
     if _runs_fake_updates(config, state.observer_mode) and config.ttur_ratio > 0:

@@ -207,18 +207,19 @@ def _cond_rows(config: NetConfig, cond, n):
 
 @dataclass
 class ForwardCache:
+    """What net_backward reads, and nothing else."""
+
     x: np.ndarray
     tau: np.ndarray
     rows: np.ndarray
     feats: np.ndarray  # [sin(ang), cos(ang)] of the noise-level embedding
-    zs: list           # pre-activations of the hidden layers
-    sigs: list         # sigmoid(zs[l]), reused by the SiLU derivative
+    dsilu: list        # SiLU'(z) of each hidden layer, z its pre-activation
     acts: list         # activations entering each layer, acts[0] is the input
 
 
 def _forward(params: NetParams, x, noise_level, cond, want_cache):
     cfg = params.config
-    x = np.asarray(x)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != cfg.dim:
         raise ValueError(f"x must have shape (batch, {cfg.dim}), got {x.shape}")
     if not np.isfinite(x).all():
@@ -229,30 +230,33 @@ def _forward(params: NetParams, x, noise_level, cond, want_cache):
         raise ValueError("noise_level must lie in [0, 1]")
     rows = _cond_rows(cfg, cond, n)
 
-    tau = tau.astype(x.dtype, copy=False)
     ang = 2.0 * np.pi * tau[:, None] * params.time_freqs[None, :]
     feats = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
     temb = feats @ params.time_w
     temb += params.time_b
-    h = np.concatenate([x, temb, params.cond_embed[rows]], axis=1)
+    a = np.concatenate([x, temb, params.cond_embed[rows]], axis=1)
 
-    zs, sigs, acts = [], [], [h]
-    a = h
+    cache = ForwardCache(x, tau, rows, feats, [], [a]) if want_cache else None
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         z = a @ w
         z += b
         s = _sigmoid(z)
-        a = z * s  # SiLU
-        zs.append(z)
-        sigs.append(s)
-        acts.append(a)
+        if cache is not None:
+            # s * (1 + z * (1 - s)), built while z and s are at hand
+            d = np.subtract(1.0, s)
+            d *= z
+            d += 1.0
+            d *= s
+            cache.dsilu.append(d)
+        z *= s  # SiLU
+        a = z
+        if cache is not None:
+            cache.acts.append(a)
     y = a @ params.weights[-1]
     y += params.biases[-1]
     if not np.isfinite(y).all():
         raise NonFiniteError("non-finite network output")
-    if want_cache:
-        return y, ForwardCache(x, tau, rows, feats, zs, sigs, acts)
-    return y
+    return y if cache is None else (y, cache)
 
 
 def net_forward(params: NetParams, x, noise_level, cond) -> np.ndarray:
@@ -270,16 +274,20 @@ def net_forward_cached(params: NetParams, x, noise_level, cond):
 
 
 def net_backward(params: NetParams, cache: ForwardCache, upstream,
-                 return_input_grad: bool = False):
+                 return_input_grad: bool = False, param_grads: bool = True):
     """Gradients of L = sum(output * upstream) w.r.t. every parameter slot.
 
     Requires the cache from net_forward_cached on the same inputs; the cache
     is only read, so it may serve several backward passes. With
-    return_input_grad=True also returns dL/dx.
+    return_input_grad=True also returns dL/dx. param_grads=False skips the
+    parameter gradients and returns (None, dL/dx); it needs
+    return_input_grad=True.
     """
     cfg = params.config
     if cache is None:
         raise ValueError("missing forward cache")
+    if not (param_grads or return_input_grad):
+        raise ValueError("param_grads=False needs return_input_grad=True")
     g = np.asarray(upstream)
     out_dim = cfg.output_dim
     if g.shape != (cache.x.shape[0], out_dim):
@@ -287,38 +295,35 @@ def net_backward(params: NetParams, cache: ForwardCache, upstream,
     if not np.isfinite(g).all():
         raise NonFiniteError("non-finite upstream gradient")
 
-    # every slot but cond_embed is written whole below
-    grads = NetParams.from_flat(cfg, np.empty_like(params.flat))
-    grads.cond_embed[:] = 0.0
-    np.matmul(cache.acts[-1].T, g, out=grads.weights[-1])
-    g.sum(axis=0, out=grads.biases[-1])
+    grads = None
+    if param_grads:
+        # every slot but cond_embed is written whole below
+        grads = NetParams.from_flat(cfg, np.empty_like(params.flat))
+        grads.cond_embed[:] = 0.0
+        np.matmul(cache.acts[-1].T, g, out=grads.weights[-1])
+        g.sum(axis=0, out=grads.biases[-1])
     da = g @ params.weights[-1].T
 
     for layer in range(cfg.n_hidden - 1, -1, -1):
-        # SiLU derivative s * (1 + z * (1 - s)), times da
-        s = cache.sigs[layer]
-        dz = np.subtract(1.0, s)
-        dz *= cache.zs[layer]
-        dz += 1.0
-        dz *= s
-        dz *= da
-        np.matmul(cache.acts[layer].T, dz, out=grads.weights[layer])
-        dz.sum(axis=0, out=grads.biases[layer])
-        da = dz @ params.weights[layer].T
+        da *= cache.dsilu[layer]  # now dL/dz
+        if param_grads:
+            np.matmul(cache.acts[layer].T, da, out=grads.weights[layer])
+            da.sum(axis=0, out=grads.biases[layer])
+        da = da @ params.weights[layer].T
 
     dx = da[:, :cfg.dim]
-    dtemb = da[:, cfg.dim:cfg.dim + cfg.temb_dim]
-    dcemb = da[:, cfg.dim + cfg.temb_dim:]
-
-    np.matmul(cache.feats.T, dtemb, out=grads.time_w)
-    dtemb.sum(axis=0, out=grads.time_b)
-    dfeats = dtemb @ params.time_w.T
-    nf = cfg.n_freq
-    dsin, dcos = dfeats[:, :nf], dfeats[:, nf:]
-    sin, cos = cache.feats[:, :nf], cache.feats[:, nf:]
-    scale = 2.0 * np.pi * cache.tau[:, None]
-    (scale * (dsin * cos - dcos * sin)).sum(axis=0, out=grads.time_freqs)
-    np.add.at(grads.cond_embed, cache.rows, dcemb)
+    if param_grads:
+        dtemb = da[:, cfg.dim:cfg.dim + cfg.temb_dim]
+        dcemb = da[:, cfg.dim + cfg.temb_dim:]
+        np.matmul(cache.feats.T, dtemb, out=grads.time_w)
+        dtemb.sum(axis=0, out=grads.time_b)
+        dfeats = dtemb @ params.time_w.T
+        nf = cfg.n_freq
+        dsin, dcos = dfeats[:, :nf], dfeats[:, nf:]
+        sin, cos = cache.feats[:, :nf], cache.feats[:, nf:]
+        scale = 2.0 * np.pi * cache.tau[:, None]
+        (scale * (dsin * cos - dcos * sin)).sum(axis=0, out=grads.time_freqs)
+        np.add.at(grads.cond_embed, cache.rows, dcemb)
 
     if return_input_grad:
         return grads, dx

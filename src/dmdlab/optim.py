@@ -26,11 +26,15 @@ def init_adam(params: NetParams, lr: float, beta1: float = 0.9,
 
 def adam_step(state: AdamState, params: NetParams, grads: Gradients):
     """One bias-corrected update over the flat buffers, in place. Returns
-    (state, params)."""
+    (state, params). A gradient that is not finite, or whose square
+    overflows, raises NonFiniteError before anything changes."""
     g = grads.flat
     if g.shape != params.flat.shape:
         raise ValueError("gradient/parameter shape mismatch")
-    if not np.isfinite(g).all():
+    with np.errstate(over="ignore"):
+        sq = np.square(g)
+    # one scan catches NaN, +-inf and a square past the float64 range
+    if not np.isfinite(sq).all():
         raise NonFiniteError("non-finite gradients")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
@@ -40,18 +44,17 @@ def adam_step(state: AdamState, params: NetParams, grads: Gradients):
     tmp = np.multiply(g, 1.0 - b1)
     m *= b1
     m += tmp
-    np.square(g, out=tmp)
-    tmp *= 1.0 - b2
+    sq *= 1.0 - b2
     v *= b2
-    v += tmp
+    v += sq
     # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in that operation order
-    np.divide(v, c2, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += state.eps
-    step = np.divide(m, c1)
-    step *= state.lr
-    step /= tmp
-    params.flat -= step
+    np.divide(v, c2, out=sq)
+    np.sqrt(sq, out=sq)
+    sq += state.eps
+    np.divide(m, c1, out=tmp)
+    tmp *= state.lr
+    tmp /= sq
+    params.flat -= tmp
     return state, params
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import platform
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -129,6 +130,18 @@ class TestForward:
         params.cond_embed[-1] += 1.0  # the reserved row must matter
         changed = net_forward(params, x, 0.7, NULL_LABEL)
         assert not np.array_equal(base, changed)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_input_is_read_as_float64(self, dtype):
+        # an integer x used to truncate the noise level to 0, and a float32
+        # x rounded the time embedding to float32
+        rng = np.random.default_rng(39)
+        params = init_params(small_config(), rng)
+        x = rng.integers(-3, 4, size=(6, 2)).astype(dtype)
+        cond = np.array([0, 1, 2, NULL_LABEL, 0, 1])
+        want = net_forward(params, x.astype(np.float64), 0.7, cond)
+        assert np.array_equal(net_forward(params, x, 0.7, cond), want)
+        assert not np.array_equal(want, net_forward(params, x, 0.0, cond))
 
     def test_input_validation(self):
         rng = np.random.default_rng(5)
@@ -287,6 +300,27 @@ class TestAdam:
         state = init_adam(params, lr=1e-3)
         with pytest.raises(ValueError):
             adam_step(state, params, grads)
+
+    def test_overflowing_square_rejected_before_any_change(self):
+        # 1e200 is finite, but its square is not: v would become inf and
+        # freeze the parameter
+        rng = np.random.default_rng(40)
+        params = init_params(small_config(), rng)
+        state = init_adam(params, lr=1e-3)
+        grads = zeros_like_params(params)
+        grads.flat[:] = rng.standard_normal(grads.flat.size)
+        adam_step(state, params, grads)
+        before = (params.flat.copy(), state.m.flat.copy(), state.v.flat.copy())
+        for sign in (1.0, -1.0):
+            grads.biases[0][1] = sign * 1e200
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteError):
+                    adam_step(state, params, grads)
+            assert state.step == 1
+            for got, want in zip((params.flat, state.m.flat, state.v.flat),
+                                 before):
+                assert np.array_equal(got, want)
 
 
 class TestEma:
@@ -539,3 +573,165 @@ class TestCheckpointProperty:
         assert loaded.flat.dtype == np.float64
         assert np.array_equal(loaded.flat, params.flat)
         assert_slots_view_flat(loaded)
+
+
+def reference_forward_cached(params, x, tau, cond):
+    """The forward pass as it was before the cache held the SiLU derivative:
+    returns the output and (tau, rows, feats, zs, sigs, acts)."""
+    cfg = params.config
+    n = x.shape[0]
+    tau = np.broadcast_to(np.asarray(tau, dtype=np.float64), (n,))
+    cond = np.broadcast_to(np.asarray(cond), (n,))
+    rows = np.where(cond == NULL_LABEL, cfg.n_labels, cond)
+    ang = 2.0 * np.pi * tau[:, None] * params.time_freqs[None, :]
+    feats = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+    temb = feats @ params.time_w
+    temb += params.time_b
+    a = np.concatenate([x, temb, params.cond_embed[rows]], axis=1)
+    zs, sigs, acts = [], [], [a]
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = a @ w
+        z += b
+        s = _sigmoid(z)
+        a = z * s
+        zs.append(z)
+        sigs.append(s)
+        acts.append(a)
+    y = a @ params.weights[-1]
+    y += params.biases[-1]
+    return y, (tau, rows, feats, zs, sigs, acts)
+
+
+def reference_backward(params, ref_cache, g):
+    """The backward pass as it was before: it builds the SiLU derivative
+    s * (1 + z * (1 - s)) from the cached z and s. Returns (grads, dx)."""
+    cfg = params.config
+    tau, rows, feats, zs, sigs, acts = ref_cache
+    grads = zeros_like_params(params)
+    np.matmul(acts[-1].T, g, out=grads.weights[-1])
+    g.sum(axis=0, out=grads.biases[-1])
+    da = g @ params.weights[-1].T
+    for layer in range(cfg.n_hidden - 1, -1, -1):
+        s = sigs[layer]
+        dz = np.subtract(1.0, s)
+        dz *= zs[layer]
+        dz += 1.0
+        dz *= s
+        dz *= da
+        np.matmul(acts[layer].T, dz, out=grads.weights[layer])
+        dz.sum(axis=0, out=grads.biases[layer])
+        da = dz @ params.weights[layer].T
+    dx = da[:, :cfg.dim]
+    dtemb = da[:, cfg.dim:cfg.dim + cfg.temb_dim]
+    dcemb = da[:, cfg.dim + cfg.temb_dim:]
+    np.matmul(feats.T, dtemb, out=grads.time_w)
+    dtemb.sum(axis=0, out=grads.time_b)
+    dfeats = dtemb @ params.time_w.T
+    nf = cfg.n_freq
+    dsin, dcos = dfeats[:, :nf], dfeats[:, nf:]
+    sin, cos = feats[:, :nf], feats[:, nf:]
+    scale = 2.0 * np.pi * tau[:, None]
+    (scale * (dsin * cos - dcos * sin)).sum(axis=0, out=grads.time_freqs)
+    np.add.at(grads.cond_embed, rows, dcemb)
+    return grads, dx
+
+
+@st.composite
+def _net_cases(draw):
+    dim = draw(st.integers(1, 4))
+    cfg = NetConfig(dim=dim, n_labels=draw(st.integers(1, 5)),
+                    hidden=draw(st.integers(1, 24)),
+                    n_hidden=draw(st.integers(1, 4)),
+                    out_dim=draw(st.sampled_from([1, dim])),
+                    cond_dim=draw(st.integers(1, 5)),
+                    temb_dim=draw(st.integers(1, 5)),
+                    n_freq=draw(st.integers(1, 4)))
+    n = draw(st.integers(1, 64))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    per_sample_tau = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, rng)
+    x = 3.0 * rng.standard_normal((n, dim))
+    tau = rng.uniform(0.0, 1.0, size=n) if per_sample_tau else rng.uniform()
+    cond = rng.integers(NULL_LABEL, cfg.n_labels, size=n)  # NULL_LABEL rows
+    u = rng.standard_normal((n, cfg.output_dim))
+    return params, x, tau, cond, u
+
+
+class TestCachedDerivative:
+    """The cache keeps the SiLU derivative instead of z and sigmoid(z); every
+    gradient must stay bit-identical to the backward that rebuilt it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_net_cases())
+    def test_matches_reference_bit_exact(self, case):
+        params, x, tau, cond, u = case
+        want_y, ref_cache = reference_forward_cached(params, x, tau, cond)
+        want, want_dx = reference_backward(params, ref_cache, u)
+        y, cache = net_forward_cached(params, x, tau, cond)
+        assert np.array_equal(y, want_y)
+        assert np.array_equal(net_forward(params, x, tau, cond), y)
+        assert len(cache.dsilu) == params.config.n_hidden
+        grads, dx = net_backward(params, cache, u, return_input_grad=True)
+        for (name, got), (_, ref) in zip(grads.slots(), want.slots()):
+            assert np.array_equal(got, ref), name
+        assert np.array_equal(dx, want_dx)
+        none, dx_only = net_backward(params, cache, u, return_input_grad=True,
+                                     param_grads=False)
+        assert none is None
+        assert np.array_equal(dx_only, want_dx)
+
+    def test_one_cache_serves_two_backwards(self):
+        rng = np.random.default_rng(41)
+        params = init_params(small_config(n_hidden=3), rng)
+        x = rng.standard_normal((9, 2))
+        _, cache = net_forward_cached(params, x, 0.4, NULL_LABEL)
+        u, w = rng.standard_normal((2, 9, 2))
+        first, first_dx = net_backward(params, cache, u, return_input_grad=True)
+        net_backward(params, cache, w)
+        again, again_dx = net_backward(params, cache, u, return_input_grad=True)
+        assert np.array_equal(first.flat, again.flat)
+        assert np.array_equal(first_dx, again_dx)
+
+    def test_param_grads_off_needs_input_grad(self):
+        rng = np.random.default_rng(42)
+        params = init_params(small_config(), rng)
+        _, cache = net_forward_cached(params, rng.standard_normal((3, 2)),
+                                      0.5, 0)
+        with pytest.raises(ValueError, match="return_input_grad"):
+            net_backward(params, cache, np.zeros((3, 2)), param_grads=False)
+
+
+class TestPassMemory:
+    """Traced allocations of one pass at batch 256, hidden 128 (4 hidden
+    layers of 256 x 128 float64 arrays, 262 KB each)."""
+
+    @staticmethod
+    def _traced(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, kept, peak
+
+    def setup_method(self):
+        rng = np.random.default_rng(43)
+        self.params = init_params(NetConfig(dim=2, n_labels=4, hidden=128),
+                                  rng)
+        self.x = rng.standard_normal((256, 2))
+        self.cond = np.arange(256) % 4
+        net_forward_cached(self.params, self.x, 0.3, self.cond)  # warm up
+
+    def test_uncached_forward_holds_no_layer(self):
+        y, kept, peak = self._traced(
+            lambda: net_forward(self.params, self.x, 0.3, self.cond))
+        assert kept - y.nbytes < 64 * 1024
+        assert peak < 1.5e6
+
+    def test_cache_keeps_only_what_backward_reads(self):
+        (y, cache), kept, _ = self._traced(
+            lambda: net_forward_cached(self.params, self.x, 0.3, self.cond))
+        assert len(cache.acts) == 5 and len(cache.dsilu) == 4
+        assert kept < 2.3e6
