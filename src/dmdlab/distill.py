@@ -123,6 +123,11 @@ class DistillConfig:
         if (self.meanvar_var_target is not None
                 and self.meanvar_var_target <= 0):
             raise ValueError("meanvar_var_target must be > 0")
+        mu, var = self.meanvar_mu_target, self.meanvar_var_target
+        if (mu is None) != (var is None):
+            missing = "meanvar_mu_target" if mu is None else "meanvar_var_target"
+            raise ValueError(f"{missing} must be set too: one moment target "
+                             "alone would be ignored")
 
 
 @dataclass
@@ -141,6 +146,10 @@ class ScheduleConfig:
             if not (0.0 <= lo < hi <= 1.0):
                 raise ValueError(f"{name} must satisfy 0 <= lo < hi <= 1")
             setattr(self, name, (lo, hi))
+        ca, dm = self.tau_ca_range, self.tau_dm_range
+        if self.policy == SchedulePolicy.COUPLED_SHARED and ca and dm and ca != dm:
+            raise ValueError("tau_dm_range must equal tau_ca_range under "
+                             "COUPLED_SHARED, which makes one shared draw")
 
 
 @dataclass
@@ -194,8 +203,7 @@ def init_distill_state(teacher: NetParams, config: DistillConfig,
         disc_opt = init_adam(disc, lr=config.lr_fake)
     reg_targets = []
     if spec is not None:
-        if (config.meanvar_mu_target is not None
-                and config.meanvar_var_target is not None):
+        if config.meanvar_mu_target is not None:  # validate(): so is var
             reg_targets = [RegularizerTargets(config.meanvar_mu_target,
                                               config.meanvar_var_target)
                            for _ in range(spec.label_count)]
@@ -366,6 +374,15 @@ def sample_generator(gen, grid, cond, rng: np.random.Generator,
     return as_predictor(gen)(z, grid[-1], np.asarray(cond))
 
 
+def _adam_step(network: str, opt: AdamState, params: NetParams, grads) -> None:
+    """adam_step, naming the network in the context of a NonFiniteError."""
+    try:
+        adam_step(opt, params, grads)
+    except NonFiniteError as err:
+        err.context["network"] = network
+        raise
+
+
 def fake_model_update(state: DistillState, gen_samples: np.ndarray, cond,
                       rng: np.random.Generator) -> float:
     """One denoising-regression step of the fake model onto the generator's
@@ -378,7 +395,7 @@ def fake_model_update(state: DistillState, gen_samples: np.ndarray, cond,
     resid = pred - gen_samples
     loss = float(np.mean(np.sum(resid ** 2, axis=1)))
     grads = net_backward(state.fake, cache, (2.0 / n) * resid)
-    adam_step(state.fake_opt, state.fake, grads)
+    _adam_step("fake", state.fake_opt, state.fake, grads)
     return loss
 
 
@@ -501,10 +518,10 @@ def generator_update(state: DistillState, teacher, config: DistillConfig,
             state.disc, real_pts, gen_out, labels)
         out_grad = out_grad + config.w_gan * gen_grad
         loss_reg = gen_adv_loss
-        adam_step(state.disc_opt, state.disc, disc_grads)
+        _adam_step("disc", state.disc_opt, state.disc, disc_grads)
 
     grads = net_backward(state.generator, cache, out_grad)
-    adam_step(state.gen_opt, state.generator, grads)
+    _adam_step("generator", state.gen_opt, state.generator, grads)
     # the TTUR phase reads none of these; let them go before it allocates
     del cache, grads, out_grad
 

@@ -20,8 +20,8 @@ import json
 from pathlib import Path
 
 from ..distill import NonFiniteError
-from .config import RUN_OPTIONAL, ConfigError, run_config_from_dict
-from .runner import RunArtifacts, run_config, train_default_teacher
+from .config import run_config_from_dict
+from .runner import RunArtifacts, run_config, teacher_path
 
 BASE_RUN = {
     "mode": "FULL_DMD",
@@ -40,78 +40,40 @@ BASE_RUN = {
     "w_meanvar": 20.0,
 }
 
-# per-preset budget/knob defaults, applied between BASE_RUN and user overrides;
-# sized to the dynamics of gmm8 (the engine-vs-matching equivalence window
-# spans roughly the first couple hundred updates) and to the single-core
-# wall-clock gates on the ablation presets
-PRESET_DEFAULTS = {
-    "decompose": {"iterations": 600, "eval_every": 50},
-    "regularizers": {"iterations": 2500},
-    "tau-probe": {"iterations": 800},
-    "observer": {"iterations": 800},
-    "schedule-ablation": {"iterations": 2500},
-}
-
-
-def _sweep_decompose(base):
-    return [(mode.lower(), {**base, "mode": mode})
-            for mode in ("FULL_DMD", "CA_ONLY", "DM_ONLY")]
-
-
-def _sweep_regularizers(base):
-    return [
-        ("ca_none", {**base, "mode": "CA_ONLY", "regularizer": "NONE"}),
-        ("ca_dm", {**base, "mode": "FULL_DMD", "regularizer": "NONE"}),
-        ("ca_meanvar_kl", {**base, "mode": "CA_ONLY",
-                           "regularizer": "MEANVAR_KL"}),
-        ("ca_gan", {**base, "mode": "CA_ONLY", "regularizer": "GAN"}),
-    ]
-
-
 TAU_PROBE_RANGES = [(0.0, 0.05), (0.0, 0.25), (0.0, 0.5), (0.0, 1.0),
                     (0.7, 1.0)]
-
-
-def _sweep_tau_probe(base):
-    runs = []
-    for lo, hi in TAU_PROBE_RANGES:
-        name = f"tau_{lo:g}_{hi:g}".replace(".", "p")
-        runs.append((name, {**base, "mode": "CA_ONLY", "n_steps": 1,
-                            "tau_ca_range": [lo, hi],
-                            "tau_dm_range": [lo, hi]}))
-    return runs
-
-
-def _sweep_observer(base):
-    return [("observer", {**base, "mode": "CA_ONLY", "observer_mode": True})]
-
 
 SCHEDULE_ORDER = ["COUPLED_SHARED", "DECOUPLED_FULL", "DECOUPLED_CONSTRAINED",
                   "DECOUPLED_HYBRID"]
 
-
-def _sweep_schedule_ablation(base):
-    return [(policy.lower(), {**base, "n_steps": 4, "schedule_policy": policy})
-            for policy in SCHEDULE_ORDER]
-
-
-_SWEEPS = {
-    "decompose": _sweep_decompose,
-    "regularizers": _sweep_regularizers,
-    "tau-probe": _sweep_tau_probe,
-    "observer": _sweep_observer,
-    "schedule-ablation": _sweep_schedule_ablation,
+# name -> (budget defaults, [(run name, member keys)]); a member runs
+# BASE_RUN, then the defaults, then the user overrides, then its own keys.
+# Budgets are sized to the dynamics of gmm8 (the engine-vs-matching
+# equivalence window spans roughly the first couple hundred updates) and to
+# the single-core wall-clock gates on the ablation presets.
+PRESETS = {
+    "decompose": ({"iterations": 600, "eval_every": 50}, [
+        (mode.lower(), {"mode": mode})
+        for mode in ("FULL_DMD", "CA_ONLY", "DM_ONLY")]),
+    "regularizers": ({}, [
+        ("ca_none", {"mode": "CA_ONLY", "regularizer": "NONE"}),
+        ("ca_dm", {"mode": "FULL_DMD", "regularizer": "NONE"}),
+        ("ca_meanvar_kl", {"mode": "CA_ONLY", "regularizer": "MEANVAR_KL"}),
+        ("ca_gan", {"mode": "CA_ONLY", "regularizer": "GAN"}),
+    ]),
+    "tau-probe": ({"iterations": 800}, [
+        (f"tau_{lo:g}_{hi:g}".replace(".", "p"),
+         {"mode": "CA_ONLY", "n_steps": 1, "tau_ca_range": [lo, hi],
+          "tau_dm_range": [lo, hi]})
+        for lo, hi in TAU_PROBE_RANGES]),
+    "observer": ({"iterations": 800}, [
+        ("observer", {"mode": "CA_ONLY", "observer_mode": True})]),
+    "schedule-ablation": ({}, [
+        (policy.lower(), {"n_steps": 4, "schedule_policy": policy})
+        for policy in SCHEDULE_ORDER]),
 }
 
-PRESET_NAMES = sorted(_SWEEPS)
-
-
-def _ensure_shared_teacher(base: dict, out_root: Path) -> str:
-    if base.get("teacher"):
-        return base["teacher"]
-    path = out_root / "teacher.ckpt"
-    train_default_teacher(base.get("data", "gmm8"), base["seed"], path)
-    return str(path)
+PRESET_NAMES = sorted(PRESETS)
 
 
 def _final_row(metrics_path: Path) -> dict:
@@ -123,24 +85,23 @@ def _final_row(metrics_path: Path) -> dict:
 def run_preset(name: str, out_root, overrides=None) -> list:
     """Run every sweep point of the named preset; returns RunArtifacts list
     and writes summary.csv in the output root."""
-    if name not in _SWEEPS:
+    if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     out_root = Path(out_root)
-    base = dict(BASE_RUN)
-    base.update(PRESET_DEFAULTS.get(name, {}))
-    for key, value in (overrides or {}).items():
-        if key not in BASE_RUN and key not in RUN_OPTIONAL:
-            raise ConfigError(key, "unknown override key")
-        base[key] = value
-    for _, raw in _SWEEPS[name](base):
-        run_config_from_dict(raw)  # bad overrides fail before any training
+    defaults, members = PRESETS[name]
+    base = {**BASE_RUN, **defaults, **(overrides or {})}
+    runs = [(run_name, {**base, **keys}) for run_name, keys in members]
+    # every member is checked before the shared teacher is trained
+    cfgs = [run_config_from_dict(raw) for _, raw in runs]
     out_root.mkdir(parents=True, exist_ok=True)
-    base["teacher"] = _ensure_shared_teacher(base, out_root)
+    base["teacher"] = str(teacher_path(cfgs[0], out_root / "teacher.ckpt"))
 
     artifacts = []
     summary_rows = []
-    for run_name, raw in _SWEEPS[name](base):
-        cfg = run_config_from_dict(raw)
+    for run_name, raw in runs:
+        # checked again with the teacher: one left in out_root by an earlier
+        # run must still fit the data
+        cfg = run_config_from_dict({**raw, "teacher": base["teacher"]})
         run_dir = out_root / run_name
         aborted = False
         try:

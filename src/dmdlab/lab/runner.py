@@ -39,7 +39,6 @@ class RunArtifacts:
     """A run directory; every file's place in it is derived from dir."""
 
     dir: Path
-    state: DistillState | None = None
 
     def __post_init__(self):
         self.config_path = self.dir / "config_snapshot.json"
@@ -49,20 +48,16 @@ class RunArtifacts:
         self.manifest_path = self.dir / "manifest.json"
 
 
-def train_default_teacher(data: str, seed: int, path: Path) -> None:
-    """Save the teacher of every run and preset that names none at path:
-    the default TeacherConfig trained from the seed, unless already there."""
-    if not path.exists():
-        save_params(train_teacher(resolve_data(data), TeacherConfig(),
-                                  np.random.default_rng(seed)), path)
-
-
-def ensure_teacher(cfg: dict, art: RunArtifacts) -> tuple:
-    """Load the configured teacher checkpoint, or train one into the run dir."""
-    path = Path(cfg["teacher"] or art.checkpoint_dir / "teacher.ckpt")
-    if cfg["teacher"] is None:
-        train_default_teacher(cfg["data"], cfg["seed"], path)
-    return load_params(path), path
+def teacher_path(cfg: dict, default: Path) -> Path:
+    """The teacher checkpoint of a checked run config: the one it names, else
+    the default TeacherConfig trained on its data from its seed and saved at
+    default, unless one is already there."""
+    if cfg["teacher"] is not None:
+        return Path(cfg["teacher"])
+    if not default.exists():
+        save_params(train_teacher(resolve_data(cfg["data"]), TeacherConfig(),
+                                  np.random.default_rng(cfg["seed"])), default)
+    return default
 
 
 def train_teacher_cli(cfg: dict, out_dir: Path) -> Path:
@@ -96,10 +91,11 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
     art.checkpoint_dir.mkdir(exist_ok=True)
 
     spec = resolve_data(cfg["data"])
-    teacher, teacher_path = ensure_teacher(cfg, art)
+    teacher_file = teacher_path(cfg, art.checkpoint_dir / "teacher.ckpt")
+    teacher = load_params(teacher_file)
 
     snapshot = dict(cfg)
-    snapshot["teacher"] = str(teacher_path)
+    snapshot["teacher"] = str(teacher_file)
     art.config_path.write_text(
         json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
 
@@ -170,7 +166,6 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
         "aborted": bool(aborted),
     }, indent=2) + "\n")
 
-    art.state = state
     if aborted is not None:
         aborted.context["dump_path"] = str(dump_path)
         raise aborted

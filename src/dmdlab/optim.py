@@ -27,15 +27,22 @@ def init_adam(params: NetParams, lr: float, beta1: float = 0.9,
 def adam_step(state: AdamState, params: NetParams, grads: Gradients):
     """One bias-corrected update over the flat buffers, in place. Returns
     (state, params). A gradient that is not finite, or whose square
-    overflows, raises NonFiniteError before anything changes."""
+    overflows, raises NonFiniteError before anything changes; its context
+    names the first such slot."""
     g = grads.flat
     if g.shape != params.flat.shape:
         raise ValueError("gradient/parameter shape mismatch")
     with np.errstate(over="ignore"):
         sq = np.square(g)
     # one scan catches NaN, +-inf and a square past the float64 range
-    if not np.isfinite(sq).all():
-        raise NonFiniteError("non-finite gradients")
+    finite = np.isfinite(sq)
+    if not finite.all():
+        bad = int(finite.argmin())  # the first non-finite entry of flat
+        for slot, array in grads.slots():
+            if bad < array.size:
+                break
+            bad -= array.size
+        raise NonFiniteError("non-finite gradients", context={"slot": slot})
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.step

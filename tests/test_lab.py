@@ -196,6 +196,24 @@ class TestRunner:
         assert dump["field"] == "sw2"
         assert "diagnostic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("over,network,iteration", [
+        ({"lambda": 1e200}, "generator", 1),
+        ({"lr_fake": 1e40}, "fake", 1),
+        ({"mode": "CA_ONLY", "regularizer": "GAN", "lr_fake": 1e40}, "disc", 2),
+    ])
+    def test_adam_dump_names_network_and_slot(self, tmp_path,
+                                              tiny_teacher_ckpt, capsys,
+                                              over, network, iteration):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_cfg(tiny_teacher_ckpt, **over)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli_main(["run", str(path), "--out", str(tmp_path / "run")])
+        assert code == 3
+        dump = json.loads((tmp_path / "run" / "diagnostic_dump.json")
+                          .read_text())
+        assert dump == {"error": "non-finite gradients", "network": network,
+                        "slot": "w0", "iteration": iteration}
+
     def test_internal_key_error_propagates(self, tmp_path, tiny_teacher_ckpt,
                                            monkeypatch):
         # only config problems map to exit 2; a bug inside a run is not one
@@ -475,6 +493,11 @@ class TestRangesOwnedByTypedConfigs:
         ({"meanvar_var_target": 0}, "meanvar_var_target"),
         ({"tau_dm_range": [0.5, 0.5]}, "tau_dm_range"),
         ({"tau_ca_range": [-0.1, 0.5]}, "tau_ca_range"),
+        ({"meanvar_mu_target": 5.0}, "meanvar_var_target"),
+        ({"meanvar_var_target": 9.0}, "meanvar_mu_target"),
+        # COUPLED_SHARED makes one draw, so a second range would be dropped
+        ({"tau_ca_range": [0.0, 0.2], "tau_dm_range": [0.8, 1.0]},
+         "tau_dm_range"),
     ])
     def test_run_range(self, tiny_teacher_ckpt, over, key):
         with pytest.raises(ConfigError) as err:
@@ -550,6 +573,30 @@ class TestPresetCli:
         code = cli_main(["preset", "decompose", "--out", str(tmp_path / "x"),
                          "--override", "bogus=1"])
         assert code == 2
+        assert "bogus" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "teacher.ckpt").exists()
+
+    def test_shared_teacher_follows_lab_seed(self, tmp_path, monkeypatch):
+        # the default teacher is trained from the seed its members run with;
+        # a stand-in replaces the 20k-iteration training
+        import dmdlab.lab.runner as runner_mod
+        states = []
+
+        def stand_in(spec, config, rng, log_path=None):
+            states.append(rng.bit_generator.state)
+            return init_params(NetConfig(dim=spec.dim,
+                                         n_labels=spec.label_count,
+                                         hidden=16, n_hidden=2), rng)
+
+        monkeypatch.setattr(runner_mod, "train_teacher", stand_in)
+        monkeypatch.setenv("LAB_SEED", "7")
+        arts = run_preset("observer", tmp_path / "ob", {
+            "iterations": 2, "batch": 8, "eval_every": 2, "eval_n": 16,
+            "eval_ref_n": 64})
+        assert states == [np.random.default_rng(7).bit_generator.state]
+        snapshot = json.loads(arts[0].config_path.read_text())
+        assert snapshot["seed"] == 7
+        assert snapshot["teacher"] == str(tmp_path / "ob" / "teacher.ckpt")
 
 
 class TestTeacherCli:

@@ -322,6 +322,18 @@ class TestAdam:
                                  before):
                 assert np.array_equal(got, want)
 
+    def test_nonfinite_names_first_slot(self):
+        rng = np.random.default_rng(41)
+        params = init_params(small_config(), rng)
+        for slot, value in [("w0", np.nan), ("b1", 1e200),
+                            ("cond_embed", -np.inf), ("time_b", np.inf)]:
+            grads = zeros_like_params(params)
+            dict(grads.slots())[slot].flat[-1] = value
+            grads.time_b[-1] = np.inf  # a later slot must not be reported
+            with pytest.raises(NonFiniteError) as err:
+                adam_step(init_adam(params, lr=1e-3), params, grads)
+            assert err.value.context == {"slot": slot}
+
 
 class TestEma:
     def test_endpoints_and_midpoint(self):

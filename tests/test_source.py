@@ -27,3 +27,47 @@ def test_no_unused_imports():
     modules = [p for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"]
     assert len(modules) > 5
     assert [u for path in modules for u in unused_imports(path)] == []
+
+
+def private_definitions(path: Path) -> dict:
+    """Module-level functions and constants a module keeps private (a leading
+    underscore, not a dunder), by name, with their line numbers."""
+    names = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def names_read(path: Path) -> set:
+    """Every name a module loads, reads as an attribute or imports."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_no_unread_private_definitions():
+    # a private helper or constant that no module in src/ reads is dead code
+    modules = sorted(SRC.rglob("*.py"))
+    read = set().union(*map(names_read, modules))
+    assert sum(len(private_definitions(p)) for p in modules) > 10
+    dead = [f"{path.relative_to(SRC)}:{line} {name}" for path in modules
+            for name, line in sorted(private_definitions(path).items())
+            if name not in read]
+    assert dead == []
