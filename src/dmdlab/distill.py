@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .data import MixtureSpec, expected_sample_stats, sample_points_for_labels
-from .flow import as_predictor, renoise
+from .flow import as_predictor, regression_loss_and_grads, renoise
 from .metrics import MetricRecord, batch_sample_stats
 from .net import (NULL_LABEL, NetConfig, NetParams, NonFiniteError, _sigmoid,
                   init_params, net_backward, net_forward, net_forward_cached)
@@ -85,6 +85,7 @@ class DistillConfig:
     def __post_init__(self):
         self.mode = Mode(self.mode)
         self.regularizer = Regularizer(self.regularizer)
+        self.validate()
 
     @property
     def grid(self) -> tuple:
@@ -189,7 +190,6 @@ def init_distill_state(teacher: NetParams, config: DistillConfig,
                        spec: MixtureSpec | None, seed: int,
                        observer_mode: bool = False) -> DistillState:
     """Generator and fake model start as copies of the teacher."""
-    config.validate()
     ss = np.random.SeedSequence(seed)
     s_gen, s_fake, s_disc = ss.spawn(3)
     disc = disc_opt = None
@@ -374,28 +374,16 @@ def sample_generator(gen, grid, cond, rng: np.random.Generator,
     return as_predictor(gen)(z, grid[-1], np.asarray(cond))
 
 
-def _adam_step(network: str, opt: AdamState, params: NetParams, grads) -> None:
-    """adam_step, naming the network in the context of a NonFiniteError."""
-    try:
-        adam_step(opt, params, grads)
-    except NonFiniteError as err:
-        err.context["network"] = network
-        raise
-
-
 def fake_model_update(state: DistillState, gen_samples: np.ndarray, cond,
                       rng: np.random.Generator) -> float:
     """One denoising-regression step of the fake model onto the generator's
     (gradient-stopped) samples; returns the loss before the step."""
-    n = gen_samples.shape[0]
     tau = rng.uniform(0.0, 1.0)
     eps = rng.standard_normal(gen_samples.shape)
     x_tau = renoise(gen_samples, tau, eps)
-    pred, cache = net_forward_cached(state.fake, x_tau, tau, cond)
-    resid = pred - gen_samples
-    loss = float(np.mean(np.sum(resid ** 2, axis=1)))
-    grads = net_backward(state.fake, cache, (2.0 / n) * resid)
-    _adam_step("fake", state.fake_opt, state.fake, grads)
+    loss, grads = regression_loss_and_grads(state.fake, x_tau, tau, cond,
+                                            gen_samples)
+    adam_step(state.fake_opt, state.fake, grads)
     return loss
 
 
@@ -518,10 +506,10 @@ def generator_update(state: DistillState, teacher, config: DistillConfig,
             state.disc, real_pts, gen_out, labels)
         out_grad = out_grad + config.w_gan * gen_grad
         loss_reg = gen_adv_loss
-        _adam_step("disc", state.disc_opt, state.disc, disc_grads)
+        adam_step(state.disc_opt, state.disc, disc_grads)
 
     grads = net_backward(state.generator, cache, out_grad)
-    _adam_step("generator", state.gen_opt, state.generator, grads)
+    adam_step(state.gen_opt, state.generator, grads)
     # the TTUR phase reads none of these; let them go before it allocates
     del cache, grads, out_grad
 

@@ -27,6 +27,9 @@ class TeacherConfig:
     ema_decay: float | None = None
     log_every: int = 100
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         """Each message starts with the teacher-config key at fault."""
         if self.iterations <= 0:
@@ -81,6 +84,15 @@ def as_predictor(model):
     raise TypeError(f"cannot use {type(model).__name__} as a predictor")
 
 
+def regression_loss_and_grads(model: NetParams, x_tau, tau, cond, target):
+    """Denoising regression of model(x_tau, tau, cond) onto target: the mean
+    over the batch of the squared error, and its parameter gradients."""
+    pred, cache = net_forward_cached(model, x_tau, tau, cond)
+    resid = pred - target
+    loss = float(np.mean(np.sum(resid ** 2, axis=1)))
+    return loss, net_backward(model, cache, (2.0 / target.shape[0]) * resid)
+
+
 def teacher_loss(model, batch: LabeledBatch, rng: np.random.Generator,
                  p_uncond: float = 0.1):
     """Denoising regression on renoised data with condition dropout.
@@ -97,11 +109,7 @@ def teacher_loss(model, batch: LabeledBatch, rng: np.random.Generator,
     cond = np.where(drop, NULL_LABEL, batch.labels)
     x_tau = renoise(x, tau, eps)
     if isinstance(model, NetParams):
-        pred, cache = net_forward_cached(model, x_tau, tau, cond)
-        resid = pred - x
-        loss = float(np.mean(np.sum(resid ** 2, axis=1)))
-        grads = net_backward(model, cache, (2.0 / n) * resid)
-        return loss, grads
+        return regression_loss_and_grads(model, x_tau, tau, cond, x)
     pred = as_predictor(model)(x_tau, tau, cond)
     resid = pred - x
     return float(np.mean(np.sum(resid ** 2, axis=1))), None
@@ -112,7 +120,6 @@ def train_teacher(spec: MixtureSpec, config: TeacherConfig,
     """Train a conditional denoiser on the mixture; returns the parameters
     (EMA-smoothed when config.ema_decay is set). Optionally logs CSV rows
     (iteration, loss)."""
-    config.validate()
     net_cfg = NetConfig(dim=spec.dim, n_labels=spec.label_count)
     params = init_params(net_cfg, rng)
     opt = init_adam(params, lr=config.lr)

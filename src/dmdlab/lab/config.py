@@ -1,15 +1,17 @@
 """JSON run configurations with key-aware validation.
 
-Loaders return the validated config as a plain dict. Schema violations raise
-ConfigError naming the offending key; the CLI turns that into exit code 2.
-The LAB_SEED environment variable overrides the seed at load time and is
-baked into snapshots so that a snapshot re-runs identically regardless of
-the environment.
+One table per config file, RUN_KEYS and TEACHER_KEYS, gives each key its
+check and its default. Loaders return the validated config as a plain dict.
+Schema violations raise ConfigError naming the offending key; the CLI turns
+that into exit code 2. The LAB_SEED environment variable overrides the seed at
+load time and is baked into snapshots so that a snapshot re-runs identically
+regardless of the environment.
 """
 
 import json
 import os
 import sys
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from ..checkpoint import load_params
@@ -24,70 +26,96 @@ class ConfigError(ValueError):
         self.key = key
 
 
-RUN_REQUIRED = ["mode", "schedule_policy", "alpha", "lambda", "n_steps",
-                "ttur_ratio", "regularizer", "w_gan", "normalizer_on", "seed",
-                "iterations", "batch"]
+REQUIRED = object()  # a key with no default
+FIELD = object()     # a key whose default is its typed-config field's
+RANGE = "[lo, hi]"   # kind of a noise-level range
+LEVELS = "levels"    # kind of a step grid
 
-RUN_OPTIONAL = {
-    "tau_ca_range": None,
-    "tau_dm_range": None,
-    "w_meanvar": 1.0,
-    "eval_every": 100,
-    "eval_n": 1024,
-    "eval_ref_n": 10_000,
-    "data": "gmm8",
-    "teacher": None,
-    "out_dir": None,
-    "lr_gen": 1e-4,
-    "lr_fake": 1e-4,
-    "backward_sim_fresh_noise": True,
-    "meanvar_mu_target": None,
-    "meanvar_var_target": None,
-    "radius_mult": 3.0,
-    "step_grid": None,
-    "observer_mode": False,
-}
-
-TEACHER_REQUIRED = ["iterations", "batch", "lr", "p_uncond", "seed"]
-TEACHER_OPTIONAL = {
-    "data": "gmm8",
-    "out": "teacher.ckpt",
-    "log": None,
-    "lr_final": 1e-5,
-    "ema_decay": None,
-}
-
-# integer keys with the bounds no typed config checks; JSON tools occasionally
-# write them as floats, so they are normalized to int after the check
-_RUN_INTS = {"n_steps": None, "ttur_ratio": None, "seed": 0, "iterations": 1,
-             "batch": None, "eval_every": 1, "eval_n": 4, "eval_ref_n": 4}
-_TEACHER_INTS = {"iterations": None, "batch": None, "seed": 0}
+# typed-config fields whose key is spelled differently
+FIELD_KEYS = {"lam": "lambda", "policy": "schedule_policy"}
 
 
-def distill_config(cfg: dict) -> DistillConfig:
-    return DistillConfig(
-        alpha=cfg["alpha"], lam=cfg["lambda"], n_steps=cfg["n_steps"],
-        step_grid=cfg["step_grid"], ttur_ratio=cfg["ttur_ratio"],
-        mode=cfg["mode"], regularizer=cfg["regularizer"],
-        normalizer_on=cfg["normalizer_on"], w_gan=cfg["w_gan"],
-        w_meanvar=cfg["w_meanvar"], batch=cfg["batch"], lr_gen=cfg["lr_gen"],
-        lr_fake=cfg["lr_fake"],
-        backward_sim_fresh_noise=cfg["backward_sim_fresh_noise"],
-        meanvar_mu_target=cfg["meanvar_mu_target"],
-        meanvar_var_target=cfg["meanvar_var_target"],
-    )
+@dataclass(frozen=True)
+class Key:
+    """One row of a config file's table: a key's check and its default."""
+
+    kind: object = float      # float, int, bool, str, an Enum, RANGE or LEVELS
+    default: object = REQUIRED
+    lo: float | None = None   # the lower bound no typed config checks
+    nullable: bool = False    # null is allowed (always when the default is)
 
 
-def schedule_config(cfg: dict) -> ScheduleConfig:
-    return ScheduleConfig(
-        policy=cfg["schedule_policy"], tau_ca_range=cfg["tau_ca_range"],
-        tau_dm_range=cfg["tau_dm_range"])
+def _table(configs, rows: dict) -> dict:
+    """The rows, each FIELD default read from the typed configs' fields."""
+    defaults = {FIELD_KEYS.get(f.name, f.name): f.default
+                for config in configs for f in fields(config)}
+    return {key: replace(spec, default=defaults[key])
+            if spec.default is FIELD else spec for key, spec in rows.items()}
 
 
-def teacher_config(cfg: dict) -> TeacherConfig:
-    return TeacherConfig(iterations=cfg["iterations"], batch=cfg["batch"],
-                         lr=cfg["lr"], lr_final=cfg["lr_final"],
-                         p_uncond=cfg["p_uncond"], ema_decay=cfg["ema_decay"])
+RUN_CONFIGS = (DistillConfig, ScheduleConfig)
+RUN_KEYS = _table(RUN_CONFIGS, {
+    "mode": Key(Mode),
+    "schedule_policy": Key(SchedulePolicy),
+    "alpha": Key(),
+    "lambda": Key(),
+    "n_steps": Key(int),
+    "ttur_ratio": Key(int),
+    "regularizer": Key(Regularizer),
+    "w_gan": Key(),
+    "normalizer_on": Key(bool),
+    "seed": Key(int, lo=0),
+    "iterations": Key(int, lo=1),
+    "batch": Key(int),
+    "tau_ca_range": Key(RANGE, FIELD),
+    "tau_dm_range": Key(RANGE, FIELD),
+    "w_meanvar": Key(float, FIELD),
+    "eval_every": Key(int, 100, lo=1),
+    "eval_n": Key(int, 1024, lo=4),
+    "eval_ref_n": Key(int, 10_000, lo=4),
+    "data": Key(str, "gmm8"),
+    "teacher": Key(str, None),
+    "out_dir": Key(str, None),
+    "lr_gen": Key(float, FIELD),
+    "lr_fake": Key(float, FIELD),
+    "backward_sim_fresh_noise": Key(bool, FIELD),
+    "meanvar_mu_target": Key(float, FIELD),
+    "meanvar_var_target": Key(float, FIELD),
+    "radius_mult": Key(float, 3.0, lo=1e-9),
+    "step_grid": Key(LEVELS, FIELD),
+    "observer_mode": Key(bool, False),
+})
+
+TEACHER_CONFIGS = (TeacherConfig,)
+TEACHER_KEYS = _table(TEACHER_CONFIGS, {
+    "iterations": Key(int),
+    "batch": Key(int),
+    "lr": Key(),
+    "p_uncond": Key(),
+    "seed": Key(int, lo=0),
+    "data": Key(str, "gmm8"),
+    "out": Key(str, "teacher.ckpt"),
+    "log": Key(str, None),
+    "lr_final": Key(float, FIELD, nullable=True),
+    "ema_decay": Key(float, FIELD),
+})
+
+
+def _split(keys: dict):
+    required = [key for key, spec in keys.items() if spec.default is REQUIRED]
+    return required, {key: keys[key].default for key in keys
+                      if key not in required}
+
+
+RUN_REQUIRED, RUN_OPTIONAL = _split(RUN_KEYS)
+TEACHER_REQUIRED, TEACHER_OPTIONAL = _split(TEACHER_KEYS)
+
+
+def build(config, cfg: dict):
+    """The typed config of a checked dict; a field no key feeds keeps its
+    default."""
+    return config(**{f.name: cfg[key] for f in fields(config)
+                     if (key := FIELD_KEYS.get(f.name, f.name)) in cfg})
 
 
 def _finite(value) -> bool:
@@ -97,20 +125,44 @@ def _finite(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _check_number(key, value, kind=float, lo=None, optional=False):
-    if optional and value is None:
-        return
-    if not _finite(value):
-        raise ConfigError(key, f"expected a finite number, got {value!r}")
-    if kind is int and int(value) != value:
-        raise ConfigError(key, f"expected an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(key, f"must be >= {lo}, got {value}")
+def _levels_ok(value, n=None) -> bool:
+    return (isinstance(value, (list, tuple))
+            and 0 < len(value) == (n or len(value))
+            and all(map(_finite, value)))
 
 
-def _check_str(key, value, optional=False):
-    if not (isinstance(value, str) or optional and value is None):
-        raise ConfigError(key, f"expected a string, got {value!r}")
+def _check(key, spec: Key, value):
+    """The value once its kind and bound are checked: integers become int
+    and ranges [float, float] (the snapshot bytes depend on both)."""
+    kind = spec.kind
+    if value is None and (spec.nullable or spec.default is None):
+        return None
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(key, "expected true/false")
+    elif kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(key, f"expected a string, got {value!r}")
+    elif kind is RANGE:
+        if not _levels_ok(value, 2):
+            raise ConfigError(key, "expected [lo, hi]")
+        return [float(value[0]), float(value[1])]
+    elif kind is LEVELS:
+        if not _levels_ok(value):
+            raise ConfigError(key, "expected a list of finite levels")
+    elif kind in (int, float):
+        if not _finite(value):
+            raise ConfigError(key, f"expected a finite number, got {value!r}")
+        if kind is int and int(value) != value:
+            raise ConfigError(key, f"expected an integer, got {value!r}")
+        if spec.lo is not None and value < spec.lo:
+            raise ConfigError(key, f"must be >= {spec.lo}, got {value}")
+        return int(value) if kind is int else value
+    else:
+        choices = [e.value for e in kind]
+        if value not in choices:  # a list, so unhashable values fail cleanly
+            raise ConfigError(key, f"must be one of {choices}")
+    return value
 
 
 def _check_file(key, value):
@@ -144,89 +196,37 @@ def _check_teacher(value, spec: MixtureSpec) -> None:
             f"the data's dim {spec.dim} and {spec.label_count} labels")
 
 
-def _check_choice(key, value, enum):
-    choices = [e.value for e in enum]
-    if value not in choices:  # a list, so unhashable values fail cleanly
-        raise ConfigError(key, f"must be one of {choices}")
-
-
-def _levels_ok(value, n=None) -> bool:
-    return (isinstance(value, (list, tuple))
-            and 0 < len(value) == (n or len(value))
-            and all(map(_finite, value)))
-
-
-def _check_range(key, value):
-    if value is None:
-        return None
-    if not _levels_ok(value, 2):
-        raise ConfigError(key, "expected [lo, hi]")
-    return [float(value[0]), float(value[1])]
-
-
-def _check_ints(values: dict, bounds: dict) -> None:
-    for key, lo in bounds.items():
-        _check_number(key, values[key], kind=int, lo=lo)
-        values[key] = int(values[key])
-
-
-def _merge(raw: dict, required, optional, path):
+def _load(raw, keys: dict, configs, what: str) -> dict:
+    """A config file's checks in order: object, missing keys, unknown keys,
+    LAB_SEED, each key's kind and bound, the data and teacher files, then
+    the typed configs' value ranges."""
     if not isinstance(raw, dict):
-        raise ConfigError("<root>", f"{path}: top level must be a JSON object")
-    values = {}
-    for key in required:
-        if key not in raw:
+        raise ConfigError("<root>", f"{what}: top level must be a JSON object")
+    for key, spec in keys.items():
+        if spec.default is REQUIRED and key not in raw:
             raise ConfigError(key, "missing required key")
-        values[key] = raw[key]
-    for key, default in optional.items():
-        values[key] = raw.get(key, default)
-    unknown = set(raw) - set(required) - set(optional)
+    unknown = set(raw) - set(keys)
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown key")
-    return values
-
-
-def validate_run_values(values: dict) -> dict:
-    _check_choice("mode", values["mode"], Mode)
-    _check_choice("schedule_policy", values["schedule_policy"], SchedulePolicy)
-    _check_choice("regularizer", values["regularizer"], Regularizer)
-    _check_number("alpha", values["alpha"])
-    _check_number("lambda", values["lambda"])
-    _check_ints(values, _RUN_INTS)
-    _check_number("w_gan", values["w_gan"])
-    _check_number("w_meanvar", values["w_meanvar"])
-    for key in ("normalizer_on", "backward_sim_fresh_noise", "observer_mode"):
-        if not isinstance(values[key], bool):
-            raise ConfigError(key, "expected true/false")
-    _check_number("lr_gen", values["lr_gen"])
-    _check_number("lr_fake", values["lr_fake"])
-    _check_number("radius_mult", values["radius_mult"], lo=1e-9)
-    _check_number("meanvar_mu_target", values["meanvar_mu_target"],
-                  optional=True)
-    _check_number("meanvar_var_target", values["meanvar_var_target"],
-                  optional=True)
-    _check_str("data", values["data"])
-    _check_str("teacher", values["teacher"], optional=True)
-    _check_str("out_dir", values["out_dir"], optional=True)
-    spec = resolve_data(values["data"])
-    if values["teacher"] is not None:
-        _check_teacher(values["teacher"], spec)
-    values["tau_ca_range"] = _check_range("tau_ca_range", values["tau_ca_range"])
-    values["tau_dm_range"] = _check_range("tau_dm_range", values["tau_dm_range"])
-    grid = values["step_grid"]
-    if grid is not None and not _levels_ok(grid):
-        raise ConfigError("step_grid", "expected a list of finite levels")
-    return values
-
-
-def _apply_env_seed(values: dict) -> dict:
+    cfg = {key: raw.get(key, spec.default) for key, spec in keys.items()}
     env = os.environ.get("LAB_SEED")
     if env is not None:
         try:
-            values["seed"] = int(env)
+            cfg["seed"] = int(env)
         except ValueError:
             raise ConfigError("seed", f"LAB_SEED must be an integer, got {env!r}")
-    return values
+    cfg = {key: _check(key, spec, cfg[key]) for key, spec in keys.items()}
+    mixture = resolve_data(cfg["data"])
+    if cfg.get("teacher") is not None:
+        _check_teacher(cfg["teacher"], mixture)
+    try:
+        for config in configs:
+            build(config, cfg)
+    except ValueError as e:
+        # the typed configs start each message with the key at fault
+        key = str(e).split(" ", 1)[0]
+        raise ConfigError(key if key in cfg else "<combination>", str(e))
+    return cfg
 
 
 def _load_json(path):
@@ -236,22 +236,8 @@ def _load_json(path):
         raise ConfigError("<json>", f"{path}: {e}")
 
 
-def _keyed(err: ValueError, cfg: dict) -> ConfigError:
-    # the typed configs start each message with the key at fault
-    key = str(err).split(" ", 1)[0]
-    return ConfigError(key if key in cfg else "<combination>", str(err))
-
-
 def run_config_from_dict(raw: dict) -> dict:
-    cfg = validate_run_values(_apply_env_seed(
-        _merge(raw, RUN_REQUIRED, RUN_OPTIONAL, "run config")))
-    # construct once so invalid combinations surface as ConfigError here
-    try:
-        distill_config(cfg).validate()
-        schedule_config(cfg)
-    except ValueError as e:
-        raise _keyed(e, cfg)
-    return cfg
+    return _load(raw, RUN_KEYS, RUN_CONFIGS, "run config")
 
 
 def load_run_config(path) -> dict:
@@ -259,22 +245,7 @@ def load_run_config(path) -> dict:
 
 
 def teacher_config_from_dict(raw: dict) -> dict:
-    cfg = _apply_env_seed(
-        _merge(raw, TEACHER_REQUIRED, TEACHER_OPTIONAL, "teacher config"))
-    _check_ints(cfg, _TEACHER_INTS)
-    _check_number("lr", cfg["lr"])
-    _check_number("p_uncond", cfg["p_uncond"])
-    _check_number("lr_final", cfg["lr_final"], optional=True)
-    _check_number("ema_decay", cfg["ema_decay"], optional=True)
-    for key in ("data", "out"):
-        _check_str(key, cfg[key])
-    _check_str("log", cfg["log"], optional=True)
-    resolve_data(cfg["data"])
-    try:
-        teacher_config(cfg).validate()
-    except ValueError as e:
-        raise _keyed(e, cfg)
-    return cfg
+    return _load(raw, TEACHER_KEYS, TEACHER_CONFIGS, "teacher config")
 
 
 def load_teacher_config(path) -> dict:

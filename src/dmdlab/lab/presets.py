@@ -94,6 +94,7 @@ def run_preset(name: str, out_root, overrides=None) -> list:
     # every member is checked before the shared teacher is trained
     cfgs = [run_config_from_dict(raw) for _, raw in runs]
     out_root.mkdir(parents=True, exist_ok=True)
+    base["seed"] = cfgs[0]["seed"]  # the members' seed, LAB_SEED included
     base["teacher"] = str(teacher_path(cfgs[0], out_root / "teacher.ckpt"))
 
     artifacts = []

@@ -9,7 +9,8 @@ Layout of a run directory:
     manifest.json          timestamps and durations (the only file allowed
                            to differ between identical runs)
     diagnostic_dump.json   written only when training aborts on a non-finite
-                           value; holds the error's context and iteration
+                           value; holds the error's context and iteration,
+                           and names the network whose pass or step failed
 """
 
 import csv
@@ -22,13 +23,13 @@ import numpy as np
 
 from ..checkpoint import load_params, save_params
 from ..data import MixtureSpec, sample_dataset, target_stats
-from ..distill import (DistillState, NonFiniteError, generator_update,
-                       init_distill_state, observer_probe, sample_generator)
+from ..distill import (DistillConfig, DistillState, NonFiniteError,
+                       ScheduleConfig, generator_update, init_distill_state,
+                       observer_probe, sample_generator)
 from ..flow import TeacherConfig, train_teacher
 from ..metrics import (CSV_COLUMNS, batch_sample_stats, mode_coverage,
                        sliced_wasserstein2)
-from .config import (distill_config, load_run_config, resolve_data,
-                     schedule_config, teacher_config)
+from .config import build, load_run_config, resolve_data
 
 _REF_TAG = 0x5EED_0001
 _EVAL_TAG = 0x5EED_0002
@@ -65,10 +66,19 @@ def train_teacher_cli(cfg: dict, out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / cfg["out"]
     log = out_dir / (cfg["log"] or (Path(cfg["out"]).stem + "_log.csv"))
-    teacher = train_teacher(spec, teacher_config(cfg),
+    teacher = train_teacher(spec, build(TeacherConfig, cfg),
                             np.random.default_rng(cfg["seed"]), log_path=log)
     save_params(teacher, out)
     return out
+
+
+def _name_network(err: NonFiniteError, teacher, state: DistillState) -> None:
+    """Name in the error's context the network whose pass or Adam step
+    failed, if one did."""
+    for name, params in (("generator", state.generator), ("teacher", teacher),
+                         ("fake", state.fake), ("disc", state.disc)):
+        if params is not None and params is err.params:
+            err.context["network"] = name
 
 
 def _eval_cloud(state: DistillState, grid, spec: MixtureSpec, seed: int,
@@ -99,8 +109,8 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
     art.config_path.write_text(
         json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
 
-    dconfig = distill_config(cfg)
-    schedule = schedule_config(cfg)
+    dconfig = build(DistillConfig, cfg)
+    schedule = build(ScheduleConfig, cfg)
     state = init_distill_state(teacher, dconfig, spec, seed=cfg["seed"],
                                observer_mode=cfg["observer_mode"])
 
@@ -146,6 +156,7 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
         except NonFiniteError as err:
             aborted = err
             err.context.setdefault("iteration", it)
+            _name_network(err, teacher, state)
             dump = dict(err.context)
             dump["error"] = str(err)
             dump_path.write_text(
@@ -157,7 +168,8 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
         save_params(state.disc, art.checkpoint_dir / "disc.ckpt")
 
     if cfg["observer_mode"]:
-        _write_observer_probe(art.dir, state, teacher, spec, cfg)
+        _write_observer_probe(art.dir, state, teacher, spec, dconfig.grid,
+                              cfg["seed"])
 
     art.manifest_path.write_text(json.dumps({
         "started_unix": started,
@@ -173,16 +185,15 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
 
 
 def _write_observer_probe(out_dir: Path, state: DistillState, teacher,
-                          spec: MixtureSpec, cfg: dict,
+                          spec: MixtureSpec, grid, seed: int,
                           taus=(0.1, 0.3, 0.5, 0.7, 0.9)) -> None:
     """Per-label probe of the (unused) DM term against the measured drift of
     the generator's samples away from the data mean."""
     rows = []
-    rng = np.random.default_rng([cfg["seed"], 0x0B5E])
+    rng = np.random.default_rng([seed, 0x0B5E])
     for label in range(spec.label_count):
         cond = np.full(256, label)
-        cloud = sample_generator(state.generator, distill_config(cfg).grid,
-                                 cond, rng)
+        cloud = sample_generator(state.generator, grid, cond, rng)
         data_mean, _ = target_stats(spec, label)
         drift = cloud.mean(axis=0) - data_mean
         probe = observer_probe(state, teacher, cloud, taus, label,

@@ -129,7 +129,7 @@ def _data_limits(arrays, pad=0.05):
     return lo - pad * span, hi + pad * span
 
 
-def line_chart(path, title, xlabel, ylabel, series, markers=True):
+def line_chart(path, title, xlabel, ylabel, series):
     """series: list of (label, xs, ys). Writes one SVG file."""
     xs_all = [np.asarray(s[1], float) for s in series]
     ys_all = [np.asarray(s[2], float) for s in series]
@@ -138,9 +138,9 @@ def line_chart(path, title, xlabel, ylabel, series, markers=True):
     entries = []
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        canvas.polyline(np.asarray(xs, float), np.asarray(ys, float), color)
-        if markers:
-            canvas.markers(np.asarray(xs, float), np.asarray(ys, float), color)
+        xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+        canvas.polyline(xs, ys, color)
+        canvas.markers(xs, ys, color)
         entries.append((label, color))
     if len(entries) > 1:
         canvas.legend(entries)

@@ -2,17 +2,13 @@
 statistics, mode coverage, and a noise-level-integrated KL diagnostic."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .data import MixtureSpec
 from .flow import renoise
 from .net import NonFiniteError
-
-CSV_COLUMNS = ["iteration", "sw2", "mean_of_means", "mean_of_vars",
-               "mode_coverage", "loss_proxy", "loss_fake", "loss_reg",
-               "tau_ca", "tau_dm", "t"]
 
 
 @dataclass
@@ -36,6 +32,9 @@ class MetricRecord:
                 raise NonFiniteError(
                     f"MetricRecord field {c} is not finite: {v}", {"field": c})
         return [str(self.iteration)] + [repr(float(v)) for v in vals[1:]]
+
+
+CSV_COLUMNS = [f.name for f in fields(MetricRecord)]
 
 
 def _quantile_grid(n: int, m: int):

@@ -51,11 +51,13 @@ _keep_freed_heap()
 
 
 class NonFiniteError(ValueError):
-    """Raised when a training quantity stops being finite; carries context."""
+    """Raised when a training quantity stops being finite; carries context
+    and, for a network's pass or Adam step, that network's params."""
 
-    def __init__(self, message, context=None):
+    def __init__(self, message, context=None, params=None):
         super().__init__(message)
         self.context = context or {}
+        self.params = params
 
 
 @dataclass
@@ -223,7 +225,7 @@ def _forward(params: NetParams, x, noise_level, cond, want_cache):
     if x.ndim != 2 or x.shape[1] != cfg.dim:
         raise ValueError(f"x must have shape (batch, {cfg.dim}), got {x.shape}")
     if not np.isfinite(x).all():
-        raise NonFiniteError("non-finite input x")
+        raise NonFiniteError("non-finite input x", params=params)
     n = x.shape[0]
     tau = _as_batch_scalar(noise_level, n, "noise_level")
     if np.any((tau < 0.0) | (tau > 1.0)):
@@ -255,7 +257,7 @@ def _forward(params: NetParams, x, noise_level, cond, want_cache):
     y = a @ params.weights[-1]
     y += params.biases[-1]
     if not np.isfinite(y).all():
-        raise NonFiniteError("non-finite network output")
+        raise NonFiniteError("non-finite network output", params=params)
     return y if cache is None else (y, cache)
 
 
@@ -293,7 +295,7 @@ def net_backward(params: NetParams, cache: ForwardCache, upstream,
     if g.shape != (cache.x.shape[0], out_dim):
         raise ValueError(f"upstream must have shape ({cache.x.shape[0]}, {out_dim}), got {g.shape}")
     if not np.isfinite(g).all():
-        raise NonFiniteError("non-finite upstream gradient")
+        raise NonFiniteError("non-finite upstream gradient", params=params)
 
     grads = None
     if param_grads:

@@ -42,7 +42,8 @@ def adam_step(state: AdamState, params: NetParams, grads: Gradients):
             if bad < array.size:
                 break
             bad -= array.size
-        raise NonFiniteError("non-finite gradients", context={"slot": slot})
+        raise NonFiniteError("non-finite gradients", {"slot": slot},
+                             params=params)
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.step

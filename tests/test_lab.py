@@ -1,6 +1,9 @@
+import ast
 import csv
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,9 +17,11 @@ from hypothesis import strategies as st
 import dmdlab
 from dmdlab import NetConfig, init_params, save_params
 from dmdlab.data import Component, MixtureSpec, gmm8
-from dmdlab.distill import NonFiniteError
+from dmdlab.distill import DistillConfig, NonFiniteError, ScheduleConfig
+from dmdlab.flow import TeacherConfig
 from dmdlab.lab.cli import main as cli_main
-from dmdlab.lab.config import (RUN_OPTIONAL, RUN_REQUIRED, TEACHER_OPTIONAL,
+from dmdlab.lab.config import (FIELD_KEYS, RUN_KEYS, RUN_OPTIONAL,
+                               RUN_REQUIRED, TEACHER_KEYS, TEACHER_OPTIONAL,
                                TEACHER_REQUIRED, ConfigError, load_run_config,
                                run_config_from_dict, teacher_config_from_dict)
 from dmdlab.lab.plots import PlotDataError, plot_run
@@ -626,3 +631,110 @@ def test_lab_import_loads_no_scipy_stats():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+class TestNonFiniteDumpNamesNetwork:
+    """A non-finite pass names its network in the diagnostic dump."""
+
+    @pytest.mark.parametrize("slot,index,network", [
+        # the generator starts as a copy of the teacher, so it runs first
+        ("w0", (0, 0), "generator"),
+        # only the teacher's unconditional prediction reads the null row
+        ("cond_embed", (-1, 0), "teacher"),
+    ])
+    def test_forward_output(self, tmp_path, slot, index, network):
+        params = init_params(NetConfig(dim=2, n_labels=4, hidden=16,
+                                       n_hidden=2), np.random.default_rng(0))
+        dict(params.slots())[slot][index] = np.inf
+        teacher = tmp_path / "poisoned.ckpt"
+        save_params(params, teacher)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_cfg(teacher)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            code = cli_main(["run", str(path), "--out", str(tmp_path / "run")])
+        assert code == 3
+        dump = json.loads((tmp_path / "run" / "diagnostic_dump.json")
+                          .read_text())
+        assert dump == {"error": "non-finite network output",
+                        "network": network, "iteration": 1}
+
+
+def test_preset_json_records_the_members_seed(tmp_path, tiny_teacher_ckpt,
+                                              monkeypatch):
+    over = {"iterations": 2, "batch": 8, "eval_every": 2, "eval_n": 16,
+            "eval_ref_n": 64, "teacher": str(tiny_teacher_ckpt)}
+    for env, seed in ((None, 0), ("7", 7)):
+        if env is not None:
+            monkeypatch.setenv("LAB_SEED", env)
+        out = tmp_path / f"ob_{seed}"
+        arts = run_preset("observer", out, over)
+        preset = json.loads((out / "preset.json").read_text())
+        snapshot = json.loads(arts[0].config_path.read_text())
+        assert preset["base"]["seed"] == snapshot["seed"] == seed
+
+
+def field_keys(config) -> list:
+    return [FIELD_KEYS.get(f.name, f.name) for f in dataclasses.fields(config)]
+
+
+class TestConfigSchema:
+    """Each key is one table row: no key silently does nothing, and every
+    default is written once."""
+
+    def test_derived_names_follow_the_tables(self):
+        assert RUN_REQUIRED + list(RUN_OPTIONAL) == list(RUN_KEYS)
+        assert TEACHER_REQUIRED + list(TEACHER_OPTIONAL) == list(TEACHER_KEYS)
+        assert RUN_REQUIRED[:3] == ["mode", "schedule_policy", "alpha"]
+        assert TEACHER_REQUIRED == ["iterations", "batch", "lr", "p_uncond",
+                                    "seed"]
+
+    def test_typed_fields_own_their_defaults(self):
+        owned = {key: f.default for config in (DistillConfig, ScheduleConfig)
+                 for key, f in zip(field_keys(config),
+                                   dataclasses.fields(config))
+                 if key in RUN_OPTIONAL}
+        assert {"w_meanvar", "lr_gen", "lr_fake", "backward_sim_fresh_noise",
+                "meanvar_mu_target", "meanvar_var_target"} <= set(owned)
+        for key, default in owned.items():
+            assert RUN_OPTIONAL[key] == default, key
+        assert TEACHER_OPTIONAL["lr_final"] == TeacherConfig().lr_final
+        assert TEACHER_OPTIONAL["ema_decay"] == TeacherConfig().ema_decay
+
+    def test_every_typed_field_is_fed_by_a_key(self):
+        for config in (DistillConfig, ScheduleConfig):
+            assert set(field_keys(config)) <= set(RUN_KEYS), config
+        assert set(field_keys(TeacherConfig)) - set(TEACHER_KEYS) == {
+            "log_every"}
+
+    def test_every_other_key_is_read_by_name(self):
+        lab = Path(dmdlab.__file__).resolve().parent / "lab"
+        read = set()
+        for module in ("runner.py", "presets.py"):
+            tree = ast.parse((lab / module).read_text())
+            read |= {node.slice.value for node in ast.walk(tree)
+                     if isinstance(node, ast.Subscript)
+                     and isinstance(node.slice, ast.Constant)}
+        fed = set(field_keys(DistillConfig) + field_keys(ScheduleConfig))
+        assert set(RUN_KEYS) - fed - read == set()
+        assert set(TEACHER_KEYS) - set(field_keys(TeacherConfig)) - read \
+            == set()
+
+    def test_readme_defaults_match_the_loader(self):
+        # README gives defaults as `key` (value); each JSON literal among
+        # them must equal the loader's default for that config file
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        run_part, teacher_part = readme.split("### Run config", 1)[1].split(
+            "Teacher config keys", 1)
+        teacher_part = teacher_part.split("\n\n", 1)[0]
+        checked = 0
+        for text, defaults in ((run_part, RUN_OPTIONAL),
+                               (teacher_part, TEACHER_OPTIONAL)):
+            for key, value in re.findall(r"`(\w+)`\s+\(([^()]*)\)", text):
+                try:
+                    literal = json.loads(value)
+                except json.JSONDecodeError:
+                    continue
+                assert key in defaults, key
+                assert literal == defaults[key], key
+                checked += 1
+        assert checked >= 12

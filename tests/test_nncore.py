@@ -538,6 +538,28 @@ class TestNonFinite:
         with pytest.raises(NonFiniteError), np.errstate(invalid="ignore"):
             net_forward(bad, x, 0.5, 0)
 
+    def test_error_carries_the_failing_params(self):
+        # the run's diagnostic dump names the network from these
+        rng = np.random.default_rng(38)
+        params = init_params(small_config(), rng)
+        bad = params.copy()
+        bad.weights[0][0, 0] = np.inf
+        x = rng.standard_normal((3, 2))
+        _, cache = net_forward_cached(params, x, 0.5, 0)
+        grads = zeros_like_params(params)
+        grads.time_b[0] = np.nan
+        for net, fail in [
+                (params, lambda: net_forward(params, x * np.inf, 0.5, 0)),
+                (bad, lambda: net_forward_cached(bad, x, 0.5, 0)),
+                (params, lambda: net_backward(params, cache,
+                                              np.full((3, 2), np.nan))),
+                (params, lambda: adam_step(init_adam(params, lr=1e-3),
+                                           params, grads))]:
+            with pytest.raises(NonFiniteError) as err, \
+                    np.errstate(invalid="ignore"):
+                fail()
+            assert err.value.params is net
+
 
 @pytest.mark.skipif(platform.system() != "Linux"
                     or platform.libc_ver()[0] != "glibc",
