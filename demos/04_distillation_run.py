@@ -11,22 +11,25 @@ Run:  python demos/04_distillation_run.py
 import numpy as np
 
 from dmdlab import (DistillConfig, Mode, ScheduleConfig, SchedulePolicy,
-                    TeacherConfig, expected_sample_stats, gmm8,
-                    generator_update, init_distill_state, mode_coverage,
+                    TeacherConfig, batch_sample_stats, expected_sample_stats,
+                    gmm8, generator_update, init_distill_state, mode_coverage,
                     sample_dataset, sample_generator, sliced_wasserstein2,
                     train_teacher)
 
 
 def evaluate(state, config, spec, ref):
+    """SW2, mode coverage and mean per-sample variance of a fresh cloud."""
     rng = np.random.default_rng(123)
-    sw, cov = [], []
+    sw, cov, clouds = [], [], []
     for label in range(spec.label_count):
         cond = np.full(256, label)
         cloud = sample_generator(state.generator, config.grid, cond, rng)
         sw.append(sliced_wasserstein2(cloud, ref.points[ref.labels == label],
                                       64, np.random.default_rng(7)))
         cov.append(mode_coverage(cloud, spec, label))
-    return float(np.mean(sw)), float(np.mean(cov))
+        clouds.append(cloud)
+    _, variances = batch_sample_stats(np.concatenate(clouds))
+    return float(np.mean(sw)), float(np.mean(cov)), float(variances.mean())
 
 
 def main():
@@ -42,14 +45,15 @@ def main():
     state = init_distill_state(teacher, config, spec, seed=0)
 
     _, vstar = expected_sample_stats(spec)
-    sw, cov = evaluate(state, config, spec, ref)
-    print(f"before distillation: sw2={sw:.4f} coverage={cov:.3f}")
+    sw, cov, var = evaluate(state, config, spec, ref)
+    print(f"before distillation: sw2={sw:.4f} coverage={cov:.3f} "
+          f"var_ratio={var / vstar:.2f}")
     for step in range(1, 401):
         record = generator_update(state, teacher, config, schedule)
         if step % 100 == 0:
-            sw, cov = evaluate(state, config, spec, ref)
+            sw, cov, var = evaluate(state, config, spec, ref)
             print(f"update {step:4d}: sw2={sw:.4f} coverage={cov:.3f} "
-                  f"var_ratio={record.mean_of_vars / vstar:.2f} "
+                  f"var_ratio={var / vstar:.2f} "
                   f"loss_fake={record.loss_fake:.4f}")
     print("done; generator now samples in", config.n_steps, "steps")
 

@@ -285,13 +285,12 @@ def delta_ca(real, x_tau: np.ndarray, tau, cond, alpha: float) -> np.ndarray:
 def _assemble_direction(real, fake, gen_out, cond, config,
                         x_ca, tau_ca, x_dm, tau_dm) -> UpdateDirection:
     mode = config.mode
-    eff_alpha = 1.0 if mode == Mode.THEORY_DMD else config.alpha
     if mode.uses_dm:
         d_dm = delta_dm(real, fake, x_dm, tau_dm, cond)
     else:
         d_dm = np.zeros_like(gen_out)
     if mode.uses_ca:
-        d_ca = delta_ca(real, x_ca, tau_ca, cond, eff_alpha)
+        d_ca = delta_ca(real, x_ca, tau_ca, cond, config.alpha)
     else:
         d_ca = np.zeros_like(gen_out)
     if config.normalizer_on:
@@ -364,13 +363,11 @@ def backward_simulate(gen, grid, k_target: int, cond, rng: np.random.Generator,
     return z
 
 
-def sample_generator(gen, grid, cond, rng: np.random.Generator,
-                     dim: int | None = None, fresh_noise: bool = True) -> np.ndarray:
-    """Few-step inference: backward-simulate to the last grid step, then take
-    the final clean prediction."""
+def sample_generator(gen, grid, cond, rng: np.random.Generator) -> np.ndarray:
+    """Few-step inference: backward-simulate with fresh noise to the last
+    grid step, then take the final clean prediction."""
     grid = tuple(grid)
-    z = backward_simulate(gen, grid, len(grid), cond, rng, dim=dim,
-                          fresh_noise=fresh_noise)
+    z = backward_simulate(gen, grid, len(grid), cond, rng)
     return as_predictor(gen)(z, grid[-1], np.asarray(cond))
 
 
@@ -396,11 +393,8 @@ def meanvar_kl_loss(batch: np.ndarray, targets: RegularizerTargets):
     is clamped away from the log singularity with a warning.
     """
     batch = np.asarray(batch)
-    if batch.ndim != 2 or batch.shape[1] < 2:
-        raise ValueError("per-sample variance needs dim >= 2")
+    mu, var = batch_sample_stats(batch)
     n, d = batch.shape
-    mu = batch.mean(axis=1)
-    var = batch.var(axis=1)
     if np.any(var < 1e-12):
         warnings.warn("per-sample variance clamped at 1e-12 (log singularity)")
         var = np.maximum(var, 1e-12)
@@ -457,8 +451,8 @@ def generator_update(state: DistillState, teacher, config: DistillConfig,
 
     The teacher and (during the generator phase) the fake model are never
     written to; only forward evaluations of them enter the direction. The
-    returned record carries the update-level fields; the run loop fills the
-    distribution-level fields from a separate evaluation cloud.
+    returned record leaves the four distribution-level fields None; the run
+    loop fills them from its evaluation clouds.
     direction_fn optionally replaces the built-in direction computation with
     an injected (gen_out, t, cond, rng) -> (UpdateDirection, tau_ca, tau_dm).
     """
@@ -521,13 +515,11 @@ def generator_update(state: DistillState, teacher, config: DistillConfig,
                                           state.rng_fake)
 
     state.iteration += 1
-    means, variances = batch_sample_stats(gen_out)
     return MetricRecord(
-        iteration=state.iteration, sw2=None,
-        mean_of_means=float(means.mean()), mean_of_vars=float(variances.mean()),
-        mode_coverage=None, loss_proxy=loss_proxy, loss_fake=loss_fake,
-        loss_reg=loss_reg, tau_ca=float(tau_ca), tau_dm=float(tau_dm),
-        t=float(t),
+        iteration=state.iteration, sw2=None, mean_of_means=None,
+        mean_of_vars=None, mode_coverage=None, loss_proxy=loss_proxy,
+        loss_fake=loss_fake, loss_reg=loss_reg, tau_ca=float(tau_ca),
+        tau_dm=float(tau_dm), t=float(t),
     )
 
 

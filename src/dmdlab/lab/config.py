@@ -198,8 +198,8 @@ def _check_teacher(value, spec: MixtureSpec) -> None:
 
 def _load(raw, keys: dict, configs, what: str) -> dict:
     """A config file's checks in order: object, missing keys, unknown keys,
-    LAB_SEED, each key's kind and bound, the data and teacher files, then
-    the typed configs' value ranges."""
+    LAB_SEED, each key's kind and bound, the data and teacher files, the
+    data's dim, then the typed configs' value ranges."""
     if not isinstance(raw, dict):
         raise ConfigError("<root>", f"{what}: top level must be a JSON object")
     for key, spec in keys.items():
@@ -219,6 +219,9 @@ def _load(raw, keys: dict, configs, what: str) -> dict:
     mixture = resolve_data(cfg["data"])
     if cfg.get("teacher") is not None:
         _check_teacher(cfg["teacher"], mixture)
+    if mixture.dim < 2:  # every metrics row needs per-sample variance
+        raise ConfigError("data", f"{cfg['data']}: dim must be >= 2, got "
+                          f"{mixture.dim}")
     try:
         for config in configs:
             build(config, cfg)
@@ -230,9 +233,10 @@ def _load(raw, keys: dict, configs, what: str) -> dict:
 
 
 def _load_json(path):
+    # OSError: missing or unreadable; ValueError: not UTF-8, or not JSON
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as e:
         raise ConfigError("<json>", f"{path}: {e}")
 
 

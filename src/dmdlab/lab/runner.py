@@ -81,18 +81,14 @@ def _name_network(err: NonFiniteError, teacher, state: DistillState) -> None:
             err.context["network"] = name
 
 
-def _eval_cloud(state: DistillState, grid, spec: MixtureSpec, seed: int,
-                iteration: int, n: int):
-    """Full few-step inference, label-balanced, on a per-iteration eval rng
-    that is identical across runs sharing a seed."""
+def _eval_clouds(state: DistillState, grid, spec: MixtureSpec, seed: int,
+                 iteration: int, n: int) -> list:
+    """One cloud per label from full few-step inference, on a per-iteration
+    eval rng that is identical across runs sharing a seed."""
     rng = np.random.default_rng([seed, iteration, _EVAL_TAG])
     per = max(n // spec.label_count, 1)
-    clouds, labels = [], []
-    for label in range(spec.label_count):
-        cond = np.full(per, label)
-        clouds.append(sample_generator(state.generator, grid, cond, rng))
-        labels.append(cond)
-    return np.concatenate(clouds), np.concatenate(labels)
+    return [sample_generator(state.generator, grid, np.full(per, label), rng)
+            for label in range(spec.label_count)]
 
 
 def run_config(cfg: dict, out_dir) -> RunArtifacts:
@@ -129,19 +125,16 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
             for it in range(1, cfg["iterations"] + 1):
                 record = generator_update(state, teacher, dconfig, schedule)
                 if it % cfg["eval_every"] == 0 or it == cfg["iterations"]:
-                    cloud, cloud_labels = _eval_cloud(
-                        state, dconfig.grid, spec, cfg["seed"], it, cfg["eval_n"])
+                    clouds = _eval_clouds(state, dconfig.grid, spec,
+                                          cfg["seed"], it, cfg["eval_n"])
                     sw_rng = np.random.default_rng([cfg["seed"], it, 0x51])
-                    sw_vals, cov_vals = [], []
-                    for label in range(spec.label_count):
-                        gen_pts = cloud[cloud_labels == label]
-                        sw_vals.append(sliced_wasserstein2(
-                            gen_pts, ref_by_label[label], 128, sw_rng))
-                        cov_vals.append(mode_coverage(gen_pts, spec, label,
-                                                      cfg["radius_mult"]))
-                    means, variances = batch_sample_stats(cloud)
-                    record.sw2 = float(np.mean(sw_vals))
-                    record.mode_coverage = float(np.mean(cov_vals))
+                    record.sw2 = float(np.mean([
+                        sliced_wasserstein2(cloud, ref, 128, sw_rng)
+                        for cloud, ref in zip(clouds, ref_by_label)]))
+                    record.mode_coverage = float(np.mean([
+                        mode_coverage(cloud, spec, label, cfg["radius_mult"])
+                        for label, cloud in enumerate(clouds)]))
+                    means, variances = batch_sample_stats(np.concatenate(clouds))
                     record.mean_of_means = float(means.mean())
                     record.mean_of_vars = float(variances.mean())
                     writer.writerow(record.to_row())
@@ -150,9 +143,10 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
                               newline="") as sf:
                         sw = csv.writer(sf)
                         sw.writerow([f"x{d}" for d in range(spec.dim)] + ["label"])
-                        rows = zip(cloud.tolist(), cloud_labels.tolist())
                         # csv writes a float as its repr(), which round-trips
-                        sw.writerows(point + [label] for point, label in rows)
+                        sw.writerows(point + [label]
+                                     for label, cloud in enumerate(clouds)
+                                     for point in cloud.tolist())
         except NonFiniteError as err:
             aborted = err
             err.context.setdefault("iteration", it)

@@ -186,25 +186,14 @@ def _sigmoid(z):
     return s
 
 
-def _as_batch_scalar(v, n, name):
-    v = np.asarray(v, dtype=np.float64)
+def _per_sample(v, n, name, dtype):
+    """v as one value per sample: a scalar is broadcast to shape (n,)."""
+    v = np.asarray(v, dtype=dtype)
     if v.ndim == 0:
-        v = np.full(n, float(v))
+        v = np.full(n, v)
     if v.shape != (n,):
         raise ValueError(f"{name} must be scalar or shape ({n},), got {v.shape}")
     return v
-
-
-def _cond_rows(config: NetConfig, cond, n):
-    cond = np.asarray(cond)
-    if cond.ndim == 0:
-        cond = np.full(n, int(cond))
-    if cond.shape != (n,):
-        raise ValueError(f"cond must be scalar or shape ({n},), got {cond.shape}")
-    cond = cond.astype(np.int64)
-    if np.any((cond < NULL_LABEL) | (cond >= config.n_labels)):
-        raise ValueError("cond labels must be in [0, n_labels) or NULL_LABEL")
-    return np.where(cond == NULL_LABEL, config.n_labels, cond)
 
 
 @dataclass
@@ -227,10 +216,13 @@ def _forward(params: NetParams, x, noise_level, cond, want_cache):
     if not np.isfinite(x).all():
         raise NonFiniteError("non-finite input x", params=params)
     n = x.shape[0]
-    tau = _as_batch_scalar(noise_level, n, "noise_level")
+    tau = _per_sample(noise_level, n, "noise_level", np.float64)
     if np.any((tau < 0.0) | (tau > 1.0)):
         raise ValueError("noise_level must lie in [0, 1]")
-    rows = _cond_rows(cfg, cond, n)
+    # NULL_LABEL is -1, so indexing with it reaches the null (last) row
+    rows = _per_sample(cond, n, "cond", np.int64)
+    if np.any((rows < NULL_LABEL) | (rows >= cfg.n_labels)):
+        raise ValueError("cond labels must be in [0, n_labels) or NULL_LABEL")
 
     ang = 2.0 * np.pi * tau[:, None] * params.time_freqs[None, :]
     feats = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)

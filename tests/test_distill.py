@@ -630,6 +630,16 @@ class TestGeneratorUpdate:
         assert a.tau_ca == b.tau_ca and a.tau_dm == b.tau_dm and a.t == b.t
         assert a.mean_of_means == b.mean_of_means
 
+    def test_record_leaves_distribution_fields_to_the_run_loop(self):
+        teacher = tiny_net(76)
+        cfg = base_config(mode=Mode.FULL_DMD)
+        state = init_distill_state(teacher, cfg, gmm8(), seed=1234)
+        rec = generator_update(state, teacher, cfg,
+                               ScheduleConfig(SchedulePolicy.COUPLED_SHARED))
+        assert (rec.sw2, rec.mode_coverage, rec.mean_of_means,
+                rec.mean_of_vars) == (None, None, None, None)
+        assert np.isfinite(rec.loss_proxy)
+
     def test_gan_regularizer_updates_discriminator(self):
         teacher = tiny_net(77)
         cfg = base_config(mode=Mode.CA_ONLY, regularizer=Regularizer.GAN)

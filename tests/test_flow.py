@@ -205,6 +205,7 @@ class TestTeacherTraining:
         params = train_teacher(spec, cfg, np.random.default_rng(30))
         assert all(np.isfinite(a).all() for _, a in params.slots())
 
+    @pytest.mark.slow
     def test_loss_trend_on_gmm8(self, teacher_bundle):
         # smoothed curve: late training beats early training
         rows = teacher_bundle["log"]

@@ -27,6 +27,7 @@ from dmdlab.lab.config import (FIELD_KEYS, RUN_KEYS, RUN_OPTIONAL,
 from dmdlab.lab.plots import PlotDataError, plot_run
 from dmdlab.lab.presets import TAU_PROBE_RANGES, run_preset
 from dmdlab.lab.runner import run_config
+from dmdlab.metrics import batch_sample_stats
 
 from conftest import write_fp32_checkpoint
 
@@ -136,6 +137,24 @@ class TestRunner:
         snapshot = json.loads(a.config_path.read_text())
         b = run_config(run_config_from_dict(snapshot), tmp_path / "b")
         assert a.metrics_path.read_bytes() == b.metrics_path.read_bytes()
+
+    def test_row_statistics_are_the_sample_cloud_statistics(
+            self, tmp_path, tiny_teacher_ckpt):
+        # the distribution-level columns come from the evaluation cloud
+        # written next to the row, not from the last training batch
+        art = run_config(run_config_from_dict(small_cfg(tiny_teacher_ckpt)),
+                         tmp_path / "run")
+        with open(art.metrics_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        for row in rows:
+            path = art.samples_dir / f"iter_{int(row['iteration']):06d}.csv"
+            with open(path, newline="") as fh:
+                cloud = np.array([[float(v) for v in line[:-1]]
+                                  for line in list(csv.reader(fh))[1:]])
+            means, variances = batch_sample_stats(cloud)
+            assert float(row["mean_of_means"]) == float(means.mean())
+            assert float(row["mean_of_vars"]) == float(variances.mean())
 
     def test_custom_data_spec_path(self, tmp_path, tiny_teacher_ckpt):
         from dmdlab.data import gmm8
@@ -432,6 +451,34 @@ class TestMalformedValues:
                                            data=str(tmp_path / "line.json")))
         assert err.value.key == "teacher"
 
+    @pytest.fixture
+    def line_data(self, tmp_path):
+        """A valid 1-D, 2-label spec and a teacher that fits it."""
+        spec = MixtureSpec(dim=1, label_count=2, components=[
+            Component(label, np.array([float(label)]), np.array([0.1]), 1.0)
+            for label in range(2)])
+        spec.save(tmp_path / "line.json")
+        save_params(init_params(NetConfig(dim=1, n_labels=2, hidden=8,
+                                          n_hidden=1),
+                                np.random.default_rng(0)),
+                    tmp_path / "line.ckpt")
+        return str(tmp_path / "line.json"), str(tmp_path / "line.ckpt")
+
+    def test_one_dimensional_data(self, tmp_path, tiny_teacher_ckpt, capsys,
+                                  line_data):
+        # per-sample variance across coordinates needs dim >= 2
+        data, teacher = line_data
+        self.assert_run_rejected(
+            tmp_path, capsys,
+            {**small_cfg(tiny_teacher_ckpt), "data": data, "teacher": teacher},
+            "data")
+        self.assert_teacher_rejected(tmp_path, capsys,
+                                     {**TEACHER_CFG, "data": data}, "data")
+        with pytest.raises(ConfigError) as err:
+            run_preset("observer", tmp_path / "p", {"data": data})
+        assert err.value.key == "data"
+        assert not (tmp_path / "p" / "teacher.ckpt").exists()
+
     @pytest.mark.parametrize("text", ["{not json", '{"dim": 2}', "[]"])
     def test_teacher_data_file(self, tmp_path, capsys, text):
         (tmp_path / "spec.json").write_text(text)
@@ -456,6 +503,26 @@ _SCALARS = st.one_of(
 _VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
                     st.dictionaries(st.text(max_size=4), _SCALARS,
                                     max_size=2))
+
+
+class TestUnreadableConfigFile:
+    """A config file that cannot be read as UTF-8 text exits 2 at load."""
+
+    @pytest.mark.parametrize("command,make", [
+        ("run", lambda path: None),
+        ("run", lambda path: path.mkdir()),
+        ("run", lambda path: path.write_bytes(b"\xff\xfe")),
+        ("train-teacher", lambda path: None),
+    ], ids=["missing", "directory", "not_utf8", "teacher_missing"])
+    def test_exit_2(self, tmp_path, capsys, command, make):
+        path = tmp_path / "cfg.json"
+        make(path)
+        out = tmp_path / "out"
+        code = cli_main([command, str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "<json>" in err and str(path) in err
+        assert not out.exists()
 
 
 class TestConfigFuzz:
