@@ -231,7 +231,7 @@ def init_distill_state(teacher: NetParams, config: DistillConfig,
 def _draw_range(rng, lo, hi, size):
     if hi <= lo:
         raise ValueError(f"empty noise-level range [{lo}, {hi}]")
-    return rng.uniform(lo, hi) if size is None else rng.uniform(lo, hi, size=size)
+    return rng.uniform(lo, hi, size)
 
 
 def sample_tau(schedule: ScheduleConfig, t: float, rng: np.random.Generator,
@@ -282,25 +282,6 @@ def delta_ca(real, x_tau: np.ndarray, tau, cond, alpha: float) -> np.ndarray:
     return (alpha - 1.0) * (p_cond - p_uncond)
 
 
-def _assemble_direction(real, fake, gen_out, cond, config,
-                        x_ca, tau_ca, x_dm, tau_dm) -> UpdateDirection:
-    mode = config.mode
-    if mode.uses_dm:
-        d_dm = delta_dm(real, fake, x_dm, tau_dm, cond)
-    else:
-        d_dm = np.zeros_like(gen_out)
-    if mode.uses_ca:
-        d_ca = delta_ca(real, x_ca, tau_ca, cond, config.alpha)
-    else:
-        d_ca = np.zeros_like(gen_out)
-    if config.normalizer_on:
-        ref = as_predictor(real)(x_dm, tau_dm, cond)
-        scale = 1.0 / (np.mean(np.abs(gen_out - ref), axis=1, keepdims=True) + 1e-8)
-        d_dm = d_dm * scale
-        d_ca = d_ca * scale
-    return UpdateDirection(d_dm, d_ca, d_dm + d_ca)
-
-
 def dmd_direction_coupled(real, fake, gen_out: np.ndarray, t: float, cond,
                           config: DistillConfig, rng: np.random.Generator,
                           schedule: ScheduleConfig | None = None):
@@ -317,14 +298,26 @@ def dmd_direction_decoupled(real, fake, gen_out: np.ndarray, t: float, cond,
                             config: DistillConfig, schedule: ScheduleConfig,
                             rng: np.random.Generator):
     """(tau, eps) per term as dictated by the schedule policy; under a shared
-    policy one draw and one renoised point serve both terms."""
+    policy one draw and one renoised point serve both terms. A term the mode
+    leaves out is zero; the normalizer scales both terms per sample."""
     tau_ca, tau_dm, shared = sample_tau(schedule, t, rng)
     x_ca = renoise(gen_out, tau_ca, rng.standard_normal(gen_out.shape))
     x_dm = x_ca if shared else renoise(gen_out, tau_dm,
                                        rng.standard_normal(gen_out.shape))
-    direction = _assemble_direction(real, fake, gen_out, cond, config,
-                                    x_ca, tau_ca, x_dm, tau_dm)
-    return direction, tau_ca, tau_dm
+    if config.mode.uses_dm:
+        d_dm = delta_dm(real, fake, x_dm, tau_dm, cond)
+    else:
+        d_dm = np.zeros_like(gen_out)
+    if config.mode.uses_ca:
+        d_ca = delta_ca(real, x_ca, tau_ca, cond, config.alpha)
+    else:
+        d_ca = np.zeros_like(gen_out)
+    if config.normalizer_on:
+        ref = as_predictor(real)(x_dm, tau_dm, cond)
+        scale = 1.0 / (np.mean(np.abs(gen_out - ref), axis=1, keepdims=True) + 1e-8)
+        d_dm = d_dm * scale
+        d_ca = d_ca * scale
+    return UpdateDirection(d_dm, d_ca, d_dm + d_ca), tau_ca, tau_dm
 
 
 def proxy_loss_and_grad(gen_out: np.ndarray, delta_total: np.ndarray,
@@ -411,11 +404,6 @@ def _softplus(z):
     return np.logaddexp(0.0, z)
 
 
-def _add_grads(a: NetParams, b: NetParams) -> NetParams:
-    a.flat += b.flat
-    return a
-
-
 def gan_losses(disc: NetParams, real_batch: np.ndarray, fake_batch: np.ndarray,
                cond):
     """Non-saturating GAN signals from a scalar-logit discriminator.
@@ -432,17 +420,13 @@ def gan_losses(disc: NetParams, real_batch: np.ndarray, fake_batch: np.ndarray,
     disc_loss = float(np.mean(_softplus(-lr_)) + np.mean(_softplus(lf_)))
     up_r = ((_sigmoid(lr_) - 1.0) / n_r)[:, None]
     up_f = (_sigmoid(lf_) / n_f)[:, None]
-    disc_grads = _add_grads(net_backward(disc, cache_r, up_r),
-                            net_backward(disc, cache_f, up_f))
+    disc_grads = net_backward(disc, cache_r, up_r)
+    disc_grads.flat += net_backward(disc, cache_f, up_f).flat
     gen_adv_loss = float(np.mean(_softplus(-lf_)))
     up_gen = (_sigmoid(lf_) - 1.0)[:, None]
     _, gen_grad = net_backward(disc, cache_f, up_gen, return_input_grad=True,
                                param_grads=False)
     return disc_loss, disc_grads, gen_grad, gen_adv_loss
-
-
-def _runs_fake_updates(config: DistillConfig, observer_mode: bool) -> bool:
-    return config.mode.uses_dm or observer_mode
 
 
 def generator_update(state: DistillState, teacher, config: DistillConfig,
@@ -508,7 +492,7 @@ def generator_update(state: DistillState, teacher, config: DistillConfig,
     del cache, grads, out_grad
 
     loss_fake = 0.0
-    if _runs_fake_updates(config, state.observer_mode) and config.ttur_ratio > 0:
+    if (config.mode.uses_dm or state.observer_mode) and config.ttur_ratio > 0:
         gen_samples = net_forward(state.generator, z_t, t, labels)
         for _ in range(config.ttur_ratio):
             loss_fake = fake_model_update(state, gen_samples, labels,

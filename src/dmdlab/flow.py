@@ -151,8 +151,9 @@ def sample_teacher(model, n_steps: int, alpha: float, cond, n: int,
     """Euler sampling on the uniform grid t_k = k / n_steps from pure noise.
 
     Each step forms the guided clean prediction and integrates the velocity
-    (xhat - z) / (1 - t); the final step therefore lands exactly on the
-    prediction. cond may be a scalar label or a per-sample array.
+    (xhat - z) / (1 - t); t stays below 1, and the final step, where dt
+    equals 1 - t, lands on the prediction up to rounding. cond may be a
+    scalar label or a per-sample array.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -174,8 +175,5 @@ def sample_teacher(model, n_steps: int, alpha: float, cond, n: int,
         else:
             s_uncond = predict(z, t, np.full(n, NULL_LABEL))
             xhat = cfg_combine(s_cond, s_uncond, alpha)
-        if 1.0 - t < 1e-9:
-            z = xhat
-        else:
-            z = z + dt * (xhat - z) / (1.0 - t)
+        z = z + dt * (xhat - z) / (1.0 - t)
     return z

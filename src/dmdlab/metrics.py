@@ -58,8 +58,6 @@ def wasserstein2_1d(a: np.ndarray, b: np.ndarray) -> float:
     n, m = len(a), len(b)
     if n == 0 or m == 0:
         raise ValueError("empty sample set")
-    if n == m:
-        return float(np.sqrt(np.mean((a - b) ** 2)))
     widths, ia, ib = _quantile_grid(n, m)
     return float(np.sqrt(np.sum(widths * (a[ia] - b[ib]) ** 2)))
 
@@ -95,8 +93,7 @@ def sliced_wasserstein2(A: np.ndarray, B: np.ndarray, n_proj: int = 128,
     V = rng.standard_normal((n_proj, A.shape[1]))
     for v in V:
         v /= math.sqrt(v.dot(v))  # np.linalg.norm's formula, minus its wrapper
-    if n != m:
-        widths, ia, ib = _quantile_grid(n, m)
+    widths, ia, ib = _quantile_grid(n, m)
     PA = np.empty((_PROJ_BLOCK, n))
     PB = np.empty((_PROJ_BLOCK, m))
     total = 0.0
@@ -108,17 +105,11 @@ def sliced_wasserstein2(A: np.ndarray, B: np.ndarray, n_proj: int = 128,
             np.matmul(B, v, out=pb[i])
         pa.sort(axis=1)
         pb.sort(axis=1)
-        if n == m:
-            pa -= pb
-            pa *= pa
-            sq = pa.mean(axis=1)
-        else:
-            gap = np.take(pa, ia, axis=1)
-            gap -= np.take(pb, ib, axis=1)
-            gap *= gap
-            gap *= widths
-            sq = gap.sum(axis=1)
-        for x in np.sqrt(sq):
+        gap = np.take(pa, ia, axis=1)
+        gap -= np.take(pb, ib, axis=1)
+        gap *= gap
+        gap *= widths
+        for x in np.sqrt(gap.sum(axis=1)):
             total += float(x)
     return total / n_proj
 

@@ -200,7 +200,6 @@ def _per_sample(v, n, name, dtype):
 class ForwardCache:
     """What net_backward reads, and nothing else."""
 
-    x: np.ndarray
     tau: np.ndarray
     rows: np.ndarray
     feats: np.ndarray  # [sin(ang), cos(ang)] of the noise-level embedding
@@ -230,7 +229,7 @@ def _forward(params: NetParams, x, noise_level, cond, want_cache):
     temb += params.time_b
     a = np.concatenate([x, temb, params.cond_embed[rows]], axis=1)
 
-    cache = ForwardCache(x, tau, rows, feats, [], [a]) if want_cache else None
+    cache = ForwardCache(tau, rows, feats, [], [a]) if want_cache else None
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         z = a @ w
         z += b
@@ -284,8 +283,8 @@ def net_backward(params: NetParams, cache: ForwardCache, upstream,
         raise ValueError("param_grads=False needs return_input_grad=True")
     g = np.asarray(upstream)
     out_dim = cfg.output_dim
-    if g.shape != (cache.x.shape[0], out_dim):
-        raise ValueError(f"upstream must have shape ({cache.x.shape[0]}, {out_dim}), got {g.shape}")
+    if g.shape != (cache.tau.shape[0], out_dim):
+        raise ValueError(f"upstream must have shape ({cache.tau.shape[0]}, {out_dim}), got {g.shape}")
     if not np.isfinite(g).all():
         raise NonFiniteError("non-finite upstream gradient", params=params)
 

@@ -1,0 +1,144 @@
+"""Write and compare the artifact trees that a behaviour-preserving change
+to dmdlab must leave byte-identical.
+
+    python3 tools/byte_identity.py write OUT [--src SRC]
+    python3 tools/byte_identity.py compare A B
+
+``write`` trains a 200-iteration gmm8 teacher, then runs every shape in
+SHAPES at seeds 3 and 21 and every preset at a small budget on that teacher,
+each into its own directory under OUT (which must not exist yet). It imports
+dmdlab from SRC, by default the src/ next to this directory, so one copy of
+the script can write the trees of two checkouts:
+
+    python3 tools/byte_identity.py write /tmp/old --src ../old-checkout/src
+    python3 tools/byte_identity.py write /tmp/new
+    python3 tools/byte_identity.py compare /tmp/old /tmp/new
+
+``compare`` reads every file under either tree. It skips manifest.json,
+which holds wall-clock times, and drops the teacher path, which names the
+tree, from config_snapshot.json and preset.json before comparing them; every
+other file must match byte for byte. It exits 0 when nothing differs, else 1.
+"""
+
+import argparse
+import json
+import os
+import sys
+from pathlib import Path
+
+# the lab is single-core; pin BLAS before numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+os.environ.pop("LAB_SEED", None)  # would override every seed below
+
+SEEDS = (3, 21)
+BUDGET = {"iterations": 12, "batch": 32, "eval_every": 4, "eval_n": 64,
+          "eval_ref_n": 256}
+PRESET_BUDGET = {"iterations": 6, "batch": 16, "eval_every": 3}
+TEACHER_ITERATIONS = 200
+
+# run name -> keys laid over the presets' BASE_RUN (FULL_DMD, coupled,
+# 1 step, alpha 1.4) and BUDGET
+SHAPES = {
+    "full_dmd_coupled": {},
+    "hybrid_4step": {"n_steps": 4, "schedule_policy": "DECOUPLED_HYBRID"},
+    "ca_gan": {"mode": "CA_ONLY", "regularizer": "GAN", "eval_every": 3},
+    "full_ca_meanvar_2step": {"mode": "CA_ONLY", "n_steps": 2,
+                              "schedule_policy": "DECOUPLED_FULL",
+                              "regularizer": "MEANVAR_KL"},
+    "dmd_meanvar_targets": {"regularizer": "MEANVAR_KL",
+                            "meanvar_mu_target": 0.5,
+                            "meanvar_var_target": 0.8,
+                            "normalizer_on": False},
+    "theory_alpha3": {"mode": "THEORY_DMD", "alpha": 3.0,
+                      "normalizer_on": False},
+    "ca_observer": {"mode": "CA_ONLY", "observer_mode": True},
+    "constrained_dm_2step": {"mode": "DM_ONLY", "n_steps": 2,
+                             "schedule_policy": "DECOUPLED_CONSTRAINED",
+                             "backward_sim_fresh_noise": False},
+}
+
+SKIPPED = {"manifest.json"}
+TEACHER_KEYED = {"config_snapshot.json", "preset.json"}
+
+
+def write(out: Path) -> None:
+    import numpy as np
+    from dmdlab.checkpoint import save_params
+    from dmdlab.data import gmm8
+    from dmdlab.distill import NonFiniteError
+    from dmdlab.flow import TeacherConfig, train_teacher
+    from dmdlab.lab.config import run_config_from_dict
+    from dmdlab.lab.presets import BASE_RUN, PRESET_NAMES, run_preset
+    from dmdlab.lab.runner import run_config
+
+    out.mkdir(parents=True)
+    teacher = str(out / "teacher.ckpt")
+    save_params(train_teacher(gmm8(), TeacherConfig(iterations=TEACHER_ITERATIONS),
+                              np.random.default_rng(0)), teacher)
+    for name, keys in SHAPES.items():
+        for seed in SEEDS:
+            cfg = run_config_from_dict({**BASE_RUN, **BUDGET, **keys,
+                                        "seed": seed, "teacher": teacher})
+            try:
+                run_config(cfg, out / "shapes" / f"{name}_s{seed}")
+            except NonFiniteError:
+                pass  # the dump and the metrics so far are compared too
+    for name in PRESET_NAMES:
+        run_preset(name, out / "presets" / name,
+                   {**PRESET_BUDGET, "teacher": teacher})
+
+
+def _comparable(path: Path) -> bytes:
+    if path.name not in TEACHER_KEYED:
+        return path.read_bytes()
+    doc = json.loads(path.read_text())
+    doc.pop("teacher", None)
+    doc.get("base", {}).pop("teacher", None)
+    return json.dumps(doc, sort_keys=True).encode()
+
+
+def compare(a: Path, b: Path) -> int:
+    files = sorted({p.relative_to(root) for root in (a, b)
+                    for p in root.rglob("*") if p.is_file()})
+    differ, same, skipped = [], 0, 0
+    for rel in files:
+        if rel.name in SKIPPED:
+            skipped += 1
+        elif not ((a / rel).is_file() and (b / rel).is_file()):
+            differ.append(f"{rel} (only in one tree)")
+        elif _comparable(a / rel) != _comparable(b / rel):
+            differ.append(str(rel))
+        else:
+            same += 1
+    for rel in differ:
+        print(f"differs: {rel}")
+    print(f"{same} identical, {len(differ)} different, {skipped} skipped "
+          f"({', '.join(sorted(SKIPPED))})")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_write = sub.add_parser("write", help="write the artifact tree")
+    p_write.add_argument("out", type=Path)
+    p_write.add_argument("--src", type=Path,
+                         default=Path(__file__).resolve().parent.parent / "src")
+    p_compare = sub.add_parser("compare", help="compare two artifact trees")
+    p_compare.add_argument("a", type=Path)
+    p_compare.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "compare":
+        return compare(args.a, args.b)
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    import dmdlab
+    if not Path(dmdlab.__file__).resolve().is_relative_to(src):
+        parser.error(f"dmdlab resolved to {dmdlab.__file__}, not {src}")
+    write(args.out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
