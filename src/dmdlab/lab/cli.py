@@ -5,9 +5,10 @@
     lab preset <name> [--override k=v ...] [--out DIR]
     lab plot <run_dir>
 
-Exit codes: 2 config/schema violation (message names the key), 3 non-finite
-training abort (diagnostic dump path printed), 4 plot called on an empty
-metrics file. LAB_SEED overrides the config seed.
+Exit codes: 2 config/schema violation or unusable output path (message
+names the key; nothing is written), 3 non-finite training abort (diagnostic
+dump path printed), 4 plot called on an empty metrics file. LAB_SEED
+overrides the config seed.
 """
 
 import argparse

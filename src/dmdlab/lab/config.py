@@ -143,6 +143,8 @@ def _check(key, spec: Key, value):
     elif kind is str:
         if not isinstance(value, str):
             raise ConfigError(key, f"expected a string, got {value!r}")
+        if "\0" in value:  # every string key is a path or a name
+            raise ConfigError(key, "a NUL character cannot be part of a path")
     elif kind is RANGE:
         if not _levels_ok(value, 2):
             raise ConfigError(key, "expected [lo, hi]")
@@ -169,6 +171,22 @@ def _check_file(key, value):
     # a missing input must fail at load, before a run directory exists
     if not Path(value).is_file():
         raise ConfigError(key, f"no such file: {value}")
+
+
+def _check_out_dir(key, path) -> None:
+    # an output directory must be one, or be creatable: no part of its path
+    # that exists may be a file
+    for part in (Path(path), *Path(path).parents):
+        if part.is_dir():
+            return
+        if part.exists():
+            raise ConfigError(key, f"{part} exists and is not a directory")
+
+
+def _check_out_file(key, path) -> None:
+    if Path(path).is_dir():
+        raise ConfigError(key, f"{path} is a directory")
+    _check_out_dir(key, Path(path).parent)
 
 
 def resolve_data(value) -> MixtureSpec:

@@ -20,8 +20,9 @@ import json
 from pathlib import Path
 
 from ..distill import NonFiniteError
-from .config import run_config_from_dict
-from .runner import RunArtifacts, run_config, teacher_path
+from .config import (_check_out_dir, _check_out_file, resolve_data,
+                     run_config_from_dict)
+from .runner import RunArtifacts, _eval_reference, run_config, teacher_path
 
 BASE_RUN = {
     "mode": "FULL_DMD",
@@ -91,8 +92,15 @@ def run_preset(name: str, out_root, overrides=None) -> list:
     defaults, members = PRESETS[name]
     base = {**BASE_RUN, **defaults, **(overrides or {})}
     runs = [(run_name, {**base, **keys}) for run_name, keys in members]
-    # every member is checked before the shared teacher is trained
+    # every member is checked before the shared teacher is trained: its
+    # config, its evaluation reference and its output paths
     cfgs = [run_config_from_dict(raw) for _, raw in runs]
+    for cfg in cfgs:
+        _eval_reference(cfg, resolve_data(cfg["data"]))
+    for run_name, _ in runs:
+        _check_out_dir("--out", out_root / run_name)
+    for file in ("summary.csv", "preset.json"):
+        _check_out_file("--out", out_root / file)
     out_root.mkdir(parents=True, exist_ok=True)
     base["seed"] = cfgs[0]["seed"]  # the members' seed, LAB_SEED included
     base["teacher"] = str(teacher_path(cfgs[0], out_root / "teacher.ckpt"))

@@ -29,7 +29,8 @@ from ..distill import (DistillConfig, DistillState, NonFiniteError,
 from ..flow import TeacherConfig, train_teacher
 from ..metrics import (CSV_COLUMNS, batch_sample_stats, mode_coverage,
                        sliced_wasserstein2)
-from .config import build, load_run_config, resolve_data
+from .config import (ConfigError, _check_out_dir, _check_out_file, build,
+                     load_run_config, resolve_data)
 
 _REF_TAG = 0x5EED_0001
 _EVAL_TAG = 0x5EED_0002
@@ -62,10 +63,21 @@ def teacher_path(cfg: dict, default: Path) -> Path:
 
 
 def train_teacher_cli(cfg: dict, out_dir: Path) -> Path:
+    """Train the configured teacher and save it at out, with its loss log at
+    log (<out stem>_log.csv by default), both resolved under out_dir. Every
+    output path is checked, and its directory made, before training."""
     spec = resolve_data(cfg["data"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / cfg["out"]
     log = out_dir / (cfg["log"] or (Path(cfg["out"]).stem + "_log.csv"))
+    _check_out_dir("--out", out_dir)
+    files = {"out": out.resolve(), "log": log.resolve()}
+    dirs = [path.parent for path in files.values()]
+    for key, path in files.items():
+        _check_out_file(key, path)
+        if any(path == d or path in d.parents for d in dirs):
+            raise ConfigError(key, f"{path} is also a directory to write into")
+    for d in dirs:
+        d.mkdir(parents=True, exist_ok=True)
     teacher = train_teacher(spec, build(TeacherConfig, cfg),
                             np.random.default_rng(cfg["seed"]), log_path=log)
     save_params(teacher, out)
@@ -91,12 +103,28 @@ def _eval_clouds(state: DistillState, grid, spec: MixtureSpec, seed: int,
             for label in range(spec.label_count)]
 
 
+def _eval_reference(cfg: dict, spec: MixtureSpec) -> list:
+    """The evaluation reference of a checked run config, one cloud per label;
+    a label the draw leaves empty is an error of eval_ref_n."""
+    ref = sample_dataset(spec, cfg["eval_ref_n"],
+                         np.random.default_rng([cfg["seed"], _REF_TAG]))
+    clouds = [ref.points[ref.labels == label]
+              for label in range(spec.label_count)]
+    for label, cloud in enumerate(clouds):
+        if len(cloud) == 0:
+            raise ConfigError("eval_ref_n", f"{cfg['eval_ref_n']} reference "
+                              f"points at seed {cfg['seed']} leave label "
+                              f"{label} with none; raise eval_ref_n")
+    return clouds
+
+
 def run_config(cfg: dict, out_dir) -> RunArtifacts:
+    spec = resolve_data(cfg["data"])
+    ref_by_label = _eval_reference(cfg, spec)  # fails before any file exists
     art = RunArtifacts(Path(out_dir))
     art.samples_dir.mkdir(parents=True, exist_ok=True)
     art.checkpoint_dir.mkdir(exist_ok=True)
 
-    spec = resolve_data(cfg["data"])
     teacher_file = teacher_path(cfg, art.checkpoint_dir / "teacher.ckpt")
     teacher = load_params(teacher_file)
 
@@ -109,11 +137,6 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
     schedule = build(ScheduleConfig, cfg)
     state = init_distill_state(teacher, dconfig, spec, seed=cfg["seed"],
                                observer_mode=cfg["observer_mode"])
-
-    ref = sample_dataset(spec, cfg["eval_ref_n"],
-                         np.random.default_rng([cfg["seed"], _REF_TAG]))
-    ref_by_label = [ref.points[ref.labels == label]
-                    for label in range(spec.label_count)]
 
     started = time.time()
     dump_path = art.dir / "diagnostic_dump.json"
@@ -207,7 +230,9 @@ def run(config_path, out_dir=None) -> RunArtifacts:
     """Load a run config file and run it; the output directory defaults to
     the config's out_dir, else <config stem>_run next to the config file."""
     cfg = load_run_config(config_path)
+    key = "out_dir" if out_dir is None else "--out"
     if out_dir is None:
         out_dir = cfg["out_dir"] or (Path(config_path).resolve().parent
                                      / (Path(config_path).stem + "_run"))
+    _check_out_dir(key, out_dir)
     return run_config(cfg, out_dir)

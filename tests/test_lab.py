@@ -7,15 +7,16 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import dmdlab
-from dmdlab import NetConfig, init_params, save_params
+from dmdlab import NetConfig, init_params, load_params, save_params
 from dmdlab.data import Component, MixtureSpec, gmm8
 from dmdlab.distill import DistillConfig, NonFiniteError, ScheduleConfig
 from dmdlab.flow import TeacherConfig
@@ -740,6 +741,14 @@ def test_preset_json_records_the_members_seed(tmp_path, tiny_teacher_ckpt,
         assert preset["base"]["seed"] == snapshot["seed"] == seed
 
 
+def test_preset_json_names_the_preset(tmp_path, tiny_teacher_ckpt):
+    run_preset("observer", tmp_path, {
+        "iterations": 2, "batch": 8, "eval_every": 2, "eval_n": 16,
+        "eval_ref_n": 64, "teacher": str(tiny_teacher_ckpt)})
+    assert json.loads((tmp_path / "preset.json").read_text())["preset"] == (
+        "observer")
+
+
 def field_keys(config) -> list:
     return [FIELD_KEYS.get(f.name, f.name) for f in dataclasses.fields(config)]
 
@@ -805,3 +814,242 @@ class TestConfigSchema:
                 assert literal == defaults[key], key
                 checked += 1
         assert checked >= 12
+
+
+def tree(root: Path) -> list:
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+class TestOutputPathsAndReference:
+    """Each case exits 2 naming its key, before any file is written."""
+
+    @staticmethod
+    def assert_exit_2(tmp_path, capsys, argv, key):
+        before = tree(tmp_path)
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err and "Traceback" not in err
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_eval_ref_n_leaving_a_label_empty(self, tmp_path, capsys,
+                                              monkeypatch, tiny_teacher_ckpt,
+                                              seed):
+        monkeypatch.setenv("LAB_SEED", seed)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_cfg(tiny_teacher_ckpt, eval_ref_n=4)))
+        self.assert_exit_2(tmp_path, capsys, [
+            "run", str(path), "--out", str(tmp_path / "run")], "eval_ref_n")
+        # checked for every member before the default teacher is trained
+        self.assert_exit_2(tmp_path, capsys, [
+            "preset", "decompose", "--out", str(tmp_path / "p"),
+            "--override", "eval_ref_n=4"], "eval_ref_n")
+
+    def test_eval_ref_n_4_covering_every_label_runs(self, tmp_path,
+                                                    tiny_teacher_ckpt):
+        # seed 0 draws one reference point per label
+        cfg = run_config_from_dict(small_cfg(tiny_teacher_ckpt, seed=0,
+                                             eval_ref_n=4))
+        assert run_config(cfg, tmp_path / "run").metrics_path.exists()
+
+    def test_run_out_dir_naming_a_file(self, tmp_path, capsys,
+                                       tiny_teacher_ckpt):
+        (tmp_path / "afile").write_text("")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_cfg(
+            tiny_teacher_ckpt, out_dir=str(tmp_path / "afile"))))
+        self.assert_exit_2(tmp_path, capsys, ["run", str(path)], "out_dir")
+        for out in ("afile", "afile/sub"):
+            self.assert_exit_2(tmp_path, capsys, [
+                "run", str(path), "--out", str(tmp_path / out)], "--out")
+
+    def test_preset_out_naming_a_file(self, tmp_path, capsys,
+                                      tiny_teacher_ckpt):
+        (tmp_path / "afile").write_text("")
+        self.assert_exit_2(tmp_path, capsys, [
+            "preset", "observer", "--out", str(tmp_path / "afile"),
+            "--override", f'teacher="{tiny_teacher_ckpt}"'], "--out")
+
+    @pytest.mark.parametrize("over,key", [
+        ({}, "--out"), ({"out": "adir"}, "out"), ({"log": "adir"}, "log"),
+        ({"out": ""}, "out"), ({"log": "t.ckpt/l.csv"}, "out"),
+        ({"out": "afile/t.ckpt"}, "out"),
+    ])
+    def test_teacher_output_paths(self, tmp_path, capsys, over, key):
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / ("afile" if key == "--out" else ".")
+        path = tmp_path / "teacher.json"
+        path.write_text(json.dumps({**TEACHER_CFG, **over}))
+        self.assert_exit_2(tmp_path, capsys, [
+            "train-teacher", str(path), "--out", str(out)], key)
+
+    @pytest.mark.parametrize("over,written", [
+        ({"out": "sub/t.ckpt"}, ["sub/t.ckpt", "t_log.csv"]),
+        ({"log": "logs/l.csv"}, ["t.ckpt", "logs/l.csv"]),
+    ])
+    def test_teacher_outputs_in_subdirectories(self, tmp_path, capsys, over,
+                                               written):
+        path = tmp_path / "teacher.json"
+        path.write_text(json.dumps({**TEACHER_CFG, "iterations": 2, **over}))
+        assert cli_main(["train-teacher", str(path), "--out",
+                         str(tmp_path / "o")]) == 0
+        assert sorted(p.relative_to(tmp_path / "o").as_posix()
+                      for p in (tmp_path / "o").rglob("*") if p.is_file()
+                      ) == sorted(written)
+
+
+_ODD = [None, True, "x", [], [0.5], {"a": 1}, NAN, INF, 10 ** 400]
+
+# Per key, desk-size legal values and malformed ones (with _ODD added). The
+# budget keys stay small so that an example runs in milliseconds, and the
+# teacher is always given, since a run without one trains the 20k-iteration
+# default teacher. "<...>" names a path made per example.
+RUN_VALUES = {
+    "mode": ["FULL_DMD", "CA_ONLY", "DM_ONLY", "THEORY_DMD"],
+    "schedule_policy": ["COUPLED_SHARED", "DECOUPLED_FULL",
+                        "DECOUPLED_CONSTRAINED", "DECOUPLED_HYBRID"],
+    "alpha": [0.0, 1.0, 4.0, -1.0, 1e300], "lambda": [1.0, 0.0, 1e200],
+    "n_steps": [1, 2, 4, 3, 2.5], "ttur_ratio": [0, 2, -1],
+    "regularizer": ["NONE", "MEANVAR_KL", "GAN"],
+    "w_gan": [0.0, 0.05, -1.0, 1e300], "normalizer_on": [False],
+    "seed": [0, 1, 2, -1, 1.5], "iterations": [1, 3, 0],
+    "batch": [1, 8, 0], "tau_ca_range": [[0.2, 0.6], [0.6, 0.2], [0, 2]],
+    "tau_dm_range": [[0.0, 1.0], [0.3, 0.9], [0.5, 0.5]],
+    "w_meanvar": [0.0, 20.0, -1.0, 1e300], "eval_every": [1, 2, 0],
+    "eval_n": [4, 16, 3], "eval_ref_n": [4, 64, 3],
+    "data": ["gmm8", "<line>", "<missing>", "<file>"],
+    "teacher": ["<missing>", "<file>"],
+    "out_dir": ["<dir>/run", "<file>", "<file>/run"],
+    "lr_gen": [1e-2, 1e40, 0.0], "lr_fake": [1e-2, 1e40, 0.0],
+    "backward_sim_fresh_noise": [False], "meanvar_mu_target": [0.0, 0.5],
+    "meanvar_var_target": [0.8, 0.0, 1e-300],
+    "radius_mult": [0.5, 0.0, 1e300],
+    "step_grid": [[0.0], [0.0, 0.5], [0.0, 0.25, 0.5, 0.75], [0.5],
+                  [0.0, 1.0], [0.0, 0.5, 0.4]],
+    "observer_mode": [True],
+}
+TEACHER_VALUES = {
+    "iterations": [1, 3, 0, 2.5], "batch": [1, 8, 0], "lr": [1e-2, 0.0, 1e300],
+    "p_uncond": [0.5, 0.0, 1.0], "seed": [3, -1],
+    "data": ["gmm8", "<line>", "<missing>"],
+    "out": ["sub/t.ckpt", "", "<dir>", "<file>/t.ckpt", "l.csv"],
+    "log": ["l.csv", "logs/l.csv", "t.ckpt", "<dir>", "t.ckpt/l.csv"],
+    "lr_final": [1e-5, 1.0, 0.0], "ema_decay": [0.0, 0.9, 2.0],
+}
+
+
+_DROP = object()
+
+
+def _edits(table: dict, keep=None):
+    """Up to three edits, each a key set to one of its values or an odd one,
+    or dropped; keep is never dropped or null."""
+    def edit(key):
+        odd = [v for v in _ODD if key != keep or v is not None]
+        values = st.sampled_from(table[key] + odd)
+        if key != keep:
+            values = values | st.just(_DROP)
+        return values.map(lambda value: (key, value))
+    return st.lists(st.sampled_from(sorted(table)).flatmap(edit), max_size=3)
+
+
+class TestRunContractProperty:
+    """Whatever a config's keys hold, the CLI exits 0, 2 or 3. Exit 2 writes
+    nothing. A run's exit 3 leaves a dump and a manifest, and its exit 0 a
+    snapshot that re-runs to the same metrics.csv bytes; a teacher's exit 3
+    leaves no checkpoint, and its exit 0 one at out."""
+
+    def test_tables_are_covered(self):
+        assert set(RUN_VALUES) == set(RUN_KEYS)
+        assert set(TEACHER_VALUES) == set(TEACHER_KEYS)
+
+    @staticmethod
+    def materialize(raw: dict, root: Path) -> dict:
+        (root / "dir").mkdir()
+        (root / "file").write_text("not a checkpoint or spec")
+        MixtureSpec(dim=1, label_count=1, components=[Component(
+            0, np.array([0.0]), np.array([1.0]), 1.0)]).save(root / "line.json")
+        paths = {"<dir>": root / "dir", "<file>": root / "file",
+                 "<line>": root / "line.json", "<missing>": root / "missing"}
+
+        def resolve(v):
+            if isinstance(v, str) and v.startswith("<"):
+                head, _, tail = v.partition(">")
+                return str(paths[head + ">"]) + tail
+            return v
+        return {k: resolve(v) for k, v in raw.items()}
+
+    @staticmethod
+    def apply(base: dict, edits) -> dict:
+        raw = dict(base)
+        for key, value in edits:
+            if value is _DROP:
+                raw.pop(key, None)
+            else:
+                raw[key] = value
+        return raw
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=_edits(RUN_VALUES, keep="teacher"), cli_out=st.booleans())
+    @example(edits=[("lr_fake", 1e40)], cli_out=True)  # exit 3
+    @example(edits=[("seed", 1), ("eval_ref_n", 4)], cli_out=False)
+    def test_run(self, tiny_teacher_ckpt, edits, cli_out):
+        base = small_cfg(tiny_teacher_ckpt, iterations=3, eval_every=2,
+                         eval_n=8, batch=8, ttur_ratio=1)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            raw = self.materialize(self.apply(base, edits), root)
+            path = root / "cfg.json"
+            path.write_text(json.dumps(raw))
+            argv = ["run", str(path)]
+            if cli_out:
+                run_dir = root / "out"
+                argv += ["--out", str(run_dir)]
+            elif isinstance(raw.get("out_dir"), str):
+                run_dir = Path(raw["out_dir"])
+            else:
+                run_dir = root / "cfg_run"
+            before = tree(root)
+            # overflow warnings and the variance clamp's are expected here
+            with np.errstate(all="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = cli_main(argv)
+                event(f"exit {code}")
+                assert code in (0, 2, 3)
+                if code == 2:
+                    assert tree(root) == before
+                elif code == 3:
+                    assert (run_dir / "diagnostic_dump.json").is_file()
+                    assert (run_dir / "manifest.json").is_file()
+                else:
+                    again = root / "again"
+                    assert cli_main(["run", str(run_dir / "config_snapshot.json"),
+                                     "--out", str(again)]) == 0
+                    assert ((again / "metrics.csv").read_bytes()
+                            == (run_dir / "metrics.csv").read_bytes())
+
+    @settings(max_examples=200, deadline=None)
+    @given(edits=_edits(TEACHER_VALUES))
+    @example(edits=[("lr", 1e300)])  # exit 3
+    def test_train_teacher(self, edits):
+        base = {**TEACHER_CFG, "iterations": 2, "batch": 8}
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            raw = self.materialize(self.apply(base, edits), root)
+            path = root / "teacher.json"
+            path.write_text(json.dumps(raw))
+            out_dir = root / "out"
+            before = tree(root)
+            with np.errstate(all="ignore"):
+                code = cli_main(["train-teacher", str(path), "--out",
+                                 str(out_dir)])
+            event(f"exit {code}")
+            assert code in (0, 2, 3)
+            if code == 2:
+                assert tree(root) == before
+            elif code == 3:
+                assert not list(root.rglob("*.ckpt"))
+            else:
+                out = raw.get("out", TEACHER_KEYS["out"].default)
+                assert load_params(out_dir / out).config.dim == 2
