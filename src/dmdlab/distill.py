@@ -202,14 +202,16 @@ def init_distill_state(teacher: NetParams, config: DistillConfig,
         disc = init_params(disc_cfg, np.random.default_rng(s_disc))
         disc_opt = init_adam(disc, lr=config.lr_fake)
     reg_targets = []
-    if spec is not None:
-        if config.meanvar_mu_target is not None:  # validate(): so is var
-            reg_targets = [RegularizerTargets(config.meanvar_mu_target,
-                                              config.meanvar_var_target)
-                           for _ in range(spec.label_count)]
-        else:
-            reg_targets = [RegularizerTargets(*expected_sample_stats(spec, lb))
-                           for lb in range(spec.label_count)]
+    if config.meanvar_mu_target is not None:  # validate(): so is var
+        reg_targets = [RegularizerTargets(config.meanvar_mu_target,
+                                          config.meanvar_var_target)
+                       for _ in range(teacher.config.n_labels)]
+    elif spec is not None:
+        reg_targets = [RegularizerTargets(*expected_sample_stats(spec, lb))
+                       for lb in range(spec.label_count)]
+    elif config.regularizer == Regularizer.MEANVAR_KL:
+        raise ValueError("MEANVAR_KL regularizer needs a data spec or both "
+                         "moment targets")
     generator = teacher.copy()
     fake = teacher.copy()
     return DistillState(

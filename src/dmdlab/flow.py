@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledBatch, MixtureSpec, sample_dataset
-from .net import (NULL_LABEL, NetConfig, NetParams, init_params,
-                  net_backward, net_forward, net_forward_cached)
+from .net import (NULL_LABEL, NetConfig, NetParams, NonFiniteError,
+                  init_params, net_backward, net_forward, net_forward_cached)
 from .optim import init_adam, adam_step, ema_update
 
 
@@ -119,7 +119,7 @@ def train_teacher(spec: MixtureSpec, config: TeacherConfig,
                   rng: np.random.Generator, log_path=None) -> NetParams:
     """Train a conditional denoiser on the mixture; returns the parameters
     (EMA-smoothed when config.ema_decay is set). Optionally logs CSV rows
-    (iteration, loss)."""
+    (iteration, loss). A NonFiniteError leaves with its iteration."""
     net_cfg = NetConfig(dim=spec.dim, n_labels=spec.label_count)
     params = init_params(net_cfg, rng)
     opt = init_adam(params, lr=config.lr)
@@ -131,8 +131,12 @@ def train_teacher(spec: MixtureSpec, config: TeacherConfig,
             opt.lr = config.lr_final + 0.5 * (config.lr - config.lr_final) * (
                 1.0 + np.cos(np.pi * frac))
         batch = sample_dataset(spec, config.batch, rng)
-        loss, grads = teacher_loss(params, batch, rng, config.p_uncond)
-        adam_step(opt, params, grads)
+        try:
+            loss, grads = teacher_loss(params, batch, rng, config.p_uncond)
+            adam_step(opt, params, grads)
+        except NonFiniteError as err:
+            err.context.setdefault("iteration", it)
+            raise
         if ema is not None:
             ema_update(ema, params, config.ema_decay)
         if it % config.log_every == 0 or it == 1:

@@ -78,9 +78,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NonFiniteError as err:
-        dump = err.context.get("dump_path", "<no dump>")
         print(f"error: training aborted on a non-finite value; "
-              f"diagnostics at {dump}", file=sys.stderr)
+              f"diagnostics at {err.context['dump_path']}", file=sys.stderr)
         return 3
     except PlotDataError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -91,30 +91,27 @@ def run_preset(name: str, out_root, overrides=None) -> list:
     out_root = Path(out_root)
     defaults, members = PRESETS[name]
     base = {**BASE_RUN, **defaults, **(overrides or {})}
-    runs = [(run_name, {**base, **keys}) for run_name, keys in members]
     # every member is checked before the shared teacher is trained: its
-    # config, its evaluation reference and its output paths
-    cfgs = [run_config_from_dict(raw) for _, raw in runs]
-    for cfg in cfgs:
-        _eval_reference(cfg, resolve_data(cfg["data"]))
-    for run_name, _ in runs:
+    # config, its evaluation reference and its run directory
+    cfgs = [run_config_from_dict({**base, **keys}) for _, keys in members]
+    spec = resolve_data(cfgs[0]["data"])  # no member sets its own data
+    for (run_name, _), cfg in zip(members, cfgs):
+        _eval_reference(cfg, spec)
         _check_out_dir("--out", out_root / run_name)
     for file in ("summary.csv", "preset.json"):
         _check_out_file("--out", out_root / file)
     out_root.mkdir(parents=True, exist_ok=True)
     base["seed"] = cfgs[0]["seed"]  # the members' seed, LAB_SEED included
-    base["teacher"] = str(teacher_path(cfgs[0], out_root / "teacher.ckpt"))
+    base["teacher"] = str(teacher_path(cfgs[0], spec, out_root / "teacher.ckpt",
+                                       out_root))
 
     artifacts = []
     summary_rows = []
-    for run_name, raw in runs:
-        # checked again with the teacher: one left in out_root by an earlier
-        # run must still fit the data
-        cfg = run_config_from_dict({**raw, "teacher": base["teacher"]})
+    for (run_name, _), cfg in zip(members, cfgs):
         run_dir = out_root / run_name
         aborted = False
         try:
-            art = run_config(cfg, run_dir)
+            art = run_config({**cfg, "teacher": base["teacher"]}, run_dir)
         except NonFiniteError:
             # a collapsed run (engine-only training diverges by design) still
             # contributes its trajectory up to the failure point

@@ -29,8 +29,8 @@ from ..distill import (DistillConfig, DistillState, NonFiniteError,
 from ..flow import TeacherConfig, train_teacher
 from ..metrics import (CSV_COLUMNS, batch_sample_stats, mode_coverage,
                        sliced_wasserstein2)
-from .config import (ConfigError, _check_out_dir, _check_out_file, build,
-                     load_run_config, resolve_data)
+from .config import (ConfigError, _check_out_dir, _check_out_file,
+                     _check_teacher, build, load_run_config, resolve_data)
 
 _REF_TAG = 0x5EED_0001
 _EVAL_TAG = 0x5EED_0002
@@ -50,22 +50,40 @@ class RunArtifacts:
         self.manifest_path = self.dir / "manifest.json"
 
 
-def teacher_path(cfg: dict, default: Path) -> Path:
+def teacher_path(cfg: dict, spec: MixtureSpec, default: Path,
+                 dump_dir: Path) -> Path:
     """The teacher checkpoint of a checked run config: the one it names, else
-    the default TeacherConfig trained on its data from its seed and saved at
-    default, unless one is already there."""
+    one at default that fits the data, else the default TeacherConfig trained
+    from its seed and saved at default; an abort dumps into dump_dir."""
     if cfg["teacher"] is not None:
         return Path(cfg["teacher"])
-    if not default.exists():
-        save_params(train_teacher(resolve_data(cfg["data"]), TeacherConfig(),
-                                  np.random.default_rng(cfg["seed"])), default)
-    return default
+    if default.exists():
+        _check_teacher(default, spec)
+        return default
+    default.parent.mkdir(parents=True, exist_ok=True)
+    return _train_and_save(spec, TeacherConfig(), cfg["seed"], default,
+                           dump_dir)
+
+
+def _train_and_save(spec: MixtureSpec, config: TeacherConfig, seed: int,
+                    out: Path, dump_dir: Path, log=None) -> Path:
+    """Train a teacher from seed and save it at out, its loss log at log if
+    given; a non-finite abort leaves its dump, naming the teacher, in
+    dump_dir."""
+    try:
+        teacher = train_teacher(spec, config, np.random.default_rng(seed),
+                                log_path=log)
+    except NonFiniteError as err:
+        raise _abort(err, dump_dir, teacher=err.params)
+    save_params(teacher, out)
+    return out
 
 
 def train_teacher_cli(cfg: dict, out_dir: Path) -> Path:
     """Train the configured teacher and save it at out, with its loss log at
     log (<out stem>_log.csv by default), both resolved under out_dir. Every
-    output path is checked, and its directory made, before training."""
+    output path is checked, and its directory made, before training; an
+    abort leaves its dump in out_dir."""
     spec = resolve_data(cfg["data"])
     out = out_dir / cfg["out"]
     log = out_dir / (cfg["log"] or (Path(cfg["out"]).stem + "_log.csv"))
@@ -76,21 +94,23 @@ def train_teacher_cli(cfg: dict, out_dir: Path) -> Path:
         _check_out_file(key, path)
         if any(path == d or path in d.parents for d in dirs):
             raise ConfigError(key, f"{path} is also a directory to write into")
-    for d in dirs:
+    for d in (out_dir, *dirs):
         d.mkdir(parents=True, exist_ok=True)
-    teacher = train_teacher(spec, build(TeacherConfig, cfg),
-                            np.random.default_rng(cfg["seed"]), log_path=log)
-    save_params(teacher, out)
-    return out
+    return _train_and_save(spec, build(TeacherConfig, cfg), cfg["seed"], out,
+                           out_dir, log)
 
 
-def _name_network(err: NonFiniteError, teacher, state: DistillState) -> None:
-    """Name in the error's context the network whose pass or Adam step
-    failed, if one did."""
-    for name, params in (("generator", state.generator), ("teacher", teacher),
-                         ("fake", state.fake), ("disc", state.disc)):
+def _abort(err: NonFiniteError, dump_dir: Path, **networks) -> NonFiniteError:
+    """The error, naming the network in networks (name=params) that failed,
+    once its diagnostic_dump.json is in dump_dir and dump_path names it."""
+    for name, params in networks.items():
         if params is not None and params is err.params:
             err.context["network"] = name
+    dump_path = dump_dir / "diagnostic_dump.json"
+    dump_path.write_text(json.dumps({**err.context, "error": str(err)},
+                                    indent=2, sort_keys=True) + "\n")
+    err.context["dump_path"] = str(dump_path)
+    return err
 
 
 def _eval_clouds(state: DistillState, grid, spec: MixtureSpec, seed: int,
@@ -122,14 +142,13 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
     spec = resolve_data(cfg["data"])
     ref_by_label = _eval_reference(cfg, spec)  # fails before any file exists
     art = RunArtifacts(Path(out_dir))
+    teacher_file = teacher_path(cfg, spec, art.checkpoint_dir / "teacher.ckpt",
+                                art.dir)
     art.samples_dir.mkdir(parents=True, exist_ok=True)
     art.checkpoint_dir.mkdir(exist_ok=True)
-
-    teacher_file = teacher_path(cfg, art.checkpoint_dir / "teacher.ckpt")
     teacher = load_params(teacher_file)
 
-    snapshot = dict(cfg)
-    snapshot["teacher"] = str(teacher_file)
+    snapshot = {**cfg, "teacher": str(teacher_file)}
     art.config_path.write_text(
         json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
 
@@ -139,7 +158,6 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
                                observer_mode=cfg["observer_mode"])
 
     started = time.time()
-    dump_path = art.dir / "diagnostic_dump.json"
     aborted = None
     with open(art.metrics_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -171,13 +189,9 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
                                      for label, cloud in enumerate(clouds)
                                      for point in cloud.tolist())
         except NonFiniteError as err:
-            aborted = err
             err.context.setdefault("iteration", it)
-            _name_network(err, teacher, state)
-            dump = dict(err.context)
-            dump["error"] = str(err)
-            dump_path.write_text(
-                json.dumps(dump, indent=2, sort_keys=True) + "\n")
+            aborted = _abort(err, art.dir, generator=state.generator,
+                             teacher=teacher, fake=state.fake, disc=state.disc)
 
     save_params(state.generator, art.checkpoint_dir / "generator.ckpt")
     save_params(state.fake, art.checkpoint_dir / "fake.ckpt")
@@ -196,7 +210,6 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
     }, indent=2) + "\n")
 
     if aborted is not None:
-        aborted.context["dump_path"] = str(dump_path)
         raise aborted
     return art
 

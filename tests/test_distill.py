@@ -714,6 +714,22 @@ class TestConfigValidation:
         assert all(t.mu_target == 0.25 and t.var_target == 0.5
                    for t in state.reg_targets)
 
+    def test_meanvar_targets_need_no_spec(self):
+        teacher = tiny_net(201)
+        cfg = base_config(regularizer=Regularizer.MEANVAR_KL,
+                          meanvar_mu_target=0.25, meanvar_var_target=0.5)
+        state = init_distill_state(teacher, cfg, None, seed=2)
+        assert [(t.mu_target, t.var_target) for t in state.reg_targets] == (
+            [(0.25, 0.5)] * teacher.config.n_labels)
+        rec = generator_update(state, teacher, cfg,
+                               ScheduleConfig(SchedulePolicy.COUPLED_SHARED))
+        assert np.isfinite(rec.loss_reg) and rec.loss_reg > 0.0
+
+    def test_meanvar_without_spec_or_targets_rejected(self):
+        cfg = base_config(regularizer=Regularizer.MEANVAR_KL)
+        with pytest.raises(ValueError, match="MEANVAR_KL"):
+            init_distill_state(tiny_net(202), cfg, None, seed=3)
+
 
 class TestObserverProbe:
     def test_identical_models_zero_everywhere(self):

@@ -687,6 +687,85 @@ class TestTeacherCli:
         assert cli_main(["train-teacher", str(path)]) == 2
 
 
+def mixture_file(path: Path, dim: int, labels: int, center=0.0) -> Path:
+    MixtureSpec(dim=dim, label_count=labels, components=[
+        Component(label, np.full(dim, center), np.ones(dim), 1.0)
+        for label in range(labels)]).save(path)
+    return path
+
+
+class TestDefaultTeacher:
+    """A default teacher already in place is checked against the data before
+    anything is written; a teacher's training abort leaves its dump where
+    the command writes (--out, run directory, preset root)."""
+
+    @staticmethod
+    def run_cfg(tmp_path: Path, data: Path) -> Path:
+        raw = small_cfg(None, data=str(data))
+        del raw["teacher"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        return path
+
+    @pytest.mark.parametrize("foreign", ["checkpoint", "junk"])
+    def test_run_directory_teacher_must_fit(self, tmp_path, tiny_teacher_ckpt,
+                                            capsys, foreign):
+        # the tiny teacher is 2-D with 4 labels; the data is 3-D with 2
+        cfg = self.run_cfg(tmp_path, mixture_file(tmp_path / "d3.json", 3, 2))
+        ckpt = tmp_path / "run" / "checkpoints" / "teacher.ckpt"
+        ckpt.parent.mkdir(parents=True)
+        ckpt.write_bytes(tiny_teacher_ckpt.read_bytes()
+                         if foreign == "checkpoint" else b"not a checkpoint")
+        before = tree(tmp_path)
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "config key 'teacher'" in capsys.readouterr().err
+        assert tree(tmp_path) == before
+
+    def test_preset_root_teacher_must_fit(self, tmp_path, tiny_teacher_ckpt,
+                                          capsys):
+        data = mixture_file(tmp_path / "d3.json", 3, 2)
+        root = tmp_path / "p"
+        root.mkdir()
+        (root / "teacher.ckpt").write_bytes(tiny_teacher_ckpt.read_bytes())
+        before = tree(tmp_path)
+        assert cli_main(["preset", "decompose", "--out", str(root),
+                         "--override", f"data={data}"]) == 2
+        assert "config key 'teacher'" in capsys.readouterr().err
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("command,dump", [
+        ("train-teacher", {"error": "non-finite network output",
+                           "iteration": 2}),
+        ("run", {"error": "non-finite gradients", "iteration": 1,
+                 "slot": "w0"}),
+        ("preset", {"error": "non-finite gradients", "iteration": 1,
+                    "slot": "w0"}),
+    ])
+    def test_teacher_abort_dumps(self, tmp_path, capsys, command, dump):
+        # a teacher at lr 1e300 overflows its second forward pass; the
+        # default teacher on a mixture centred at 1e200 its first Adam step
+        far = mixture_file(tmp_path / "far.json", 2, 1, center=1e200)
+        out = tmp_path / "out"
+        if command == "train-teacher":
+            path = tmp_path / "teacher.json"
+            path.write_text(json.dumps({**TEACHER_CFG, "iterations": 2,
+                                        "lr": 1e300}))
+            argv = ["train-teacher", str(path), "--out", str(out)]
+        elif command == "run":
+            argv = ["run", str(self.run_cfg(tmp_path, far)), "--out", str(out)]
+        else:
+            argv = ["preset", "decompose", "--out", str(out),
+                    "--override", f"data={far}"]
+        with np.errstate(all="ignore"):
+            assert cli_main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"diagnostics at {out / 'diagnostic_dump.json'}\n" in err
+        assert "<no dump>" not in err
+        assert json.loads((out / "diagnostic_dump.json").read_text()) == {
+            **dump, "network": "teacher"}
+        assert not list(out.rglob("*.ckpt"))
+
+
 def test_lab_import_loads_no_scipy_stats():
     # scipy.stats costs about 65 MB and 1 s at import; only ikl_estimate
     # needs it, so importing the package and the CLI must not load it
@@ -958,7 +1037,7 @@ class TestRunContractProperty:
     """Whatever a config's keys hold, the CLI exits 0, 2 or 3. Exit 2 writes
     nothing. A run's exit 3 leaves a dump and a manifest, and its exit 0 a
     snapshot that re-runs to the same metrics.csv bytes; a teacher's exit 3
-    leaves no checkpoint, and its exit 0 one at out."""
+    leaves a dump in --out and no checkpoint, and its exit 0 one at out."""
 
     def test_tables_are_covered(self):
         assert set(RUN_VALUES) == set(RUN_KEYS)
@@ -1050,6 +1129,10 @@ class TestRunContractProperty:
                 assert tree(root) == before
             elif code == 3:
                 assert not list(root.rglob("*.ckpt"))
+                dump = json.loads((out_dir / "diagnostic_dump.json")
+                                  .read_text())
+                assert dump["network"] == "teacher"
+                assert dump["iteration"] >= 1
             else:
                 out = raw.get("out", TEACHER_KEYS["out"].default)
                 assert load_params(out_dir / out).config.dim == 2

@@ -4,9 +4,11 @@ to dmdlab must leave byte-identical.
     python3 tools/byte_identity.py write OUT [--src SRC]
     python3 tools/byte_identity.py compare A B
 
-``write`` trains a 200-iteration gmm8 teacher, then runs every shape in
-SHAPES at seeds 3 and 21 and every preset at a small budget on that teacher,
-each into its own directory under OUT (which must not exist yet). It imports
+``write`` trains a 200-iteration gmm8 teacher with ``lab train-teacher``
+(checkpoint and loss log), then runs every shape in SHAPES at seeds 3 and 21
+and every preset at a small budget on that teacher, and one run with no
+``teacher`` key that finds a copy of it already in its run directory, each
+into its own directory under OUT (which must not exist yet). It imports
 dmdlab from SRC, by default the src/ next to this directory, so one copy of
 the script can write the trees of two checkouts:
 
@@ -23,6 +25,7 @@ other file must match byte for byte. It exits 0 when nothing differs, else 1.
 import argparse
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -35,7 +38,9 @@ SEEDS = (3, 21)
 BUDGET = {"iterations": 12, "batch": 32, "eval_every": 4, "eval_n": 64,
           "eval_ref_n": 256}
 PRESET_BUDGET = {"iterations": 6, "batch": 16, "eval_every": 3}
-TEACHER_ITERATIONS = 200
+# teacher config: the default TeacherConfig at a 200-iteration budget
+TEACHER = {"iterations": 200, "batch": 256, "lr": 1e-3, "p_uncond": 0.1,
+           "seed": 0}
 
 # run name -> keys laid over the presets' BASE_RUN (FULL_DMD, coupled,
 # 1 step, alpha 1.4) and BUDGET
@@ -63,19 +68,17 @@ TEACHER_KEYED = {"config_snapshot.json", "preset.json"}
 
 
 def write(out: Path) -> None:
-    import numpy as np
-    from dmdlab.checkpoint import save_params
-    from dmdlab.data import gmm8
     from dmdlab.distill import NonFiniteError
-    from dmdlab.flow import TeacherConfig, train_teacher
+    from dmdlab.lab.cli import main as lab
     from dmdlab.lab.config import run_config_from_dict
     from dmdlab.lab.presets import BASE_RUN, PRESET_NAMES, run_preset
     from dmdlab.lab.runner import run_config
 
     out.mkdir(parents=True)
+    (out / "teacher.json").write_text(json.dumps(TEACHER))
+    if lab(["train-teacher", str(out / "teacher.json"), "--out", str(out)]):
+        raise SystemExit("lab train-teacher failed")
     teacher = str(out / "teacher.ckpt")
-    save_params(train_teacher(gmm8(), TeacherConfig(iterations=TEACHER_ITERATIONS),
-                              np.random.default_rng(0)), teacher)
     for name, keys in SHAPES.items():
         for seed in SEEDS:
             cfg = run_config_from_dict({**BASE_RUN, **BUDGET, **keys,
@@ -87,6 +90,11 @@ def write(out: Path) -> None:
     for name in PRESET_NAMES:
         run_preset(name, out / "presets" / name,
                    {**PRESET_BUDGET, "teacher": teacher})
+    default = out / "shapes" / "default_teacher"
+    (default / "checkpoints").mkdir(parents=True)
+    shutil.copyfile(teacher, default / "checkpoints" / "teacher.ckpt")
+    run_config(run_config_from_dict({**BASE_RUN, **BUDGET, "seed": SEEDS[0]}),
+               default)
 
 
 def _comparable(path: Path) -> bytes:
