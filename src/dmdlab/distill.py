@@ -81,6 +81,7 @@ class DistillConfig:
     backward_sim_fresh_noise: bool = True
     meanvar_mu_target: float | None = None
     meanvar_var_target: float | None = None
+    observer_mode: bool = False
 
     def __post_init__(self):
         self.mode = Mode(self.mode)
@@ -148,9 +149,21 @@ class ScheduleConfig:
                 raise ValueError(f"{name} must satisfy 0 <= lo < hi <= 1")
             setattr(self, name, (lo, hi))
         ca, dm = self.tau_ca_range, self.tau_dm_range
-        if self.policy == SchedulePolicy.COUPLED_SHARED and ca and dm and ca != dm:
-            raise ValueError("tau_dm_range must equal tau_ca_range under "
-                             "COUPLED_SHARED, which makes one shared draw")
+        if self.policy == SchedulePolicy.COUPLED_SHARED:
+            if ca and dm and ca != dm:
+                raise ValueError("tau_dm_range must equal tau_ca_range under "
+                                 "COUPLED_SHARED, which makes one shared draw")
+            self.tau_ca_range = self.tau_dm_range = ca or dm
+
+    def ranges(self, t: float):
+        """The (tau_ca, tau_dm) ranges at step level t: the policy's row, (t, 1)
+        being the span that remains, each override replacing its term's."""
+        rest, full = (t, 1.0), (0.0, 1.0)
+        ca, dm = {SchedulePolicy.COUPLED_SHARED: (full, full),
+                  SchedulePolicy.DECOUPLED_FULL: (full, full),
+                  SchedulePolicy.DECOUPLED_CONSTRAINED: (rest, rest),
+                  SchedulePolicy.DECOUPLED_HYBRID: (rest, full)}[self.policy]
+        return self.tau_ca_range or ca, self.tau_dm_range or dm
 
 
 @dataclass
@@ -181,14 +194,12 @@ class DistillState:
     iteration: int
     rng_gen: np.random.Generator
     rng_fake: np.random.Generator
-    observer_mode: bool
     spec: MixtureSpec | None = None
     reg_targets: list = field(default_factory=list)
 
 
 def init_distill_state(teacher: NetParams, config: DistillConfig,
-                       spec: MixtureSpec | None, seed: int,
-                       observer_mode: bool = False) -> DistillState:
+                       spec: MixtureSpec | None, seed: int) -> DistillState:
     """Generator and fake model start as copies of the teacher."""
     ss = np.random.SeedSequence(seed)
     s_gen, s_fake, s_disc = ss.spawn(3)
@@ -224,7 +235,6 @@ def init_distill_state(teacher: NetParams, config: DistillConfig,
         iteration=0,
         rng_gen=np.random.default_rng(s_gen),
         rng_fake=np.random.default_rng(s_fake),
-        observer_mode=observer_mode,
         spec=spec,
         reg_targets=reg_targets,
     )
@@ -238,33 +248,15 @@ def _draw_range(rng, lo, hi, size):
 
 def sample_tau(schedule: ScheduleConfig, t: float, rng: np.random.Generator,
                size=None):
-    """Draw the (tau_ca, tau_dm, shared_eps) triple for one generator step.
-
-    Policy defaults: COUPLED_SHARED one shared U(0,1) draw; DECOUPLED_FULL two
-    independent U(0,1); DECOUPLED_CONSTRAINED two independent U(t,1);
-    DECOUPLED_HYBRID tau_ca ~ U(t,1) with tau_dm ~ U(0,1). Explicit range
-    overrides replace the defaults. size vectorizes the draws.
+    """Draw the (tau_ca, tau_dm, shared_eps) triple for one generator step,
+    uniformly over schedule.ranges(t): tau_ca, then tau_dm unless
+    COUPLED_SHARED, whose one draw serves both. size vectorizes the draws.
     """
-    policy = schedule.policy
-    ca_o, dm_o = schedule.tau_ca_range, schedule.tau_dm_range
-    if policy == SchedulePolicy.COUPLED_SHARED:
-        lo, hi = ca_o or dm_o or (0.0, 1.0)
-        tau = _draw_range(rng, lo, hi, size)
-        return tau, tau, True
-    if policy == SchedulePolicy.DECOUPLED_FULL:
-        ca_lo, ca_hi = ca_o or (0.0, 1.0)
-        dm_lo, dm_hi = dm_o or (0.0, 1.0)
-    elif policy == SchedulePolicy.DECOUPLED_CONSTRAINED:
-        ca_lo, ca_hi = ca_o or (t, 1.0)
-        dm_lo, dm_hi = dm_o or (t, 1.0)
-    elif policy == SchedulePolicy.DECOUPLED_HYBRID:
-        ca_lo, ca_hi = ca_o or (t, 1.0)
-        dm_lo, dm_hi = dm_o or (0.0, 1.0)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown policy {policy}")
-    tau_ca = _draw_range(rng, ca_lo, ca_hi, size)
-    tau_dm = _draw_range(rng, dm_lo, dm_hi, size)
-    return tau_ca, tau_dm, False
+    ca_range, dm_range = schedule.ranges(t)
+    tau_ca = _draw_range(rng, *ca_range, size)
+    if schedule.policy == SchedulePolicy.COUPLED_SHARED:
+        return tau_ca, tau_ca, True
+    return tau_ca, _draw_range(rng, *dm_range, size), False
 
 
 def delta_dm(real, fake, x_tau: np.ndarray, tau, cond) -> np.ndarray:
@@ -432,15 +424,13 @@ def gan_losses(disc: NetParams, real_batch: np.ndarray, fake_batch: np.ndarray,
 
 
 def generator_update(state: DistillState, teacher, config: DistillConfig,
-                     schedule: ScheduleConfig, direction_fn=None) -> MetricRecord:
+                     schedule: ScheduleConfig) -> MetricRecord:
     """One full training step: generator phase, then TTUR fake-model phase.
 
     The teacher and (during the generator phase) the fake model are never
     written to; only forward evaluations of them enter the direction. The
     returned record leaves the four distribution-level fields None; the run
     loop fills them from its evaluation clouds.
-    direction_fn optionally replaces the built-in direction computation with
-    an injected (gen_out, t, cond, rng) -> (UpdateDirection, tau_ca, tau_dm).
     """
     rng = state.rng_gen
     grid = config.grid
@@ -452,11 +442,8 @@ def generator_update(state: DistillState, teacher, config: DistillConfig,
                             fresh_noise=config.backward_sim_fresh_noise)
     gen_out, cache = net_forward_cached(state.generator, z_t, t, labels)
 
-    if direction_fn is not None:
-        direction, tau_ca, tau_dm = direction_fn(gen_out, t, labels, rng)
-    else:
-        direction, tau_ca, tau_dm = dmd_direction_decoupled(
-            teacher, state.fake, gen_out, t, labels, config, schedule, rng)
+    direction, tau_ca, tau_dm = dmd_direction_decoupled(
+        teacher, state.fake, gen_out, t, labels, config, schedule, rng)
 
     if not np.isfinite(direction.delta_total).all():
         raise NonFiniteError("non-finite update direction", context={
@@ -494,7 +481,7 @@ def generator_update(state: DistillState, teacher, config: DistillConfig,
     del cache, grads, out_grad
 
     loss_fake = 0.0
-    if (config.mode.uses_dm or state.observer_mode) and config.ttur_ratio > 0:
+    if (config.mode.uses_dm or config.observer_mode) and config.ttur_ratio > 0:
         gen_samples = net_forward(state.generator, z_t, t, labels)
         for _ in range(config.ttur_ratio):
             loss_fake = fake_model_update(state, gen_samples, labels,

@@ -83,7 +83,7 @@ RUN_KEYS = _table(RUN_CONFIGS, {
     "meanvar_var_target": Key(float, FIELD),
     "radius_mult": Key(float, 3.0, lo=1e-9),
     "step_grid": Key(LEVELS, FIELD),
-    "observer_mode": Key(bool, False),
+    "observer_mode": Key(bool, FIELD),
 })
 
 TEACHER_CONFIGS = (TeacherConfig,)

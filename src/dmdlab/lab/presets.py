@@ -19,8 +19,8 @@ import csv
 import json
 from pathlib import Path
 
-from ..distill import NonFiniteError
-from .config import (_check_out_dir, _check_out_file, resolve_data,
+from ..distill import NonFiniteError, SchedulePolicy
+from .config import (ConfigError, _check_out_file, resolve_data,
                      run_config_from_dict)
 from .runner import RunArtifacts, _eval_reference, run_config, teacher_path
 
@@ -43,9 +43,6 @@ BASE_RUN = {
 
 TAU_PROBE_RANGES = [(0.0, 0.05), (0.0, 0.25), (0.0, 0.5), (0.0, 1.0),
                     (0.7, 1.0)]
-
-SCHEDULE_ORDER = ["COUPLED_SHARED", "DECOUPLED_FULL", "DECOUPLED_CONSTRAINED",
-                  "DECOUPLED_HYBRID"]
 
 # name -> (budget defaults, [(run name, member keys)]); a member runs
 # BASE_RUN, then the defaults, then the user overrides, then its own keys.
@@ -70,8 +67,8 @@ PRESETS = {
     "observer": ({"iterations": 800}, [
         ("observer", {"mode": "CA_ONLY", "observer_mode": True})]),
     "schedule-ablation": ({}, [
-        (policy.lower(), {"n_steps": 4, "schedule_policy": policy})
-        for policy in SCHEDULE_ORDER]),
+        (policy.value.lower(), {"n_steps": 4, "schedule_policy": policy.value})
+        for policy in SchedulePolicy]),
 }
 
 PRESET_NAMES = sorted(PRESETS)
@@ -94,10 +91,13 @@ def run_preset(name: str, out_root, overrides=None) -> list:
     # every member is checked before the shared teacher is trained: its
     # config, its evaluation reference and its run directory
     cfgs = [run_config_from_dict({**base, **keys}) for _, keys in members]
+    if cfgs[0]["out_dir"] is not None:  # no member sets its own out_dir
+        raise ConfigError("out_dir", "a preset writes each run to "
+                          "<--out>/<run name>; give --out instead")
     spec = resolve_data(cfgs[0]["data"])  # no member sets its own data
     for (run_name, _), cfg in zip(members, cfgs):
         _eval_reference(cfg, spec)
-        _check_out_dir("--out", out_root / run_name)
+        RunArtifacts(out_root / run_name).check("--out")
     for file in ("summary.csv", "preset.json"):
         _check_out_file("--out", out_root / file)
     out_root.mkdir(parents=True, exist_ok=True)

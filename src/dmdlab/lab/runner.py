@@ -49,6 +49,13 @@ class RunArtifacts:
         self.samples_dir = self.dir / "samples"
         self.manifest_path = self.dir / "manifest.json"
 
+    def check(self, key: str) -> None:
+        """Raise ConfigError under key, before anything is written, unless
+        the run's deepest directories, and so every one above them, are
+        directories or can be made."""
+        for d in (self.samples_dir, self.checkpoint_dir):
+            _check_out_dir(key, d)
+
 
 def teacher_path(cfg: dict, spec: MixtureSpec, default: Path,
                  dump_dir: Path) -> Path:
@@ -154,8 +161,7 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
 
     dconfig = build(DistillConfig, cfg)
     schedule = build(ScheduleConfig, cfg)
-    state = init_distill_state(teacher, dconfig, spec, seed=cfg["seed"],
-                               observer_mode=cfg["observer_mode"])
+    state = init_distill_state(teacher, dconfig, spec, seed=cfg["seed"])
 
     started = time.time()
     aborted = None
@@ -198,7 +204,7 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
     if state.disc is not None:
         save_params(state.disc, art.checkpoint_dir / "disc.ckpt")
 
-    if cfg["observer_mode"]:
+    if dconfig.observer_mode:
         _write_observer_probe(art.dir, state, teacher, spec, dconfig.grid,
                               cfg["seed"])
 
@@ -247,5 +253,5 @@ def run(config_path, out_dir=None) -> RunArtifacts:
     if out_dir is None:
         out_dir = cfg["out_dir"] or (Path(config_path).resolve().parent
                                      / (Path(config_path).stem + "_run"))
-    _check_out_dir(key, out_dir)
+    RunArtifacts(Path(out_dir)).check(key)
     return run_config(cfg, out_dir)

@@ -7,7 +7,7 @@ from dmdlab import NULL_LABEL, NetConfig, init_params, net_forward
 from dmdlab.data import Component, MixtureSpec, gmm8
 from dmdlab.distill import (DistillConfig, DistillState, Mode, NonFiniteError,
                             Regularizer, RegularizerTargets, ScheduleConfig,
-                            SchedulePolicy, UpdateDirection, backward_simulate,
+                            SchedulePolicy, backward_simulate,
                             delta_ca, delta_dm, dmd_direction_coupled,
                             dmd_direction_decoupled, fake_model_update,
                             gan_losses, generator_update, init_distill_state,
@@ -94,6 +94,45 @@ class TestSampleTau:
                                        size=100_000)
                 assert np.all((ca >= ca_lo) & (ca <= ca_hi))
                 assert np.all((dm >= dm_lo) & (dm <= dm_hi))
+
+
+_LEVELS = sorted({t for n in (1, 2, 4) for t in DistillConfig(n_steps=n).grid})
+_RANGES = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+    sorted).filter(lambda r: r[0] < r[1]).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(policy=st.sampled_from(SchedulePolicy), t=st.sampled_from(_LEVELS),
+       ca_o=st.none() | _RANGES, dm_o=st.none() | _RANGES,
+       size=st.none() | st.integers(1, 4), seed=st.integers(0, 2 ** 32))
+def test_schedule_table_property(policy, t, ca_o, dm_o, size, seed):
+    """Each policy draws from its row of this table, an override replacing
+    its term's range; COUPLED_SHARED makes one draw, from whichever override
+    is set, and returns it twice; the rng advances by exactly its draws."""
+    coupled = policy == SchedulePolicy.COUPLED_SHARED
+    if coupled and ca_o and dm_o:
+        dm_o = ca_o  # two different ranges are rejected under one draw
+    rest, full = (t, 1.0), (0.0, 1.0)
+    ca_row, dm_row = {SchedulePolicy.COUPLED_SHARED: (full, full),
+                      SchedulePolicy.DECOUPLED_FULL: (full, full),
+                      SchedulePolicy.DECOUPLED_CONSTRAINED: (rest, rest),
+                      SchedulePolicy.DECOUPLED_HYBRID: (rest, full)}[policy]
+    expected = ([ca_o or dm_o or full] * 2 if coupled
+                else [ca_o or ca_row, dm_o or dm_row])
+    rng = np.random.default_rng(seed)
+    ca, dm, shared = sample_tau(ScheduleConfig(policy, ca_o, dm_o), t, rng,
+                                size=size)
+    assert shared is coupled
+    for draw, (lo, hi) in zip((ca, dm), expected):
+        assert np.shape(draw) == (() if size is None else (size,))
+        assert np.all((lo <= draw) & (draw <= hi))
+    twin = np.random.default_rng(seed)
+    assert np.array_equal(ca, twin.uniform(*expected[0], size))
+    if coupled:
+        assert dm is ca
+    else:
+        assert np.array_equal(dm, twin.uniform(*expected[1], size))
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestDeltas:
@@ -552,9 +591,9 @@ class TestGeneratorUpdate:
         spec = gmm8()
         trajs = {}
         for observer in (False, True):
-            cfg = base_config(mode=Mode.CA_ONLY, alpha=4.0, ttur_ratio=3)
-            state = init_distill_state(teacher, cfg, spec, seed=99,
-                                       observer_mode=observer)
+            cfg = base_config(mode=Mode.CA_ONLY, alpha=4.0, ttur_ratio=3,
+                              observer_mode=observer)
+            state = init_distill_state(teacher, cfg, spec, seed=99)
             sched = ScheduleConfig(SchedulePolicy.COUPLED_SHARED)
             for _ in range(5):
                 generator_update(state, teacher, cfg, sched)
@@ -564,9 +603,8 @@ class TestGeneratorUpdate:
 
     def test_observer_mode_trains_fake(self):
         teacher = tiny_net(72)
-        cfg = base_config(mode=Mode.CA_ONLY, ttur_ratio=2)
-        state = init_distill_state(teacher, cfg, gmm8(), seed=98,
-                                   observer_mode=True)
+        cfg = base_config(mode=Mode.CA_ONLY, ttur_ratio=2, observer_mode=True)
+        state = init_distill_state(teacher, cfg, gmm8(), seed=98)
         before = state.fake.copy()
         generator_update(state, teacher, cfg,
                          ScheduleConfig(SchedulePolicy.COUPLED_SHARED))
@@ -585,18 +623,17 @@ class TestGeneratorUpdate:
             assert np.array_equal(a, b)
 
     def test_zero_direction_injection_freezes_generator(self):
-        teacher = tiny_net(74)
-        cfg = base_config(mode=Mode.FULL_DMD)
-        state = init_distill_state(teacher, cfg, gmm8(), seed=96)
+        # a teacher that predicts what the fake model predicts makes the
+        # matching term exactly 0, so the generator's step moves nothing
+        cfg = base_config(mode=Mode.DM_ONLY)
+        state = init_distill_state(tiny_net(74), cfg, gmm8(), seed=96)
         before = state.generator.copy()
 
-        def zero_dir(gen_out, t, cond, rng):
-            z = np.zeros_like(gen_out)
-            return UpdateDirection(z, z.copy(), z.copy()), 0.5, 0.5
+        def teacher(x, tau, cond):
+            return net_forward(state.fake, x, tau, cond)
 
         generator_update(state, teacher, cfg,
-                         ScheduleConfig(SchedulePolicy.COUPLED_SHARED),
-                         direction_fn=zero_dir)
+                         ScheduleConfig(SchedulePolicy.COUPLED_SHARED))
         for (_, a), (_, b) in zip(state.generator.slots(), before.slots()):
             assert np.array_equal(a, b)
 
@@ -657,15 +694,13 @@ class TestGeneratorUpdate:
         cfg = base_config(mode=Mode.FULL_DMD)
         state = init_distill_state(teacher, cfg, gmm8(), seed=93)
 
-        def bad_dir(gen_out, t, cond, rng):
-            z = np.full_like(gen_out, np.nan)
-            return UpdateDirection(z, z, z), 0.5, 0.5
+        def nan_teacher(x, tau, cond):
+            return np.full_like(x, np.nan)
 
         with pytest.raises(NonFiniteError) as err:
-            generator_update(state, teacher, cfg,
-                             ScheduleConfig(SchedulePolicy.COUPLED_SHARED),
-                             direction_fn=bad_dir)
-        assert "iteration" in err.value.context
+            generator_update(state, nan_teacher, cfg,
+                             ScheduleConfig(SchedulePolicy.COUPLED_SHARED))
+        assert err.value.context["iteration"] == 1
 
 
 class TestSampleGenerator:

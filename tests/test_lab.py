@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import csv
 import dataclasses
 import json
@@ -949,6 +950,32 @@ class TestOutputPathsAndReference:
             "preset", "observer", "--out", str(tmp_path / "afile"),
             "--override", f'teacher="{tiny_teacher_ckpt}"'], "--out")
 
+    @pytest.mark.parametrize("entry", ["samples", "checkpoints"])
+    def test_run_directory_entry_naming_a_file(self, tmp_path, capsys,
+                                               tiny_teacher_ckpt, entry):
+        # the run writes into <run>/samples and <run>/checkpoints; either
+        # one a file fails before the teacher, the snapshot or samples/
+        for run_dir in (tmp_path / "r", tmp_path / "p" / "dm_only"):
+            run_dir.mkdir(parents=True)
+            (run_dir / entry).write_text("")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_cfg(
+            tiny_teacher_ckpt, out_dir=str(tmp_path / "r"))))
+        self.assert_exit_2(tmp_path, capsys, ["run", str(path)], "out_dir")
+        self.assert_exit_2(tmp_path, capsys, [
+            "run", str(path), "--out", str(tmp_path / "r")], "--out")
+        self.assert_exit_2(tmp_path, capsys, [
+            "preset", "decompose", "--out", str(tmp_path / "p"),
+            "--override", f'teacher="{tiny_teacher_ckpt}"'], "--out")
+
+    def test_preset_out_dir_override(self, tmp_path, capsys,
+                                     tiny_teacher_ckpt):
+        # a preset's runs go under --out; an out_dir would be ignored
+        self.assert_exit_2(tmp_path, capsys, [
+            "preset", "observer", "--out", str(tmp_path / "p"),
+            "--override", f'teacher="{tiny_teacher_ckpt}"',
+            "--override", f'out_dir="{tmp_path / "elsewhere"}"'], "out_dir")
+
     @pytest.mark.parametrize("over,key", [
         ({}, "--out"), ({"out": "adir"}, "out"), ({"log": "adir"}, "log"),
         ({"out": ""}, "out"), ({"log": "t.ckpt/l.csv"}, "out"),
@@ -1076,7 +1103,8 @@ class TestRunContractProperty:
     def test_run(self, tiny_teacher_ckpt, edits, cli_out):
         base = small_cfg(tiny_teacher_ckpt, iterations=3, eval_every=2,
                          eval_n=8, batch=8, ttur_ratio=1)
-        with tempfile.TemporaryDirectory() as tmp:
+        # a relative out_dir lands in root, where tree(root) sees it
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
             root = Path(tmp)
             raw = self.materialize(self.apply(base, edits), root)
             path = root / "cfg.json"

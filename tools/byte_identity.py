@@ -47,6 +47,10 @@ TEACHER = {"iterations": 200, "batch": 256, "lr": 1e-3, "p_uncond": 0.1,
 SHAPES = {
     "full_dmd_coupled": {},
     "hybrid_4step": {"n_steps": 4, "schedule_policy": "DECOUPLED_HYBRID"},
+    "coupled_dm_range": {"tau_dm_range": [0.2, 0.7]},
+    "hybrid_4step_ca_range": {"n_steps": 4,
+                              "schedule_policy": "DECOUPLED_HYBRID",
+                              "tau_ca_range": [0.1, 0.6]},
     "ca_gan": {"mode": "CA_ONLY", "regularizer": "GAN", "eval_every": 3},
     "full_ca_meanvar_2step": {"mode": "CA_ONLY", "n_steps": 2,
                               "schedule_policy": "DECOUPLED_FULL",
