@@ -5,9 +5,11 @@
     lab preset <name> [--override k=v ...] [--out DIR]
     lab plot <run_dir>
 
-Exit codes: 2 config/schema violation or unusable output path (message
-names the key; nothing is written), 3 non-finite training abort (diagnostic
-dump path printed), 4 plot called on an empty metrics file. LAB_SEED
+Exit codes: 2 config/schema violation or unusable output path, lab plot's
+plots/ and SVG files included (message names the key, run_dir for lab plot;
+nothing is written), 3 non-finite training abort (diagnostic dump path
+printed), 4 lab plot on a metrics.csv or last sample dump that cannot be
+read, has no data rows or holds a non-number (nothing is written). LAB_SEED
 overrides the config seed.
 """
 

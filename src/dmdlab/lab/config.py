@@ -173,20 +173,21 @@ def _check_file(key, value):
         raise ConfigError(key, f"no such file: {value}")
 
 
-def _check_out_dir(key, path) -> None:
-    # an output directory must be one, or be creatable: no part of its path
-    # that exists may be a file
-    for part in (Path(path), *Path(path).parents):
-        if part.is_dir():
-            return
-        if part.exists():
-            raise ConfigError(key, f"{part} exists and is not a directory")
-
-
-def _check_out_file(key, path) -> None:
-    if Path(path).is_dir():
-        raise ConfigError(key, f"{path} is a directory")
-    _check_out_dir(key, Path(path).parent)
+def check_outputs(rows) -> None:
+    """Raise ConfigError under the key of the first (key, path, is_dir) row
+    that cannot be written, before anything is: a part of its path exists as
+    the wrong kind, or it is a file that another row's path goes into."""
+    rows = [(key, Path(path).resolve(), is_dir) for key, path, is_dir in rows]
+    into = ({path for _, path, is_dir in rows if is_dir}
+            | {p for _, path, _ in rows for p in path.parents})
+    for key, path, is_dir in rows:
+        if not is_dir and path in into:
+            raise ConfigError(key, f"{path} is also a directory to write into")
+        part = next(p for p in (path, *path.parents) if p.exists())
+        want_dir = is_dir or part != path
+        if part.is_dir() != want_dir:
+            raise ConfigError(key, f"{part} exists and is "
+                              f"{'not ' if want_dir else ''}a directory")
 
 
 def resolve_data(value) -> MixtureSpec:

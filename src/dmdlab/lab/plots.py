@@ -5,62 +5,63 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_outputs
+from .runner import RunArtifacts
 from .svgplot import line_chart, scatter
 
 
 class PlotDataError(ValueError):
-    """metrics.csv is missing or has no data rows."""
+    """metrics.csv or the last sample dump cannot be read, has no data rows,
+    or holds a field that is not a number."""
 
 
-def _read_metrics(path: Path):
-    if not path.exists():
-        raise PlotDataError(f"{path} not found")
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+def _read_columns(path: Path) -> dict:
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        cols = {k: np.array([float(r[k]) for r in rows])
+                for k in (rows[0] if rows else ())}
+    except (OSError, ValueError, TypeError, csv.Error) as e:
+        # missing, a directory, not text, or a field that is not a number
+        # (a short row reads as None)
+        raise PlotDataError(f"{path}: {e}")
     if not rows:
         raise PlotDataError(f"{path} has no data rows")
-    cols = {k: np.array([float(r[k]) for r in rows]) for k in rows[0]}
     return cols
+
+
+CHARTS = {  # file name -> (title, y label, metric columns)
+    "sw2.svg": ("Sliced Wasserstein-2 to held-out data", "sw2", ["sw2"]),
+    "variance.svg": ("Mean per-sample variance of generated clouds",
+                     "mean_of_vars", ["mean_of_vars"]),
+    "coverage.svg": ("Mode coverage", "mode_coverage", ["mode_coverage"]),
+    "losses.svg": ("Training losses", "loss",
+                   ["loss_proxy", "loss_fake", "loss_reg"]),
+}
 
 
 def plot_run(run_dir) -> list:
     """Emit line charts for the metric trajectories and a scatter of the last
-    sample dump. Returns the written paths; raises PlotDataError when the
-    metrics file has only a header (and then writes nothing)."""
-    run_dir = Path(run_dir)
-    cols = _read_metrics(run_dir / "metrics.csv")
-    plots_dir = run_dir / "plots"
-    plots_dir.mkdir(exist_ok=True)
-    written = []
-
-    it = cols["iteration"]
-    charts = [
-        ("sw2.svg", "Sliced Wasserstein-2 to held-out data", "sw2",
-         [("sw2", it, cols["sw2"])]),
-        ("variance.svg", "Mean per-sample variance of generated clouds",
-         "mean_of_vars", [("mean_of_vars", it, cols["mean_of_vars"])]),
-        ("coverage.svg", "Mode coverage", "mode_coverage",
-         [("mode_coverage", it, cols["mode_coverage"])]),
-        ("losses.svg", "Training losses", "loss",
-         [("loss_proxy", it, cols["loss_proxy"]),
-          ("loss_fake", it, cols["loss_fake"]),
-          ("loss_reg", it, cols["loss_reg"])]),
-    ]
-    for fname, title, ylabel, series in charts:
-        path = plots_dir / fname
-        line_chart(path, title, "iteration", ylabel, series)
-        written.append(path)
-
-    dumps = sorted((run_dir / "samples").glob("iter_*.csv"))
+    sample dump. Returns the written paths; raises PlotDataError when an
+    input cannot be plotted, and ConfigError under run_dir when an output
+    path is of the wrong kind, in both cases before it writes anything."""
+    art = RunArtifacts(Path(run_dir))
+    cols = _read_columns(art.metrics_path)
+    names = list(CHARTS)
+    dumps = art.sample_paths()
     if dumps:
-        with open(dumps[-1], newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        dims = [k for k in rows[0] if k.startswith("x")]
-        pts = np.array([[float(r[d]) for d in dims] for r in rows])
-        labels = np.array([int(r["label"]) for r in rows])
-        if pts.shape[1] >= 2:
-            path = plots_dir / "samples.svg"
-            scatter(path, f"Generated samples ({dumps[-1].stem})",
-                    pts[:, :2], labels)
-            written.append(path)
-    return written
+        cloud = _read_columns(dumps[-1])
+        dims = [k for k in cloud if k.startswith("x")]
+        names += ["samples.svg"] * (len(dims) >= 2)
+    check_outputs([("run_dir", art.plots_dir, True)] + [
+        ("run_dir", art.plots_dir / name, False) for name in names])
+    art.plots_dir.mkdir(exist_ok=True)
+    for name, (title, ylabel, series) in CHARTS.items():
+        line_chart(art.plots_dir / name, title, "iteration", ylabel,
+                   [(c, cols["iteration"], cols[c]) for c in series])
+    if "samples.svg" in names:
+        scatter(art.plots_dir / "samples.svg",
+                f"Generated samples ({dumps[-1].stem})",
+                np.column_stack([cloud[d] for d in dims[:2]]),
+                cloud["label"].astype(int))
+    return [art.plots_dir / name for name in names]

@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 
 from ..distill import NonFiniteError, SchedulePolicy
-from .config import (ConfigError, _check_out_file, resolve_data,
+from .config import (ConfigError, check_outputs, resolve_data,
                      run_config_from_dict)
 from .runner import RunArtifacts, _eval_reference, run_config, teacher_path
 
@@ -97,13 +97,14 @@ def run_preset(name: str, out_root, overrides=None) -> list:
     spec = resolve_data(cfgs[0]["data"])  # no member sets its own data
     for (run_name, _), cfg in zip(members, cfgs):
         _eval_reference(cfg, spec)
-        RunArtifacts(out_root / run_name).check("--out")
-    for file in ("summary.csv", "preset.json"):
-        _check_out_file("--out", out_root / file)
+        RunArtifacts(out_root / run_name).check("--out", cfg)
+    dump = RunArtifacts(out_root).dump_path
+    check_outputs([("--out", path, False) for path in (
+        out_root / "summary.csv", out_root / "preset.json", dump)])
     out_root.mkdir(parents=True, exist_ok=True)
     base["seed"] = cfgs[0]["seed"]  # the members' seed, LAB_SEED included
     base["teacher"] = str(teacher_path(cfgs[0], spec, out_root / "teacher.ckpt",
-                                       out_root))
+                                       dump))
 
     artifacts = []
     summary_rows = []

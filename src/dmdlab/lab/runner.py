@@ -11,6 +11,9 @@ Layout of a run directory:
     diagnostic_dump.json   written only when training aborts on a non-finite
                            value; holds the error's context and iteration,
                            and names the network whose pass or step failed
+    observer_probe.csv     observer_mode only: per label and probed tau, the
+                           unused DM term against the generator's drift
+    plots/*.svg            written by `lab plot`
 """
 
 import csv
@@ -29,16 +32,23 @@ from ..distill import (DistillConfig, DistillState, NonFiniteError,
 from ..flow import TeacherConfig, train_teacher
 from ..metrics import (CSV_COLUMNS, batch_sample_stats, mode_coverage,
                        sliced_wasserstein2)
-from .config import (ConfigError, _check_out_dir, _check_out_file,
-                     _check_teacher, build, load_run_config, resolve_data)
+from .config import (ConfigError, _check_teacher, build, check_outputs,
+                     load_run_config, resolve_data)
 
 _REF_TAG = 0x5EED_0001
 _EVAL_TAG = 0x5EED_0002
 
 
+def eval_iterations(cfg: dict) -> set:
+    """The updates of a checked run config that an evaluation point follows:
+    every eval_every-th and the last."""
+    n, every = cfg["iterations"], cfg["eval_every"]
+    return {*range(every, n + 1, every), n}
+
+
 @dataclass
 class RunArtifacts:
-    """A run directory; every file's place in it is derived from dir."""
+    """The only owner of a run directory's file names (and the dump's)."""
 
     dir: Path
 
@@ -48,20 +58,39 @@ class RunArtifacts:
         self.checkpoint_dir = self.dir / "checkpoints"
         self.samples_dir = self.dir / "samples"
         self.manifest_path = self.dir / "manifest.json"
+        self.dump_path = self.dir / "diagnostic_dump.json"
+        self.probe_path = self.dir / "observer_probe.csv"
+        self.plots_dir = self.dir / "plots"
 
-    def check(self, key: str) -> None:
+    def checkpoint(self, name: str) -> Path:
+        return self.checkpoint_dir / f"{name}.ckpt"
+
+    def sample_path(self, it: int) -> Path:
+        return self.samples_dir / f"iter_{it:06d}.csv"
+
+    def sample_paths(self) -> list:
+        """The evaluation point clouds written so far, in iteration order."""
+        return sorted(self.samples_dir.glob("iter_*.csv"))
+
+    def check(self, key: str, cfg: dict) -> None:
         """Raise ConfigError under key, before anything is written, unless
-        the run's deepest directories, and so every one above them, are
-        directories or can be made."""
-        for d in (self.samples_dir, self.checkpoint_dir):
-            _check_out_dir(key, d)
+        every path that the run of the checked config cfg writes can be
+        written (a default teacher's checkpoint is teacher_path's)."""
+        nets = ["generator", "fake"] + ["disc"] * (cfg["regularizer"] == "GAN")
+        files = [self.config_path, self.metrics_path, self.manifest_path,
+                 self.dump_path, *map(self.checkpoint, nets),
+                 *map(self.sample_path, eval_iterations(cfg)),
+                 *[self.probe_path] * cfg["observer_mode"]]
+        check_outputs([(key, self.samples_dir, True),
+                       (key, self.checkpoint_dir, True)]
+                      + [(key, f, False) for f in files])
 
 
 def teacher_path(cfg: dict, spec: MixtureSpec, default: Path,
-                 dump_dir: Path) -> Path:
+                 dump_path: Path) -> Path:
     """The teacher checkpoint of a checked run config: the one it names, else
     one at default that fits the data, else the default TeacherConfig trained
-    from its seed and saved at default; an abort dumps into dump_dir."""
+    from its seed and saved at default; an abort dumps at dump_path."""
     if cfg["teacher"] is not None:
         return Path(cfg["teacher"])
     if default.exists():
@@ -69,19 +98,19 @@ def teacher_path(cfg: dict, spec: MixtureSpec, default: Path,
         return default
     default.parent.mkdir(parents=True, exist_ok=True)
     return _train_and_save(spec, TeacherConfig(), cfg["seed"], default,
-                           dump_dir)
+                           dump_path)
 
 
 def _train_and_save(spec: MixtureSpec, config: TeacherConfig, seed: int,
-                    out: Path, dump_dir: Path, log=None) -> Path:
+                    out: Path, dump_path: Path, log=None) -> Path:
     """Train a teacher from seed and save it at out, its loss log at log if
-    given; a non-finite abort leaves its dump, naming the teacher, in
-    dump_dir."""
+    given; a non-finite abort leaves its dump, naming the teacher, at
+    dump_path."""
     try:
         teacher = train_teacher(spec, config, np.random.default_rng(seed),
                                 log_path=log)
     except NonFiniteError as err:
-        raise _abort(err, dump_dir, teacher=err.params)
+        raise _abort(err, dump_path, teacher=err.params)
     save_params(teacher, out)
     return out
 
@@ -94,26 +123,21 @@ def train_teacher_cli(cfg: dict, out_dir: Path) -> Path:
     spec = resolve_data(cfg["data"])
     out = out_dir / cfg["out"]
     log = out_dir / (cfg["log"] or (Path(cfg["out"]).stem + "_log.csv"))
-    _check_out_dir("--out", out_dir)
-    files = {"out": out.resolve(), "log": log.resolve()}
-    dirs = [path.parent for path in files.values()]
-    for key, path in files.items():
-        _check_out_file(key, path)
-        if any(path == d or path in d.parents for d in dirs):
-            raise ConfigError(key, f"{path} is also a directory to write into")
-    for d in (out_dir, *dirs):
+    dump = RunArtifacts(out_dir).dump_path
+    check_outputs([("--out", out_dir, True), ("out", out, False),
+                   ("log", log, False), ("--out", dump, False)])
+    for d in (out_dir, out.parent, log.parent):
         d.mkdir(parents=True, exist_ok=True)
     return _train_and_save(spec, build(TeacherConfig, cfg), cfg["seed"], out,
-                           out_dir, log)
+                           dump, log)
 
 
-def _abort(err: NonFiniteError, dump_dir: Path, **networks) -> NonFiniteError:
+def _abort(err: NonFiniteError, dump_path: Path, **networks) -> NonFiniteError:
     """The error, naming the network in networks (name=params) that failed,
-    once its diagnostic_dump.json is in dump_dir and dump_path names it."""
+    once its dump is written at dump_path and its context names that path."""
     for name, params in networks.items():
         if params is not None and params is err.params:
             err.context["network"] = name
-    dump_path = dump_dir / "diagnostic_dump.json"
     dump_path.write_text(json.dumps({**err.context, "error": str(err)},
                                     indent=2, sort_keys=True) + "\n")
     err.context["dump_path"] = str(dump_path)
@@ -145,12 +169,14 @@ def _eval_reference(cfg: dict, spec: MixtureSpec) -> list:
     return clouds
 
 
-def run_config(cfg: dict, out_dir) -> RunArtifacts:
+def run_config(cfg: dict, out_dir, key: str = "--out") -> RunArtifacts:
+    """Run a checked config into out_dir, which errors name as key."""
+    art = RunArtifacts(Path(out_dir))
+    art.check(key, cfg)
     spec = resolve_data(cfg["data"])
     ref_by_label = _eval_reference(cfg, spec)  # fails before any file exists
-    art = RunArtifacts(Path(out_dir))
-    teacher_file = teacher_path(cfg, spec, art.checkpoint_dir / "teacher.ckpt",
-                                art.dir)
+    teacher_file = teacher_path(cfg, spec, art.checkpoint("teacher"),
+                                art.dump_path)
     art.samples_dir.mkdir(parents=True, exist_ok=True)
     art.checkpoint_dir.mkdir(exist_ok=True)
     teacher = load_params(teacher_file)
@@ -163,6 +189,7 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
     schedule = build(ScheduleConfig, cfg)
     state = init_distill_state(teacher, dconfig, spec, seed=cfg["seed"])
 
+    evals = eval_iterations(cfg)
     started = time.time()
     aborted = None
     with open(art.metrics_path, "w", newline="") as fh:
@@ -171,7 +198,7 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
         try:
             for it in range(1, cfg["iterations"] + 1):
                 record = generator_update(state, teacher, dconfig, schedule)
-                if it % cfg["eval_every"] == 0 or it == cfg["iterations"]:
+                if it in evals:
                     clouds = _eval_clouds(state, dconfig.grid, spec,
                                           cfg["seed"], it, cfg["eval_n"])
                     sw_rng = np.random.default_rng([cfg["seed"], it, 0x51])
@@ -186,8 +213,7 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
                     record.mean_of_vars = float(variances.mean())
                     writer.writerow(record.to_row())
                     fh.flush()
-                    with open(art.samples_dir / f"iter_{it:06d}.csv", "w",
-                              newline="") as sf:
+                    with open(art.sample_path(it), "w", newline="") as sf:
                         sw = csv.writer(sf)
                         sw.writerow([f"x{d}" for d in range(spec.dim)] + ["label"])
                         # csv writes a float as its repr(), which round-trips
@@ -196,17 +222,17 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
                                      for point in cloud.tolist())
         except NonFiniteError as err:
             err.context.setdefault("iteration", it)
-            aborted = _abort(err, art.dir, generator=state.generator,
+            aborted = _abort(err, art.dump_path, generator=state.generator,
                              teacher=teacher, fake=state.fake, disc=state.disc)
 
-    save_params(state.generator, art.checkpoint_dir / "generator.ckpt")
-    save_params(state.fake, art.checkpoint_dir / "fake.ckpt")
+    save_params(state.generator, art.checkpoint("generator"))
+    save_params(state.fake, art.checkpoint("fake"))
     if state.disc is not None:
-        save_params(state.disc, art.checkpoint_dir / "disc.ckpt")
+        save_params(state.disc, art.checkpoint("disc"))
 
     if dconfig.observer_mode:
-        _write_observer_probe(art.dir, state, teacher, spec, dconfig.grid,
-                              cfg["seed"])
+        _write_observer_probe(art.probe_path, state, teacher, spec,
+                              dconfig.grid, cfg["seed"])
 
     art.manifest_path.write_text(json.dumps({
         "started_unix": started,
@@ -220,7 +246,7 @@ def run_config(cfg: dict, out_dir) -> RunArtifacts:
     return art
 
 
-def _write_observer_probe(out_dir: Path, state: DistillState, teacher,
+def _write_observer_probe(path: Path, state: DistillState, teacher,
                           spec: MixtureSpec, grid, seed: int,
                           taus=(0.1, 0.3, 0.5, 0.7, 0.9)) -> None:
     """Per-label probe of the (unused) DM term against the measured drift of
@@ -237,7 +263,7 @@ def _write_observer_probe(out_dir: Path, state: DistillState, teacher,
         for tau, mag, align in probe:
             rows.append((label, tau, mag, align,
                          float(np.linalg.norm(drift))))
-    with open(out_dir / "observer_probe.csv", "w", newline="") as fh:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label", "tau", "dm_magnitude", "dm_dot_drift",
                          "drift_norm"])
@@ -249,9 +275,8 @@ def run(config_path, out_dir=None) -> RunArtifacts:
     """Load a run config file and run it; the output directory defaults to
     the config's out_dir, else <config stem>_run next to the config file."""
     cfg = load_run_config(config_path)
-    key = "out_dir" if out_dir is None else "--out"
-    if out_dir is None:
-        out_dir = cfg["out_dir"] or (Path(config_path).resolve().parent
-                                     / (Path(config_path).stem + "_run"))
-    RunArtifacts(Path(out_dir)).check(key)
-    return run_config(cfg, out_dir)
+    if out_dir is not None:
+        return run_config(cfg, out_dir)
+    path = Path(config_path)
+    return run_config(cfg, cfg["out_dir"] or path.resolve().with_name(
+        path.stem + "_run"), "out_dir")

@@ -340,6 +340,36 @@ class TestPlots:
         assert code == 4
         assert not (run_dir / "plots" / "sw2.svg").exists()
 
+    @pytest.mark.parametrize("spoil,code", [
+        ("plots", 2), ("plots/samples.svg", 2),  # an output of the wrong kind
+        ("metrics_dir", 4), ("metrics_text", 4), ("samples_header", 4),
+    ])
+    def test_nothing_written_on_error(self, tmp_path, tiny_teacher_ckpt,
+                                      capsys, spoil, code):
+        run_dir = tmp_path / "run"
+        run_config(run_config_from_dict(small_cfg(tiny_teacher_ckpt)), run_dir)
+        metrics = run_dir / "metrics.csv"
+        if spoil == "plots":
+            (run_dir / "plots").write_text("")
+        elif spoil == "plots/samples.svg":
+            (run_dir / "plots" / "samples.svg").mkdir(parents=True)
+        elif spoil == "metrics_dir":
+            metrics.unlink()
+            metrics.mkdir()
+        elif spoil == "metrics_text":
+            text = metrics.read_text().splitlines()
+            text[-1] = "x" + text[-1]
+            metrics.write_text("\n".join(text) + "\n")
+        else:
+            last = sorted((run_dir / "samples").glob("iter_*.csv"))[-1]
+            last.write_text(last.read_text().splitlines()[0] + "\n")
+        before = tree(tmp_path)
+        assert cli_main(["plot", str(run_dir)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert code == 4 or "config key 'run_dir'" in err
+        assert tree(tmp_path) == before
+
 
 class TestRemovedPrecisionKey:
     """fp64 is the only precision; a stale "precision" key is rejected."""
@@ -968,6 +998,44 @@ class TestOutputPathsAndReference:
             "preset", "decompose", "--out", str(tmp_path / "p"),
             "--override", f'teacher="{tiny_teacher_ckpt}"'], "--out")
 
+    @pytest.mark.parametrize("entry", [
+        "config_snapshot.json", "metrics.csv", "manifest.json",
+        "diagnostic_dump.json", "observer_probe.csv",
+        "checkpoints/generator.ckpt", "samples/iter_000008.csv"])
+    def test_run_directory_file_naming_a_directory(self, tmp_path, capsys,
+                                                   tiny_teacher_ckpt, entry):
+        # each fails before the snapshot, samples/ or checkpoints/, and a
+        # preset member's before any member is written
+        for run_dir in (tmp_path / "r", tmp_path / "p" / "observer"):
+            (run_dir / entry).mkdir(parents=True)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_cfg(
+            tiny_teacher_ckpt, mode="CA_ONLY", observer_mode=True,
+            out_dir=str(tmp_path / "r"))))
+        self.assert_exit_2(tmp_path, capsys, ["run", str(path)], "out_dir")
+        self.assert_exit_2(tmp_path, capsys, [
+            "run", str(path), "--out", str(tmp_path / "r")], "--out")
+        self.assert_exit_2(tmp_path, capsys, [
+            "preset", "observer", "--out", str(tmp_path / "p"),
+            "--override", f'teacher="{tiny_teacher_ckpt}"',
+            "--override", "iterations=8", "--override", "eval_every=4"],
+            "--out")
+
+    def test_dump_naming_a_directory(self, tmp_path, capsys):
+        # a teacher at lr 1e300 aborts; the default teacher of a preset on a
+        # mixture centred at 1e200 aborts at its first Adam step
+        (tmp_path / "o" / "diagnostic_dump.json").mkdir(parents=True)
+        (tmp_path / "p" / "diagnostic_dump.json").mkdir(parents=True)
+        far = mixture_file(tmp_path / "far.json", 2, 1, center=1e200)
+        path = tmp_path / "teacher.json"
+        path.write_text(json.dumps({**TEACHER_CFG, "iterations": 2,
+                                    "lr": 1e300}))
+        self.assert_exit_2(tmp_path, capsys, [
+            "train-teacher", str(path), "--out", str(tmp_path / "o")], "--out")
+        self.assert_exit_2(tmp_path, capsys, [
+            "preset", "decompose", "--out", str(tmp_path / "p"),
+            "--override", f"data={far}"], "--out")
+
     def test_preset_out_dir_override(self, tmp_path, capsys,
                                      tiny_teacher_ckpt):
         # a preset's runs go under --out; an out_dir would be ignored
@@ -1003,6 +1071,33 @@ class TestOutputPathsAndReference:
         assert sorted(p.relative_to(tmp_path / "o").as_posix()
                       for p in (tmp_path / "o").rglob("*") if p.is_file()
                       ) == sorted(written)
+
+
+@pytest.mark.parametrize("over,code,written", [
+    ({"mode": "CA_ONLY", "regularizer": "GAN", "observer_mode": True}, 0,
+     {"disc.ckpt", "observer_probe.csv"}),
+    ({"lr_fake": 1e40}, 3, {"diagnostic_dump.json"}),
+])
+def test_every_path_a_run_leaves_was_checked(tmp_path, tiny_teacher_ckpt,
+                                             monkeypatch, over, code,
+                                             written):
+    # a writer that RunArtifacts.check does not know of fails here
+    import dmdlab.lab.runner as runner_mod
+    rows, check = [], runner_mod.check_outputs
+
+    def recording_check(checked):
+        rows.extend(checked)
+        check(checked)
+    monkeypatch.setattr(runner_mod, "check_outputs", recording_check)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_cfg(tiny_teacher_ckpt, **over)))
+    run_dir = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        assert cli_main(["run", str(path), "--out", str(run_dir)]) == code
+    left = {p.resolve() for p in run_dir.rglob("*")}
+    assert written <= {p.name for p in left}
+    assert left <= {Path(p).resolve() for _, p, _ in rows}
+    assert {key for key, _, _ in rows} == {"--out"}
 
 
 _ODD = [None, True, "x", [], [0.5], {"a": 1}, NAN, INF, 10 ** 400]
@@ -1047,6 +1142,13 @@ TEACHER_VALUES = {
 
 _DROP = object()
 
+# entries of a run directory, each pre-created as the wrong kind: a file
+# where a directory goes, else a directory
+LAYOUT = ["samples", "checkpoints", "config_snapshot.json", "metrics.csv",
+          "manifest.json", "diagnostic_dump.json", "observer_probe.csv",
+          "samples/iter_000002.csv", "checkpoints/generator.ckpt",
+          "checkpoints/fake.ckpt", "checkpoints/disc.ckpt"]
+
 
 def _edits(table: dict, keep=None):
     """Up to three edits, each a key set to one of its values or an odd one,
@@ -1064,7 +1166,8 @@ class TestRunContractProperty:
     """Whatever a config's keys hold, the CLI exits 0, 2 or 3. Exit 2 writes
     nothing. A run's exit 3 leaves a dump and a manifest, and its exit 0 a
     snapshot that re-runs to the same metrics.csv bytes; a teacher's exit 3
-    leaves a dump in --out and no checkpoint, and its exit 0 one at out."""
+    leaves a dump in --out and no checkpoint, and its exit 0 one at out. A
+    run directory entry of the wrong kind that the run writes exits 2."""
 
     def test_tables_are_covered(self):
         assert set(RUN_VALUES) == set(RUN_KEYS)
@@ -1096,11 +1199,17 @@ class TestRunContractProperty:
                 raw[key] = value
         return raw
 
-    @settings(max_examples=300, deadline=None)
-    @given(edits=_edits(RUN_VALUES, keep="teacher"), cli_out=st.booleans())
-    @example(edits=[("lr_fake", 1e40)], cli_out=True)  # exit 3
-    @example(edits=[("seed", 1), ("eval_ref_n", 4)], cli_out=False)
-    def test_run(self, tiny_teacher_ckpt, edits, cli_out):
+    # half the examples pre-create a wrong entry, and most of those exit 2;
+    # 500 examples leave some 80 that exit 0
+    @settings(max_examples=500, deadline=None)
+    @given(edits=_edits(RUN_VALUES, keep="teacher"), cli_out=st.booleans(),
+           wrong=st.none() | st.sampled_from(LAYOUT))
+    @example(edits=[("lr_fake", 1e40)], cli_out=True, wrong=None)  # exit 3
+    @example(edits=[("seed", 1), ("eval_ref_n", 4)], cli_out=False,
+             wrong=None)
+    @example(edits=[("lr_fake", 1e40)], cli_out=True,
+             wrong="diagnostic_dump.json")
+    def test_run(self, tiny_teacher_ckpt, edits, cli_out, wrong):
         base = small_cfg(tiny_teacher_ckpt, iterations=3, eval_every=2,
                          eval_n=8, batch=8, ttur_ratio=1)
         # a relative out_dir lands in root, where tree(root) sees it
@@ -1117,6 +1226,14 @@ class TestRunContractProperty:
                 run_dir = Path(raw["out_dir"])
             else:
                 run_dir = root / "cfg_run"
+            if wrong is not None:
+                entry = run_dir / wrong
+                with contextlib.suppress(OSError):  # a run_dir under a file
+                    entry.parent.mkdir(parents=True, exist_ok=True)
+                    if wrong in ("samples", "checkpoints"):
+                        entry.write_text("")
+                    else:
+                        entry.mkdir()
             before = tree(root)
             # overflow warnings and the variance clamp's are expected here
             with np.errstate(all="ignore"), warnings.catch_warnings():

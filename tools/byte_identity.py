@@ -8,7 +8,8 @@ to dmdlab must leave byte-identical.
 (checkpoint and loss log), then runs every shape in SHAPES at seeds 3 and 21
 and every preset at a small budget on that teacher, and one run with no
 ``teacher`` key that finds a copy of it already in its run directory, each
-into its own directory under OUT (which must not exist yet). It imports
+into its own directory under OUT (which must not exist yet). ``lab plot``
+then draws the PLOTTED run, so its ``plots/*.svg`` are compared too. It imports
 dmdlab from SRC, by default the src/ next to this directory, so one copy of
 the script can write the trees of two checkouts:
 
@@ -67,6 +68,8 @@ SHAPES = {
                              "backward_sim_fresh_noise": False},
 }
 
+PLOTTED = "ca_gan_s3"  # a run with a discriminator and three eval points
+
 SKIPPED = {"manifest.json"}
 TEACHER_KEYED = {"config_snapshot.json", "preset.json"}
 
@@ -91,6 +94,8 @@ def write(out: Path) -> None:
                 run_config(cfg, out / "shapes" / f"{name}_s{seed}")
             except NonFiniteError:
                 pass  # the dump and the metrics so far are compared too
+    if lab(["plot", str(out / "shapes" / PLOTTED)]):
+        raise SystemExit("lab plot failed")
     for name in PRESET_NAMES:
         run_preset(name, out / "presets" / name,
                    {**PRESET_BUDGET, "teacher": teacher})
