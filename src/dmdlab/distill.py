@@ -89,6 +89,13 @@ class DistillConfig:
         self.validate()
 
     @property
+    def trains_fake(self) -> bool:
+        """Whether the TTUR phase trains a fake model: something reads it
+        (the DM term or the observer probe) and ttur_ratio is positive."""
+        return ((self.mode.uses_dm or self.observer_mode)
+                and self.ttur_ratio > 0)
+
+    @property
     def grid(self) -> tuple:
         if self.step_grid is not None:
             return tuple(self.step_grid)
@@ -188,7 +195,7 @@ class DistillState:
     generator: NetParams
     gen_opt: AdamState
     fake: NetParams
-    fake_opt: AdamState
+    fake_opt: AdamState | None
     disc: NetParams | None
     disc_opt: AdamState | None
     iteration: int
@@ -200,7 +207,9 @@ class DistillState:
 
 def init_distill_state(teacher: NetParams, config: DistillConfig,
                        spec: MixtureSpec | None, seed: int) -> DistillState:
-    """Generator and fake model start as copies of the teacher."""
+    """The generator starts as a copy of the teacher, and so does the fake
+    model when config.trains_fake; otherwise the fake is the teacher itself,
+    never written, with no optimizer."""
     ss = np.random.SeedSequence(seed)
     s_gen, s_fake, s_disc = ss.spawn(3)
     disc = disc_opt = None
@@ -224,12 +233,15 @@ def init_distill_state(teacher: NetParams, config: DistillConfig,
         raise ValueError("MEANVAR_KL regularizer needs a data spec or both "
                          "moment targets")
     generator = teacher.copy()
-    fake = teacher.copy()
+    fake, fake_opt = teacher, None
+    if config.trains_fake:
+        fake = teacher.copy()
+        fake_opt = init_adam(fake, lr=config.lr_fake)
     return DistillState(
         generator=generator,
         gen_opt=init_adam(generator, lr=config.lr_gen),
         fake=fake,
-        fake_opt=init_adam(fake, lr=config.lr_fake),
+        fake_opt=fake_opt,
         disc=disc,
         disc_opt=disc_opt,
         iteration=0,
@@ -408,13 +420,16 @@ def gan_losses(disc: NetParams, real_batch: np.ndarray, fake_batch: np.ndarray,
     the fake batch (summed, so its per-sample scale matches the proxy term).
     """
     n_r, n_f = real_batch.shape[0], fake_batch.shape[0]
+    # the real batch's cache is spent before the fake batch's exists
     logit_r, cache_r = net_forward_cached(disc, real_batch, 0.0, cond)
-    logit_f, cache_f = net_forward_cached(disc, fake_batch, 0.0, cond)
-    lr_, lf_ = logit_r[:, 0], logit_f[:, 0]
-    disc_loss = float(np.mean(_softplus(-lr_)) + np.mean(_softplus(lf_)))
+    lr_ = logit_r[:, 0]
     up_r = ((_sigmoid(lr_) - 1.0) / n_r)[:, None]
-    up_f = (_sigmoid(lf_) / n_f)[:, None]
     disc_grads = net_backward(disc, cache_r, up_r)
+    del cache_r
+    logit_f, cache_f = net_forward_cached(disc, fake_batch, 0.0, cond)
+    lf_ = logit_f[:, 0]
+    disc_loss = float(np.mean(_softplus(-lr_)) + np.mean(_softplus(lf_)))
+    up_f = (_sigmoid(lf_) / n_f)[:, None]
     disc_grads.flat += net_backward(disc, cache_f, up_f).flat
     gen_adv_loss = float(np.mean(_softplus(-lf_)))
     up_gen = (_sigmoid(lf_) - 1.0)[:, None]
@@ -476,12 +491,13 @@ def generator_update(state: DistillState, teacher, config: DistillConfig,
         adam_step(state.disc_opt, state.disc, disc_grads)
 
     grads = net_backward(state.generator, cache, out_grad)
+    # neither the step nor the TTUR phase reads these; free them first
+    del cache, out_grad
     adam_step(state.gen_opt, state.generator, grads)
-    # the TTUR phase reads none of these; let them go before it allocates
-    del cache, grads, out_grad
+    del grads
 
     loss_fake = 0.0
-    if (config.mode.uses_dm or config.observer_mode) and config.ttur_ratio > 0:
+    if config.trains_fake:
         gen_samples = net_forward(state.generator, z_t, t, labels)
         for _ in range(config.ttur_ratio):
             loss_fake = fake_model_update(state, gen_samples, labels,

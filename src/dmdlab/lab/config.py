@@ -176,13 +176,20 @@ def _check_file(key, value):
 def check_outputs(rows) -> None:
     """Raise ConfigError under the key of the first (key, path, is_dir) row
     that cannot be written, before anything is: a part of its path exists as
-    the wrong kind, or it is a file that another row's path goes into."""
+    the wrong kind, or it is a file that another row's path goes into or
+    that an earlier row also writes."""
     rows = [(key, Path(path).resolve(), is_dir) for key, path, is_dir in rows]
     into = ({path for _, path, is_dir in rows if is_dir}
             | {p for _, path, _ in rows for p in path.parents})
+    files = set()
     for key, path, is_dir in rows:
-        if not is_dir and path in into:
-            raise ConfigError(key, f"{path} is also a directory to write into")
+        if not is_dir:
+            if path in into:
+                raise ConfigError(key, f"{path} is also a directory to write "
+                                  "into")
+            if path in files:
+                raise ConfigError(key, f"{path} is also another output")
+            files.add(path)
         part = next(p for p in (path, *path.parents) if p.exists())
         want_dir = is_dir or part != path
         if part.is_dir() != want_dir:

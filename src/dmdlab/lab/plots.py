@@ -12,7 +12,8 @@ from .svgplot import line_chart, scatter
 
 class PlotDataError(ValueError):
     """metrics.csv or the last sample dump cannot be read, has no data rows,
-    or holds a field that is not a number."""
+    lacks a column that a plot reads, or holds a field that is not a
+    number."""
 
 
 def _read_columns(path: Path) -> dict:
@@ -28,6 +29,12 @@ def _read_columns(path: Path) -> dict:
     if not rows:
         raise PlotDataError(f"{path} has no data rows")
     return cols
+
+
+def _require(path: Path, cols: dict, columns) -> None:
+    for column in columns:
+        if column not in cols:
+            raise PlotDataError(f"{path} has no {column!r} column")
 
 
 CHARTS = {  # file name -> (title, y label, metric columns)
@@ -47,12 +54,16 @@ def plot_run(run_dir) -> list:
     path is of the wrong kind, in both cases before it writes anything."""
     art = RunArtifacts(Path(run_dir))
     cols = _read_columns(art.metrics_path)
+    _require(art.metrics_path, cols, ["iteration"] + [
+        c for _, _, series in CHARTS.values() for c in series])
     names = list(CHARTS)
     dumps = art.sample_paths()
     if dumps:
         cloud = _read_columns(dumps[-1])
         dims = [k for k in cloud if k.startswith("x")]
-        names += ["samples.svg"] * (len(dims) >= 2)
+        if len(dims) >= 2:
+            _require(dumps[-1], cloud, ["label"])
+            names.append("samples.svg")
     check_outputs([("run_dir", art.plots_dir, True)] + [
         ("run_dir", art.plots_dir / name, False) for name in names])
     art.plots_dir.mkdir(exist_ok=True)

@@ -133,11 +133,13 @@ def train_teacher_cli(cfg: dict, out_dir: Path) -> Path:
 
 
 def _abort(err: NonFiniteError, dump_path: Path, **networks) -> NonFiniteError:
-    """The error, naming the network in networks (name=params) that failed,
-    once its dump is written at dump_path and its context names that path."""
+    """The error, naming the first network in networks (name=params) that
+    failed, once its dump is written at dump_path and its context names that
+    path; run_config lists the teacher before the fake, which may be it."""
     for name, params in networks.items():
         if params is not None and params is err.params:
             err.context["network"] = name
+            break
     dump_path.write_text(json.dumps({**err.context, "error": str(err)},
                                     indent=2, sort_keys=True) + "\n")
     err.context["dump_path"] = str(dump_path)

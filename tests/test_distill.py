@@ -689,6 +689,41 @@ class TestGeneratorUpdate:
         assert any(not np.array_equal(a, b) for (_, a), (_, b)
                    in zip(state.disc.slots(), disc_before.slots()))
 
+    @pytest.mark.parametrize("kw,trained", [
+        ({"mode": Mode.CA_ONLY}, False),
+        ({"mode": Mode.CA_ONLY, "regularizer": Regularizer.GAN}, False),
+        ({"mode": Mode.FULL_DMD, "ttur_ratio": 0}, False),
+        ({"mode": Mode.DM_ONLY, "ttur_ratio": 0}, False),
+        ({"mode": Mode.CA_ONLY, "observer_mode": True, "ttur_ratio": 0},
+         False),
+        ({"mode": Mode.FULL_DMD}, True),
+        ({"mode": Mode.THEORY_DMD}, True),
+        ({"mode": Mode.CA_ONLY, "observer_mode": True}, True),
+    ])
+    def test_fake_is_its_own_model_only_when_trained(self, kw, trained):
+        teacher = tiny_net(81)
+        cfg = base_config(**kw)
+        state = init_distill_state(teacher, cfg, gmm8(), seed=92)
+        assert cfg.trains_fake == trained
+        if trained:
+            assert state.fake is not teacher
+            assert not np.shares_memory(state.fake.flat, teacher.flat)
+            assert state.fake_opt is not None
+            assert state.fake_opt.m is not state.gen_opt.m
+        else:
+            assert state.fake is teacher and state.fake_opt is None
+
+    def test_ca_gan_updates_leave_the_teacher_buffer(self):
+        # the fake is the teacher object here; nothing may write through it
+        teacher = tiny_net(82)
+        before = teacher.flat.copy()
+        cfg = base_config(mode=Mode.CA_ONLY, regularizer=Regularizer.GAN)
+        state = init_distill_state(teacher, cfg, gmm8(), seed=91)
+        for _ in range(4):
+            generator_update(state, teacher, cfg,
+                             ScheduleConfig(SchedulePolicy.COUPLED_SHARED))
+        assert np.array_equal(teacher.flat, before)
+
     def test_nonfinite_direction_aborts(self):
         teacher = tiny_net(78)
         cfg = base_config(mode=Mode.FULL_DMD)

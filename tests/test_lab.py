@@ -28,7 +28,7 @@ from dmdlab.lab.config import (FIELD_KEYS, RUN_KEYS, RUN_OPTIONAL,
                                run_config_from_dict, teacher_config_from_dict)
 from dmdlab.lab.plots import PlotDataError, plot_run
 from dmdlab.lab.presets import TAU_PROBE_RANGES, run_preset
-from dmdlab.lab.runner import run_config
+from dmdlab.lab.runner import _abort, run_config
 from dmdlab.metrics import batch_sample_stats
 
 from conftest import write_fp32_checkpoint
@@ -368,6 +368,27 @@ class TestPlots:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert code == 4 or "config key 'run_dir'" in err
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("column", ["iteration", "sw2", "loss_reg",
+                                        "label"])
+    def test_missing_column_exit_4(self, tmp_path, tiny_teacher_ckpt, capsys,
+                                   column):
+        run_dir = tmp_path / "run"
+        run_config(run_config_from_dict(small_cfg(tiny_teacher_ckpt)), run_dir)
+        path = (sorted((run_dir / "samples").glob("iter_*.csv"))[-1]
+                if column == "label" else run_dir / "metrics.csv")
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, [k for k in rows[0] if k != column])
+            writer.writeheader()
+            writer.writerows({k: v for k, v in row.items() if k != column}
+                             for row in rows)
+        before = tree(tmp_path)
+        assert cli_main(["plot", str(run_dir)]) == 4
+        err = capsys.readouterr().err
+        assert f"{path} has no {column!r} column" in err
         assert tree(tmp_path) == before
 
 
@@ -814,6 +835,21 @@ def test_lab_import_loads_no_scipy_stats():
 class TestNonFiniteDumpNamesNetwork:
     """A non-finite pass names its network in the diagnostic dump."""
 
+    @staticmethod
+    def dump_of_poisoned_run(tmp_path, slot, index, **over) -> dict:
+        params = init_params(NetConfig(dim=2, n_labels=4, hidden=16,
+                                       n_hidden=2), np.random.default_rng(0))
+        dict(params.slots())[slot][index] = np.inf
+        teacher = tmp_path / "poisoned.ckpt"
+        save_params(params, teacher)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_cfg(teacher, **over)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            code = cli_main(["run", str(path), "--out", str(tmp_path / "run")])
+        assert code == 3
+        return json.loads((tmp_path / "run" / "diagnostic_dump.json")
+                          .read_text())
+
     @pytest.mark.parametrize("slot,index,network", [
         # the generator starts as a copy of the teacher, so it runs first
         ("w0", (0, 0), "generator"),
@@ -821,20 +857,26 @@ class TestNonFiniteDumpNamesNetwork:
         ("cond_embed", (-1, 0), "teacher"),
     ])
     def test_forward_output(self, tmp_path, slot, index, network):
-        params = init_params(NetConfig(dim=2, n_labels=4, hidden=16,
-                                       n_hidden=2), np.random.default_rng(0))
-        dict(params.slots())[slot][index] = np.inf
-        teacher = tmp_path / "poisoned.ckpt"
-        save_params(params, teacher)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(small_cfg(teacher)))
-        with np.errstate(invalid="ignore", over="ignore"):
-            code = cli_main(["run", str(path), "--out", str(tmp_path / "run")])
-        assert code == 3
-        dump = json.loads((tmp_path / "run" / "diagnostic_dump.json")
-                          .read_text())
-        assert dump == {"error": "non-finite network output",
-                        "network": network, "iteration": 1}
+        assert self.dump_of_poisoned_run(tmp_path, slot, index) == {
+            "error": "non-finite network output", "network": network,
+            "iteration": 1}
+
+    def test_teacher_read_in_place_of_the_fake(self, tmp_path):
+        # CA_ONLY trains no fake, so its fake is the teacher object itself
+        dump = self.dump_of_poisoned_run(tmp_path, "cond_embed", (-1, 0),
+                                         mode="CA_ONLY")
+        assert dump["network"] == "teacher"
+
+
+def test_abort_names_the_teacher_when_it_is_the_fake(tmp_path):
+    teacher = init_params(NetConfig(dim=2, n_labels=4, hidden=8, n_hidden=1),
+                          np.random.default_rng(0))
+    err = NonFiniteError("non-finite network output", params=teacher)
+    _abort(err, tmp_path / "dump.json", generator=teacher.copy(),
+           teacher=teacher, fake=teacher, disc=None)
+    assert err.context["network"] == "teacher"
+    assert json.loads((tmp_path / "dump.json").read_text())["network"] == (
+        "teacher")
 
 
 def test_preset_json_records_the_members_seed(tmp_path, tiny_teacher_ckpt,
@@ -1048,6 +1090,8 @@ class TestOutputPathsAndReference:
         ({}, "--out"), ({"out": "adir"}, "out"), ({"log": "adir"}, "log"),
         ({"out": ""}, "out"), ({"log": "t.ckpt/l.csv"}, "out"),
         ({"out": "afile/t.ckpt"}, "out"),
+        ({"out": "l.csv", "log": "l.csv"}, "log"),  # two outputs at one path
+        ({"out": "l.csv", "log": "sub/../l.csv"}, "log"),
     ])
     def test_teacher_output_paths(self, tmp_path, capsys, over, key):
         (tmp_path / "adir").mkdir()

@@ -63,6 +63,10 @@ SHAPES = {
     "theory_alpha3": {"mode": "THEORY_DMD", "alpha": 3.0,
                       "normalizer_on": False},
     "ca_observer": {"mode": "CA_ONLY", "observer_mode": True},
+    # a fake that nothing trains: the DM term reads it, then the probe
+    "dmd_ttur0": {"ttur_ratio": 0},
+    "ca_observer_ttur0": {"mode": "CA_ONLY", "observer_mode": True,
+                          "ttur_ratio": 0},
     "constrained_dm_2step": {"mode": "DM_ONLY", "n_steps": 2,
                              "schedule_policy": "DECOUPLED_CONSTRAINED",
                              "backward_sim_fresh_noise": False},
