@@ -6,9 +6,8 @@ engine plus distribution-matching regularizer), and measures the resulting
 dynamics with distribution-level metrics.
 """
 
-from .net import (NULL_LABEL, NetConfig, NetParams, Gradients, init_params,
-                  net_forward, net_forward_cached, net_backward,
-                  zeros_like_params)
+from .net import (NULL_LABEL, NetConfig, NetParams, init_params, net_forward,
+                  net_forward_cached, net_backward, zeros_like_params)
 from .optim import AdamState, init_adam, adam_step, ema_update
 from .checkpoint import save_params, load_params
 from .data import (Component, LabeledBatch, MixtureSpec, gmm8, sample_dataset,
@@ -28,7 +27,7 @@ from .metrics import (MetricRecord, batch_sample_stats, ikl_estimate,
                       mode_coverage, sliced_wasserstein2, wasserstein2_1d)
 
 __all__ = [
-    "NULL_LABEL", "NetConfig", "NetParams", "Gradients", "init_params",
+    "NULL_LABEL", "NetConfig", "NetParams", "init_params",
     "net_forward", "net_forward_cached", "net_backward", "zeros_like_params",
     "AdamState", "init_adam", "adam_step", "ema_update",
     "save_params", "load_params",

@@ -99,8 +99,9 @@ class LabeledBatch:
     labels: np.ndarray  # (n,)
 
 
-def gmm8(sigma: float = 0.15, radius: float = 2.0) -> MixtureSpec:
-    """Default benchmark: 8 modes on a circle, 2 per label, 4 labels.
+def gmm8() -> MixtureSpec:
+    """Default benchmark: 8 modes of std 0.15 on a circle of radius 2, 2 per
+    label, 4 labels.
 
     Label 3 gets asymmetric mode weights (0.7/0.3) so that guidance scales
     above 1 visibly sharpen its conditional.
@@ -112,8 +113,8 @@ def gmm8(sigma: float = 0.15, radius: float = 2.0) -> MixtureSpec:
             angle = (2 * label + j) * np.pi / 4
             comps.append(Component(
                 label=label,
-                center=radius * np.array([np.cos(angle), np.sin(angle)]),
-                cov=np.array([sigma ** 2, sigma ** 2]),
+                center=2.0 * np.array([np.cos(angle), np.sin(angle)]),
+                cov=np.full(2, 0.15 ** 2),
                 weight=w,
             ))
     return MixtureSpec(dim=2, label_count=4, components=comps)

@@ -513,16 +513,14 @@ def generator_update(state: DistillState, teacher, config: DistillConfig,
 
 
 def observer_probe(state: DistillState, teacher, probe_points: np.ndarray,
-                   taus, cond, artifact_dir=None,
-                   rng: np.random.Generator | None = None):
+                   taus, cond, artifact_dir=None, *,
+                   rng: np.random.Generator):
     """Evaluate the DM term over probe points at each noise level.
 
     Returns one row (tau, mean L2 norm of delta_dm, mean <delta_dm, v>) per
     tau, where v is the known artifact direction (alignment is NaN-free only
     when v is given; otherwise that column is 0).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     probe_points = np.asarray(probe_points)
     rows = []
     for tau in taus:

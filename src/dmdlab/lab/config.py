@@ -253,8 +253,7 @@ def _load(raw, keys: dict, configs, what: str) -> dict:
             build(config, cfg)
     except ValueError as e:
         # the typed configs start each message with the key at fault
-        key = str(e).split(" ", 1)[0]
-        raise ConfigError(key if key in cfg else "<combination>", str(e))
+        raise ConfigError(str(e).split(" ", 1)[0], str(e))
     return cfg
 
 

@@ -13,7 +13,7 @@ from .svgplot import line_chart, scatter
 class PlotDataError(ValueError):
     """metrics.csv or the last sample dump cannot be read, has no data rows,
     lacks a column that a plot reads, or holds a field that is not a
-    number."""
+    number, or that is NaN or infinite."""
 
 
 def _read_columns(path: Path) -> dict:
@@ -28,6 +28,10 @@ def _read_columns(path: Path) -> dict:
         raise PlotDataError(f"{path}: {e}")
     if not rows:
         raise PlotDataError(f"{path} has no data rows")
+    for column, values in cols.items():
+        if not np.isfinite(values).all():
+            raise PlotDataError(f"{path}: column {column!r} holds a value "
+                                f"that is NaN or infinite")
     return cols
 
 

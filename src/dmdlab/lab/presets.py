@@ -80,14 +80,14 @@ def _final_row(metrics_path: Path) -> dict:
     return rows[-1] if rows else {}
 
 
-def run_preset(name: str, out_root, overrides=None) -> list:
+def run_preset(name: str, out_root, overrides: dict) -> list:
     """Run every sweep point of the named preset; returns RunArtifacts list
     and writes summary.csv in the output root."""
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     out_root = Path(out_root)
     defaults, members = PRESETS[name]
-    base = {**BASE_RUN, **defaults, **(overrides or {})}
+    base = {**BASE_RUN, **defaults, **overrides}
     # every member is checked before the shared teacher is trained: its
     # config, its evaluation reference and its run directory
     cfgs = [run_config_from_dict({**base, **keys}) for _, keys in members]

@@ -37,6 +37,7 @@ from .config import (ConfigError, _check_teacher, build, check_outputs,
 
 _REF_TAG = 0x5EED_0001
 _EVAL_TAG = 0x5EED_0002
+_PROBE_TAUS = (0.1, 0.3, 0.5, 0.7, 0.9)  # observer_probe.csv's noise levels
 
 
 def eval_iterations(cfg: dict) -> set:
@@ -249,10 +250,9 @@ def run_config(cfg: dict, out_dir, key: str = "--out") -> RunArtifacts:
 
 
 def _write_observer_probe(path: Path, state: DistillState, teacher,
-                          spec: MixtureSpec, grid, seed: int,
-                          taus=(0.1, 0.3, 0.5, 0.7, 0.9)) -> None:
-    """Per-label probe of the (unused) DM term against the measured drift of
-    the generator's samples away from the data mean."""
+                          spec: MixtureSpec, grid, seed: int) -> None:
+    """Per-label probe of the (unused) DM term at each of _PROBE_TAUS against
+    the measured drift of the generator's samples away from the data mean."""
     rows = []
     rng = np.random.default_rng([seed, 0x0B5E])
     for label in range(spec.label_count):
@@ -260,7 +260,7 @@ def _write_observer_probe(path: Path, state: DistillState, teacher,
         cloud = sample_generator(state.generator, grid, cond, rng)
         data_mean, _ = target_stats(spec, label)
         drift = cloud.mean(axis=0) - data_mean
-        probe = observer_probe(state, teacher, cloud, taus, label,
+        probe = observer_probe(state, teacher, cloud, _PROBE_TAUS, label,
                                artifact_dir=drift, rng=rng)
         for tau, mag, align in probe:
             rows.append((label, tau, mag, align,

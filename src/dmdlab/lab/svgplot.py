@@ -18,10 +18,8 @@ def _fmt(v: float) -> str:
     return "0" if out in ("-0", "-0.0") else out
 
 
-def _ticks(lo: float, hi: float, target: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / target
+def _ticks(lo: float, hi: float):
+    raw = (hi - lo) / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -41,10 +39,6 @@ class _Canvas:
         self.parts = []
         self.x0, self.x1 = xlim
         self.y0, self.y1 = ylim
-        if self.x1 <= self.x0:
-            self.x1 = self.x0 + 1.0
-        if self.y1 <= self.y0:
-            self.y1 = self.y0 + 1.0
         self.parts.append(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
             f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">')
@@ -121,10 +115,15 @@ class _Canvas:
 
 
 def _data_limits(arrays, pad=0.05):
+    """Padded axis limits of finite data, lo < hi. A range narrower than
+    1e-12 of its magnitude, a single value included, is widened by 0.5 each
+    way, or by that 1e-12 where it is more: past about 2e15, +-0.5 is too
+    narrow for a tick step to move the tick."""
     lo = min(float(np.min(a)) for a in arrays if len(a))
     hi = max(float(np.max(a)) for a in arrays if len(a))
-    if hi <= lo:
-        lo, hi = lo - 0.5, hi + 0.5
+    size = 1e-12 * max(abs(lo), abs(hi))
+    if hi - lo <= size:
+        lo, hi = lo - max(0.5, size), hi + max(0.5, size)
     span = hi - lo
     return lo - pad * span, hi + pad * span
 

@@ -67,9 +67,10 @@ def wasserstein2_1d(a: np.ndarray, b: np.ndarray) -> float:
 _PROJ_BLOCK = 16
 
 
-def sliced_wasserstein2(A: np.ndarray, B: np.ndarray, n_proj: int = 128,
-                        rng: np.random.Generator | None = None) -> float:
-    """Mean over random unit projections of the exact 1-D W2 distance.
+def sliced_wasserstein2(A: np.ndarray, B: np.ndarray, n_proj: int,
+                        rng: np.random.Generator) -> float:
+    """Mean over n_proj random unit projections of the exact 1-D W2
+    distance; rng is required, since it draws the projections.
 
     Bit-identical to averaging wasserstein2_1d(A @ v, B @ v) over directions
     v drawn one at a time, and consumes the same draws from rng: each
@@ -88,8 +89,6 @@ def sliced_wasserstein2(A: np.ndarray, B: np.ndarray, n_proj: int = 128,
     n, m = len(A), len(B)
     if n == 0 or m == 0:
         raise ValueError("empty sample set")
-    if rng is None:
-        rng = np.random.default_rng(0)
     V = rng.standard_normal((n_proj, A.shape[1]))
     for v in V:
         v /= math.sqrt(v.dot(v))  # np.linalg.norm's formula, minus its wrapper
@@ -143,13 +142,14 @@ def mode_coverage(samples: np.ndarray, spec: MixtureSpec, cond: int,
 
 
 def ikl_estimate(sampler_p, sampler_q, n_tau: int, n_samples: int,
-                 rng: np.random.Generator, bandwidth="scott", taus=None):
+                 rng: np.random.Generator, taus=None):
     """Monte-Carlo estimate of the noise-level-integrated KL divergence.
 
     At each tau the two sample clouds are renoised, densities are fit with a
     Gaussian KDE, and KL(p_tau || q_tau) is averaged over an independent
     renoised draw from p (kept separate from the KDE fit points so that the
-    identical-distribution case is unbiased). Samplers are callables
+    identical-distribution case is unbiased). The KDE bandwidth follows
+    Scott's rule, and rng is required. Samplers are callables
     (n, rng) -> (n, dim) arrays with dim <= 3 that draw fresh samples per
     call. Returns (clamped estimate, Monte-Carlo standard error).
     """
@@ -170,8 +170,8 @@ def ikl_estimate(sampler_p, sampler_q, n_tau: int, n_samples: int,
         xp_t = renoise(xp, tau, rng.standard_normal(xp.shape))
         xq_t = renoise(xq, tau, rng.standard_normal(xq.shape))
         xe_t = renoise(xe, tau, rng.standard_normal(xe.shape))
-        kde_p = gaussian_kde(xp_t.T, bw_method=bandwidth)
-        kde_q = gaussian_kde(xq_t.T, bw_method=bandwidth)
+        kde_p = gaussian_kde(xp_t.T)
+        kde_q = gaussian_kde(xq_t.T)
         logp = kde_p.logpdf(xe_t.T)
         logq = kde_q.logpdf(xe_t.T)
         vals.append(float(np.mean(logp - logq)))

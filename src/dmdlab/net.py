@@ -70,8 +70,6 @@ class NetConfig:
     cond_dim: int = 16
     temb_dim: int = 16
     n_freq: int = 8
-    freq_lo: float = 1.0
-    freq_hi: float = 100.0
 
     @property
     def output_dim(self) -> int:
@@ -148,17 +146,13 @@ class NetParams:
         return self.flat.size
 
 
-# Gradients share the parameter container: one slot per parameter slot.
-Gradients = NetParams
-
-
 def zeros_like_params(params: NetParams) -> NetParams:
     return NetParams.from_flat(params.config, np.zeros_like(params.flat))
 
 
 def init_params(config: NetConfig, rng: np.random.Generator) -> NetParams:
     """Glorot-uniform weights, zero biases, N(0, 0.02^2) condition embeddings,
-    geometrically spaced sinusoidal frequencies."""
+    n_freq sinusoidal frequencies geometrically spaced from 1 to 100."""
 
     def glorot(fan_in, fan_out):
         a = np.sqrt(6.0 / (fan_in + fan_out))
@@ -169,8 +163,7 @@ def init_params(config: NetConfig, rng: np.random.Generator) -> NetParams:
     for w in params.weights:
         w[:] = glorot(*w.shape)
     params.cond_embed[:] = 0.02 * rng.standard_normal(params.cond_embed.shape)
-    params.time_freqs[:] = np.geomspace(config.freq_lo, config.freq_hi,
-                                        config.n_freq)
+    params.time_freqs[:] = np.geomspace(1.0, 100.0, config.n_freq)
     params.time_w[:] = glorot(*params.time_w.shape)
     return params
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Gradients, NetParams, NonFiniteError, zeros_like_params
+from .net import NetParams, NonFiniteError, zeros_like_params
 
 
 @dataclass
@@ -18,13 +18,12 @@ class AdamState:
     eps: float
 
 
-def init_adam(params: NetParams, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def init_adam(params: NetParams, lr: float) -> AdamState:
     return AdamState(zeros_like_params(params), zeros_like_params(params), 0,
-                     lr, beta1, beta2, eps)
+                     lr, 0.9, 0.999, 1e-8)
 
 
-def adam_step(state: AdamState, params: NetParams, grads: Gradients):
+def adam_step(state: AdamState, params: NetParams, grads: NetParams):
     """One bias-corrected update over the flat buffers, in place. Returns
     (state, params). A gradient that is not finite, or whose square
     overflows, raises NonFiniteError before anything changes; its context

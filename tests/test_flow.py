@@ -165,6 +165,37 @@ class TestSampleTeacher:
         cov = np.cov(out.T)
         assert abs(cov[0, 1]) < 0.05
 
+    def test_guided_steps_match_reference_recurrence(self):
+        # a closed-form predictor whose output depends on the label, so the
+        # guided combination differs from either prediction
+        calls = []
+
+        def predictor(z, t, cond):
+            calls.append((t, np.array(cond)))
+            return 0.3 * z + (1.0 - t) * (cond[:, None] + 2.0)
+
+        n_steps, alpha, n = 4, 2.5, 6
+        cond = np.array([0, 1, 2, 3, 0, 1])
+        out = sample_teacher(predictor, n_steps, alpha, cond, n,
+                             np.random.default_rng(14), dim=2)
+
+        ref_calls = calls[:]
+        z = np.random.default_rng(14).standard_normal((n, 2))
+        dt = 1.0 / n_steps
+        for k in range(n_steps):
+            t = k * dt
+            xhat = cfg_combine(predictor(z, t, cond),
+                               predictor(z, t, np.full(n, NULL_LABEL)), alpha)
+            z = z + dt * (xhat - z) / (1.0 - t)
+        np.testing.assert_array_equal(out, z)
+
+        assert len(ref_calls) == 2 * n_steps
+        for k in range(n_steps):
+            (t_c, c_c), (t_u, c_u) = ref_calls[2 * k:2 * k + 2]
+            assert t_c == t_u == k * dt
+            np.testing.assert_array_equal(c_c, cond)
+            np.testing.assert_array_equal(c_u, np.full(n, NULL_LABEL))
+
     def test_invalid_steps(self):
         with pytest.raises(ValueError):
             sample_teacher(lambda z, t, c: z, 0, 1.0, 0, 4,

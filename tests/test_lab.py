@@ -3,12 +3,15 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +32,7 @@ from dmdlab.lab.config import (FIELD_KEYS, RUN_KEYS, RUN_OPTIONAL,
 from dmdlab.lab.plots import PlotDataError, plot_run
 from dmdlab.lab.presets import TAU_PROBE_RANGES, run_preset
 from dmdlab.lab.runner import _abort, run_config
-from dmdlab.metrics import batch_sample_stats
+from dmdlab.metrics import CSV_COLUMNS, batch_sample_stats
 
 from conftest import write_fp32_checkpoint
 
@@ -99,6 +102,16 @@ class TestConfigValidation:
         monkeypatch.setenv("LAB_SEED", "777")
         cfg = run_config_from_dict(small_cfg(tiny_teacher_ckpt))
         assert cfg["seed"] == 777
+
+    def test_lab_seed_not_an_integer_exit_2(self, tmp_path, tiny_teacher_ckpt,
+                                            monkeypatch, capsys):
+        monkeypatch.setenv("LAB_SEED", "abc")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_cfg(tiny_teacher_ckpt)))
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert "config key 'seed': LAB_SEED must be an integer" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "r").exists()
 
     def test_teacher_config_missing_key(self):
         with pytest.raises(ConfigError) as err:
@@ -391,6 +404,38 @@ class TestPlots:
         assert f"{path} has no {column!r} column" in err
         assert tree(tmp_path) == before
 
+    @staticmethod
+    def write_metrics(run_dir: Path, sw2_values) -> Path:
+        """A metrics.csv with one row per sw2 value, other fields fixed."""
+        run_dir.mkdir()
+        rows = [",".join([str(4 * (i + 1)), sw2, "0.1", "0.9", "1.0", "2.0",
+                          "0.5", "0.0", "0.3", "0.3", "0.0"])
+                for i, sw2 in enumerate(sw2_values)]
+        path = run_dir / "metrics.csv"
+        path.write_text("\n".join([",".join(CSV_COLUMNS)] + rows) + "\n")
+        return path
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_field_exit_4(self, tmp_path, capsys, value):
+        metrics = self.write_metrics(tmp_path / "run", ["0.5", value, "0.25"])
+        before = tree(tmp_path)
+        assert cli_main(["plot", str(tmp_path / "run")]) == 4
+        err = capsys.readouterr().err
+        assert f"{metrics}: column 'sw2' holds a value that is NaN or " in err
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("value", ["1e17", "4e15", "-3e20"])
+    def test_single_row_at_any_magnitude(self, tmp_path, value):
+        # every axis range is one value: the widening must separate it, and
+        # a tick step must move the tick, at the value's precision
+        self.write_metrics(tmp_path / "run", [value])
+        written = plot_run(tmp_path / "run")
+        assert len(written) == 4
+        for path in written:
+            svg = path.read_text()
+            ET.fromstring(svg)
+            assert not re.search(r"\b(nan|inf)\b", svg), path.name
+
 
 class TestRemovedPrecisionKey:
     """fp64 is the only precision; a stale "precision" key is rejected."""
@@ -421,6 +466,20 @@ class TestRemovedPrecisionKey:
 NAN, INF = float("nan"), float("inf")
 
 
+def checkpoint_bytes(shapes, version=1) -> bytes:
+    """A float64 checkpoint with the given array table and zero data."""
+    table = [struct.pack(f"<I{len(s)}I", len(s), *s) for s in shapes]
+    return b"".join([b"DMDL", struct.pack("<IBI", version, 0, len(shapes)),
+                     *table, bytes(8 * sum(math.prod(s) for s in shapes))])
+
+
+def gmm8_json(**first_component) -> str:
+    """gmm8's spec as JSON, with fields of its first component replaced."""
+    obj = gmm8().to_json()
+    obj["components"][0].update(first_component)
+    return json.dumps(obj)
+
+
 class TestMalformedValues:
     """Each malformed value exits 2 at load with a message naming its key."""
 
@@ -431,7 +490,7 @@ class TestMalformedValues:
         ("teacher", 3), ("normalizer_on", 1), ("tau_ca_range", [0, True]),
         ("step_grid", [0.0, 0.7, 0.4]), ("n_steps", 3),
         ("teacher", "no/such/teacher.ckpt"), ("data", "no/such/spec.json"),
-        ("ttur_ratio", -1), ("lr_fake", 0.0),
+        ("ttur_ratio", -1), ("lr_fake", 0.0), ("teacher", "t\0.ckpt"),
     ])
     def test_run_value(self, tmp_path, tiny_teacher_ckpt, capsys, key, value):
         self.assert_run_rejected(
@@ -448,6 +507,12 @@ class TestMalformedValues:
         assert code == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_top_level_array(self, tmp_path, tiny_teacher_ckpt, capsys):
+        self.assert_run_rejected(tmp_path, capsys,
+                                 [small_cfg(tiny_teacher_ckpt)], "<root>")
+        self.assert_teacher_rejected(tmp_path, capsys, [TEACHER_CFG],
+                                     "<root>")
 
     @staticmethod
     def assert_teacher_rejected(tmp_path, capsys, raw, key):
@@ -480,11 +545,28 @@ class TestMalformedValues:
         ("data", lambda path: path.write_text("{not json")),
         ("data", lambda path: path.write_text('{"dim": 2, "labels": 4}')),
         ("data", lambda path: path.write_text("[1, 2]")),
+        ("teacher", lambda path: path.write_bytes(
+            checkpoint_bytes([], version=2))),
+        ("teacher", lambda path: path.write_bytes(
+            checkpoint_bytes([(1, 1), (1,)] * 3)[:-8])),
+        ("teacher", lambda path: path.write_bytes(checkpoint_bytes([]))),
+        ("teacher", lambda path: path.write_bytes(
+            checkpoint_bytes([(1,)] * 6))),
+        ("teacher", lambda path: path.write_bytes(
+            checkpoint_bytes([(1, 1), (1,)] * 3))),
+        ("teacher", lambda path: path.write_bytes(
+            b"DMDL" + struct.pack("<IBII", 1, 0, 1, 2 ** 32 - 1))),
         ("data", lambda path: path.write_text(json.dumps(
             {**gmm8().to_json(), "labels": 5}))),
+        ("data", lambda path: path.write_text(gmm8_json(center=[0.0] * 3))),
+        ("data", lambda path: path.write_text(gmm8_json(label=4))),
+        ("data", lambda path: path.write_text(json.dumps(
+            {**gmm8().to_json(), "labels": 0}))),
     ], ids=["not_dmdl", "truncated", "eight_labels", "dim_3", "out_dim_1",
             "fp32", "bad_json", "no_components", "not_object",
-            "label_without_data"])
+            "version_2", "short_data", "no_arrays", "all_1d", "no_labels",
+            "huge_ndim", "label_without_data", "center_3d",
+            "label_out_of_range", "labels_0"])
     def test_run_file(self, tmp_path, tiny_teacher_ckpt, capsys, key, write):
         bad = tmp_path / "bad_input"
         write(bad)
@@ -543,6 +625,7 @@ class TestMalformedValues:
         ("lr", NAN), ("ema_decay", 5), ("lr_final", "x"),
         ("tau_law", "cosine"), ("iterations", INF), ("p_uncond", 1.0),
         ("out", None), ("data", "no/such/spec.json"), ("batch", 0),
+        ("log", "log\0.csv"),
     ])
     def test_teacher_value(self, tmp_path, capsys, key, value):
         self.assert_teacher_rejected(tmp_path, capsys,
@@ -694,6 +777,42 @@ class TestPresetCli:
         assert "alpha" in capsys.readouterr().err
         assert not (tmp_path / "c" / "teacher.ckpt").exists()
 
+    def test_aborted_member_leaves_its_dump(self, tmp_path,
+                                            tiny_teacher_ckpt, capsys):
+        # w_gan scales only the GAN regularizer, so only ca_gan overflows
+        root = tmp_path / "rg"
+        over = {"iterations": 4, "batch": 8, "eval_every": 2, "eval_n": 16,
+                "eval_ref_n": 64, "teacher": str(tiny_teacher_ckpt),
+                "w_gan": 1e300}
+        argv = ["preset", "regularizers", "--out", str(root)]
+        for key, value in over.items():
+            argv += ["--override", f"{key}={json.dumps(value)}"]
+        with np.errstate(all="ignore"):
+            assert cli_main(argv) == 0
+        assert "4 runs" in capsys.readouterr().out
+        with open(root / "summary.csv", newline="") as fh:
+            rows = {r["run"]: r for r in csv.DictReader(fh)}
+        assert {run: r["aborted"] for run, r in rows.items()} == {
+            "ca_none": "false", "ca_dm": "false", "ca_meanvar_kl": "false",
+            "ca_gan": "true"}
+        for run in ("ca_none", "ca_dm", "ca_meanvar_kl"):
+            assert rows[run]["iterations"] == "4"
+            assert not (root / run / "diagnostic_dump.json").exists()
+        dump = json.loads((root / "ca_gan" / "diagnostic_dump.json")
+                          .read_text())
+        assert dump == {"error": "non-finite gradients", "iteration": 1,
+                        "network": "generator", "slot": "w0"}
+        assert not (root / "diagnostic_dump.json").exists()
+
+    def test_cli_preset_override_without_equals_exit_2(self, tmp_path,
+                                                        capsys):
+        code = cli_main(["preset", "decompose", "--out", str(tmp_path / "x"),
+                         "--override", "foo"])
+        assert code == 2
+        assert "config key '<override>': expected k=v, got 'foo'" in (
+            capsys.readouterr().err)
+        assert tree(tmp_path) == []
+
     def test_cli_preset_unknown_override_exit_2(self, tmp_path, capsys):
         code = cli_main(["preset", "decompose", "--out", str(tmp_path / "x"),
                          "--override", "bogus=1"])
@@ -758,6 +877,26 @@ class TestDefaultTeacher:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
         return path
+
+    def test_run_directory_teacher_is_reused(self, tmp_path,
+                                             tiny_teacher_ckpt, monkeypatch):
+        import dmdlab.lab.runner as runner_mod
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("the teacher in place must be reused")
+
+        monkeypatch.setattr(runner_mod, "train_teacher", no_training)
+        raw = small_cfg(None)
+        del raw["teacher"]
+        ckpt = tmp_path / "run" / "checkpoints" / "teacher.ckpt"
+        ckpt.parent.mkdir(parents=True)
+        ckpt.write_bytes(tiny_teacher_ckpt.read_bytes())
+        art = run_config(run_config_from_dict(raw), tmp_path / "run")
+        named = run_config(run_config_from_dict(small_cfg(tiny_teacher_ckpt)),
+                           tmp_path / "named")
+        assert ckpt.read_bytes() == tiny_teacher_ckpt.read_bytes()
+        assert json.loads(art.config_path.read_text())["teacher"] == str(ckpt)
+        assert art.metrics_path.read_bytes() == named.metrics_path.read_bytes()
 
     @pytest.mark.parametrize("foreign", ["checkpoint", "junk"])
     def test_run_directory_teacher_must_fit(self, tmp_path, tiny_teacher_ckpt,

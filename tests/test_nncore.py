@@ -273,7 +273,7 @@ class TestAdam:
         p0 = params.weights[0][0, 0]
         grads = zeros_like_params(params)
         grads.weights[0][0, 0] = 0.5
-        state = init_adam(params, lr=1e-3, eps=1e-8)
+        state = init_adam(params, lr=1e-3)
         adam_step(state, params, grads)
         delta = params.weights[0][0, 0] - p0
         expected = -1e-3 * (0.5 / (0.5 + 1e-8))

@@ -1,11 +1,14 @@
 """Static checks over the library source."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import dmdlab
 
 SRC = Path(dmdlab.__file__).resolve().parent
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def unused_imports(path: Path) -> list:
@@ -71,3 +74,41 @@ def test_no_unread_private_definitions():
             for name, line in sorted(private_definitions(path).items())
             if name not in read]
     assert dead == []
+
+
+def library_calls(path: Path):
+    """(call node, callee) for each call in a script to a name it imports
+    from dmdlab, except calls that unpack * or ** arguments."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "dmdlab"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                imported[alias.asname or alias.name] = getattr(module,
+                                                               alias.name)
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in imported):
+            continue
+        if (any(isinstance(a, ast.Starred) for a in node.args)
+                or any(k.arg is None for k in node.keywords)):
+            continue
+        yield node, imported[node.func.id]
+
+
+def test_demo_calls_bind_to_the_library():
+    # the demos run for tens of seconds each, so no test runs them; this
+    # catches a call that a changed signature no longer accepts
+    calls = [(path, *call) for path in sorted(DEMOS.glob("*.py"))
+             for call in library_calls(path)]
+    assert len({path for path, *_ in calls}) == 5
+    unbound = []
+    for path, node, obj in calls:
+        try:
+            inspect.signature(obj).bind(*[None] * len(node.args),
+                                        **{k.arg: None for k in node.keywords})
+        except TypeError as e:
+            unbound.append(f"{path.name}:{node.lineno} {node.func.id}: {e}")
+    assert unbound == []
