@@ -66,29 +66,25 @@ def load_params(path) -> NetParams:
     if off + n * _DTYPE.itemsize != len(buf):
         raise ValueError(f"{path}: data section does not match the array table")
     flat = np.frombuffer(buf, dtype=_DTYPE, count=n, offset=off).copy()
-    return NetParams.from_flat(_config_from_shapes(shapes), flat)
+    return NetParams.from_flat(_config_from_shapes(shapes, path), flat)
 
 
-def _config_from_shapes(shapes) -> NetConfig:
-    # Declaration order: weights, biases, cond_embed, time_freqs, time_w, time_b.
-    if len(shapes) < 6 or (len(shapes) - 4) % 2 != 0:
-        raise ValueError("malformed checkpoint array table")
+def _config_from_shapes(shapes, path) -> NetConfig:
+    """The NetConfig whose slot_shapes are exactly the table, read off its
+    first and last weights, cond_embed, time_freqs and time_w. Any other
+    table is a ValueError that names path."""
     n_layers = (len(shapes) - 4) // 2
-    ndims = [2] * n_layers + [1] * n_layers + [2, 1, 2, 1]
-    if [len(shape) for shape in shapes] != ndims:
-        raise ValueError("malformed checkpoint array table")
-    cond_embed, time_freqs, time_w, _ = shapes[2 * n_layers:]
-    temb_dim, cond_dim = time_w[1], cond_embed[1]
-    config = NetConfig(
-        dim=shapes[0][0] - temb_dim - cond_dim,
-        n_labels=cond_embed[0] - 1,
-        hidden=shapes[0][1],
-        n_hidden=n_layers - 1,
-        out_dim=shapes[n_layers - 1][1],
-        cond_dim=cond_dim,
-        temb_dim=temb_dim,
-        n_freq=time_freqs[0],
-    )
-    if config.dim < 1 or config.n_labels < 1 or slot_shapes(config) != shapes:
-        raise ValueError("malformed checkpoint array table")
+    try:
+        (n_rows, cond_dim), (n_freq,), (_, temb_dim) = shapes[-4:-1]
+        config = NetConfig(
+            dim=shapes[0][0] - temb_dim - cond_dim, n_labels=n_rows - 1,
+            hidden=shapes[0][1], n_hidden=n_layers - 1,
+            out_dim=shapes[n_layers - 1][1], cond_dim=cond_dim,
+            temb_dim=temb_dim, n_freq=n_freq)
+    except (IndexError, ValueError):  # too few slots, or one of wrong ndim
+        config = None
+    # slot_shapes also fits tables that imply a dim or n_labels below 1
+    if (config is None or config.dim < 1 or config.n_labels < 1
+            or slot_shapes(config) != shapes):
+        raise ValueError(f"{path}: array table does not describe a network")
     return config

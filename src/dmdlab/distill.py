@@ -433,8 +433,7 @@ def gan_losses(disc: NetParams, real_batch: np.ndarray, fake_batch: np.ndarray,
     disc_grads.flat += net_backward(disc, cache_f, up_f).flat
     gen_adv_loss = float(np.mean(_softplus(-lf_)))
     up_gen = (_sigmoid(lf_) - 1.0)[:, None]
-    _, gen_grad = net_backward(disc, cache_f, up_gen, return_input_grad=True,
-                               param_grads=False)
+    gen_grad = net_backward(disc, cache_f, up_gen, input_grad=True)
     return disc_loss, disc_grads, gen_grad, gen_adv_loss
 
 

@@ -9,8 +9,9 @@ Exit codes: 2 config/schema violation or unusable output path, lab plot's
 plots/ and SVG files included (message names the key, run_dir for lab plot;
 nothing is written), 3 non-finite training abort (diagnostic dump path
 printed), 4 lab plot on a metrics.csv or last sample dump that cannot be
-read, has no data rows, lacks a column it plots or holds a non-number, NaN
-or infinity (nothing is written). LAB_SEED overrides the config seed.
+read, has no data rows, lacks a column it plots, holds a non-number, NaN
+or infinity, or has a column whose axis range overflows (nothing is
+written). LAB_SEED overrides the config seed.
 """
 
 import argparse

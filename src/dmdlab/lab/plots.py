@@ -7,13 +7,14 @@ import numpy as np
 
 from .config import check_outputs
 from .runner import RunArtifacts
-from .svgplot import line_chart, scatter
+from .svgplot import data_limits, line_chart, scatter
 
 
 class PlotDataError(ValueError):
     """metrics.csv or the last sample dump cannot be read, has no data rows,
-    lacks a column that a plot reads, or holds a field that is not a
-    number, or that is NaN or infinite."""
+    lacks a column that a plot reads, holds a field that is not a number,
+    or that is NaN or infinite, or has a column whose axis range (its
+    spread plus the plot's margin) overflows the float range."""
 
 
 def _read_columns(path: Path) -> dict:
@@ -32,6 +33,10 @@ def _read_columns(path: Path) -> dict:
         if not np.isfinite(values).all():
             raise PlotDataError(f"{path}: column {column!r} holds a value "
                                 f"that is NaN or infinite")
+        lo, hi = data_limits([values])  # the widest axis a plot gives it
+        if not np.isfinite(hi - lo):
+            raise PlotDataError(f"{path}: column {column!r} spans more than "
+                                f"the float range")
     return cols
 
 

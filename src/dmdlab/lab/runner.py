@@ -11,8 +11,9 @@ Layout of a run directory:
     diagnostic_dump.json   written only when training aborts on a non-finite
                            value; holds the error's context and iteration,
                            and names the network whose pass or step failed
-    observer_probe.csv     observer_mode only: per label and probed tau, the
-                           unused DM term against the generator's drift
+    observer_probe.csv     observer_mode only, for a run that did not abort:
+                           per label and probed tau, the unused DM term
+                           against the generator's drift
     plots/*.svg            written by `lab plot`
 """
 
@@ -233,7 +234,7 @@ def run_config(cfg: dict, out_dir, key: str = "--out") -> RunArtifacts:
     if state.disc is not None:
         save_params(state.disc, art.checkpoint("disc"))
 
-    if dconfig.observer_mode:
+    if dconfig.observer_mode and aborted is None:
         _write_observer_probe(art.probe_path, state, teacher, spec,
                               dconfig.grid, cfg["seed"])
 

@@ -1,7 +1,8 @@
 """Tiny deterministic SVG emitter for line charts and scatter plots.
 
 Byte-for-byte reproducible output for identical data: fixed canvas, fixed
-palette, fixed '%.6g' float formatting, no timestamps or generated ids.
+palette, '%.6g' float formatting (more digits only where tick labels need
+them to differ), no timestamps or generated ids.
 """
 
 import numpy as np
@@ -19,19 +20,21 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float):
+    """(value, label) per tick: the multiples of a 1-2-2.5-5 step in
+    [lo, hi], labelled '%.6g', or with the fewest more significant digits
+    that tell every tick from its neighbours."""
     raw = (hi - lo) / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = np.ceil(lo / step) * step
-    ticks = []
-    v = first
-    while v <= hi + 1e-12 * step:
-        ticks.append(0.0 if abs(v) < 1e-12 * step else v)
-        v += step
-    return ticks
+    ticks = [k * step for k in range(int(np.ceil(lo / step)),
+                                     int(np.floor(hi / step + 1e-12)) + 1)]
+    # 17 significant digits tell any two doubles apart
+    spec = next(f".{d}g" for d in range(6, 18)
+                if len({format(t, f".{d}g") for t in ticks}) == len(ticks))
+    return [(t, format(t, spec)) for t in ticks]
 
 
 class _Canvas:
@@ -62,22 +65,22 @@ class _Canvas:
         self.parts.append(
             f'<rect x="{x_left}" y="{y_top}" width="{x_right - x_left}" '
             f'height="{y_bot - y_top}" fill="none" stroke="#333" stroke-width="1"/>')
-        for tx in _ticks(self.x0, self.x1):
+        for tx, label in _ticks(self.x0, self.x1):
             px = self.px(tx)
             self.parts.append(
                 f'<line x1="{_fmt(px)}" y1="{y_bot}" x2="{_fmt(px)}" '
                 f'y2="{y_bot + 5}" stroke="#333"/>')
             self.parts.append(
                 f'<text x="{_fmt(px)}" y="{y_bot + 18}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>')
-        for ty in _ticks(self.y0, self.y1):
+                f'font-family="sans-serif" font-size="11">{label}</text>')
+        for ty, label in _ticks(self.y0, self.y1):
             py = self.py(ty)
             self.parts.append(
                 f'<line x1="{x_left - 5}" y1="{_fmt(py)}" x2="{x_left}" '
                 f'y2="{_fmt(py)}" stroke="#333"/>')
             self.parts.append(
                 f'<text x="{x_left - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>')
+                f'font-family="sans-serif" font-size="11">{label}</text>')
         self.parts.append(
             f'<text x="{(x_left + x_right) // 2}" y="{HEIGHT - 10}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12">{xlabel}</text>')
@@ -114,7 +117,7 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
-def _data_limits(arrays, pad=0.05):
+def data_limits(arrays, pad=0.05):
     """Padded axis limits of finite data, lo < hi. A range narrower than
     1e-12 of its magnitude, a single value included, is widened by 0.5 each
     way, or by that 1e-12 where it is more: past about 2e15, +-0.5 is too
@@ -133,7 +136,7 @@ def line_chart(path, title, xlabel, ylabel, series):
     xs_all = [np.asarray(s[1], float) for s in series]
     ys_all = [np.asarray(s[2], float) for s in series]
     canvas = _Canvas(title, xlabel, ylabel,
-                     _data_limits(xs_all, pad=0.02), _data_limits(ys_all))
+                     data_limits(xs_all, pad=0.02), data_limits(ys_all))
     entries = []
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
@@ -152,7 +155,7 @@ def scatter(path, title, points, labels):
     points = np.asarray(points, float)
     labels = np.asarray(labels)
     canvas = _Canvas(title, "x0", "x1",
-                     _data_limits([points[:, 0]]), _data_limits([points[:, 1]]))
+                     data_limits([points[:, 0]]), data_limits([points[:, 1]]))
     entries = []
     for i, label in enumerate(sorted(set(int(l) for l in labels))):
         color = PALETTE[label % len(PALETTE)]

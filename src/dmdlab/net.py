@@ -112,7 +112,7 @@ class NetParams:
 
     @classmethod
     def from_flat(cls, config: NetConfig, flat: np.ndarray) -> "NetParams":
-        """Wrap a 1-D buffer of exactly n_params values as slot views."""
+        """Wrap a 1-D buffer holding exactly the config's slots as views."""
         views, off = [], 0
         for shape in slot_shapes(config):
             n = math.prod(shape)
@@ -141,9 +141,6 @@ class NetParams:
 
     def copy(self) -> "NetParams":
         return NetParams.from_flat(self.config, self.flat.copy())
-
-    def n_params(self) -> int:
-        return self.flat.size
 
 
 def zeros_like_params(params: NetParams) -> NetParams:
@@ -260,20 +257,16 @@ def net_forward_cached(params: NetParams, x, noise_level, cond):
 
 
 def net_backward(params: NetParams, cache: ForwardCache, upstream,
-                 return_input_grad: bool = False, param_grads: bool = True):
-    """Gradients of L = sum(output * upstream) w.r.t. every parameter slot.
+                 input_grad: bool = False):
+    """Gradients of L = sum(output * upstream) w.r.t. every parameter slot,
+    or, with input_grad=True, only dL/dx.
 
     Requires the cache from net_forward_cached on the same inputs; the cache
-    is only read, so it may serve several backward passes. With
-    return_input_grad=True also returns dL/dx. param_grads=False skips the
-    parameter gradients and returns (None, dL/dx); it needs
-    return_input_grad=True.
+    is only read, so it may serve several backward passes.
     """
     cfg = params.config
     if cache is None:
         raise ValueError("missing forward cache")
-    if not (param_grads or return_input_grad):
-        raise ValueError("param_grads=False needs return_input_grad=True")
     g = np.asarray(upstream)
     out_dim = cfg.output_dim
     if g.shape != (cache.tau.shape[0], out_dim):
@@ -281,8 +274,7 @@ def net_backward(params: NetParams, cache: ForwardCache, upstream,
     if not np.isfinite(g).all():
         raise NonFiniteError("non-finite upstream gradient", params=params)
 
-    grads = None
-    if param_grads:
+    if not input_grad:
         # every slot but cond_embed is written whole below
         grads = NetParams.from_flat(cfg, np.empty_like(params.flat))
         grads.cond_embed[:] = 0.0
@@ -292,25 +284,22 @@ def net_backward(params: NetParams, cache: ForwardCache, upstream,
 
     for layer in range(cfg.n_hidden - 1, -1, -1):
         da *= cache.dsilu[layer]  # now dL/dz
-        if param_grads:
+        if not input_grad:
             np.matmul(cache.acts[layer].T, da, out=grads.weights[layer])
             da.sum(axis=0, out=grads.biases[layer])
         da = da @ params.weights[layer].T
 
-    dx = da[:, :cfg.dim]
-    if param_grads:
-        dtemb = da[:, cfg.dim:cfg.dim + cfg.temb_dim]
-        dcemb = da[:, cfg.dim + cfg.temb_dim:]
-        np.matmul(cache.feats.T, dtemb, out=grads.time_w)
-        dtemb.sum(axis=0, out=grads.time_b)
-        dfeats = dtemb @ params.time_w.T
-        nf = cfg.n_freq
-        dsin, dcos = dfeats[:, :nf], dfeats[:, nf:]
-        sin, cos = cache.feats[:, :nf], cache.feats[:, nf:]
-        scale = 2.0 * np.pi * cache.tau[:, None]
-        (scale * (dsin * cos - dcos * sin)).sum(axis=0, out=grads.time_freqs)
-        np.add.at(grads.cond_embed, cache.rows, dcemb)
-
-    if return_input_grad:
-        return grads, dx
+    if input_grad:
+        return da[:, :cfg.dim]
+    dtemb = da[:, cfg.dim:cfg.dim + cfg.temb_dim]
+    dcemb = da[:, cfg.dim + cfg.temb_dim:]
+    np.matmul(cache.feats.T, dtemb, out=grads.time_w)
+    dtemb.sum(axis=0, out=grads.time_b)
+    dfeats = dtemb @ params.time_w.T
+    nf = cfg.n_freq
+    dsin, dcos = dfeats[:, :nf], dfeats[:, nf:]
+    sin, cos = cache.feats[:, :nf], cache.feats[:, nf:]
+    scale = 2.0 * np.pi * cache.tau[:, None]
+    (scale * (dsin * cos - dcos * sin)).sum(axis=0, out=grads.time_freqs)
+    np.add.at(grads.cond_embed, cache.rows, dcemb)
     return grads

@@ -6,6 +6,8 @@ import numpy as np
 
 from .net import NetParams, NonFiniteError, zeros_like_params
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -13,14 +15,11 @@ class AdamState:
     v: NetParams
     step: int
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
 
 
 def init_adam(params: NetParams, lr: float) -> AdamState:
     return AdamState(zeros_like_params(params), zeros_like_params(params), 0,
-                     lr, 0.9, 0.999, 1e-8)
+                     lr)
 
 
 def adam_step(state: AdamState, params: NetParams, grads: NetParams):
@@ -44,20 +43,19 @@ def adam_step(state: AdamState, params: NetParams, grads: NetParams):
         raise NonFiniteError("non-finite gradients", {"slot": slot},
                              params=params)
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
+    c1 = 1.0 - BETA1 ** state.step
+    c2 = 1.0 - BETA2 ** state.step
     m, v = state.m.flat, state.v.flat
-    tmp = np.multiply(g, 1.0 - b1)
-    m *= b1
+    tmp = np.multiply(g, 1.0 - BETA1)
+    m *= BETA1
     m += tmp
-    sq *= 1.0 - b2
-    v *= b2
+    sq *= 1.0 - BETA2
+    v *= BETA2
     v += sq
     # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in that operation order
     np.divide(v, c2, out=sq)
     np.sqrt(sq, out=sq)
-    sq += state.eps
+    sq += EPS
     np.divide(m, c1, out=tmp)
     tmp *= state.lr
     tmp /= sq

@@ -4,6 +4,8 @@ per session and cached on disk keyed by its exact configuration."""
 import csv
 import hashlib
 import json
+import math
+import struct
 import time
 from pathlib import Path
 
@@ -28,6 +30,13 @@ def _teacher_key() -> str:
         "config": vars(TEACHER_CONFIG),
     }, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def checkpoint_bytes(shapes, version=1) -> bytes:
+    """A float64 checkpoint with the given array table and zero data."""
+    table = [struct.pack(f"<I{len(s)}I", len(s), *s) for s in shapes]
+    return b"".join([b"DMDL", struct.pack("<IBI", version, 0, len(shapes)),
+                     *table, bytes(8 * sum(math.prod(s) for s in shapes))])
 
 
 def write_fp32_checkpoint(params, path) -> None:

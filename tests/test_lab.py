@@ -3,7 +3,6 @@ import contextlib
 import csv
 import dataclasses
 import json
-import math
 import os
 import re
 import struct
@@ -34,7 +33,7 @@ from dmdlab.lab.presets import TAU_PROBE_RANGES, run_preset
 from dmdlab.lab.runner import _abort, run_config
 from dmdlab.metrics import CSV_COLUMNS, batch_sample_stats
 
-from conftest import write_fp32_checkpoint
+from conftest import checkpoint_bytes, write_fp32_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +218,25 @@ class TestRunner:
         assert dump["iteration"] == 1
         assert "non-finite" in dump["error"]
         assert "diagnostic" in capsys.readouterr().err
+
+    def test_observer_abort_writes_no_probe(self, tmp_path, capsys):
+        # the probe samples the generator, which starts as a copy of the
+        # non-finite teacher, so an aborted run must not draw it
+        params = init_params(NetConfig(dim=2, n_labels=4, hidden=16,
+                                       n_hidden=2), np.random.default_rng(0))
+        params.weights[0][0, 0] = np.inf
+        teacher = tmp_path / "inf.ckpt"
+        save_params(params, teacher)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_cfg(teacher, mode="CA_ONLY",
+                                             observer_mode=True)))
+        run_dir = tmp_path / "run"
+        with np.errstate(invalid="ignore"):
+            code = cli_main(["run", str(path), "--out", str(run_dir)])
+        assert code == 3
+        assert str(run_dir / "diagnostic_dump.json") in capsys.readouterr().err
+        assert json.loads((run_dir / "manifest.json").read_text())["aborted"]
+        assert not (run_dir / "observer_probe.csv").exists()
 
     def test_nonfinite_metric_exit_3(self, tmp_path, tiny_teacher_ckpt,
                                      capsys):
@@ -435,6 +453,34 @@ class TestPlots:
             svg = path.read_text()
             ET.fromstring(svg)
             assert not re.search(r"\b(nan|inf)\b", svg), path.name
+        self.assert_y_labels_differ(tmp_path / "run" / "plots" / "sw2.svg")
+
+    def test_narrow_range_tick_labels_differ(self, tmp_path):
+        # two values that '%.6g' prints alike
+        self.write_metrics(tmp_path / "run", ["0.123456789", "0.12345679"])
+        plot_run(tmp_path / "run")
+        self.assert_y_labels_differ(tmp_path / "run" / "plots" / "sw2.svg")
+
+    @staticmethod
+    def assert_y_labels_differ(svg_path: Path) -> None:
+        labels = re.findall(r'text-anchor="end" font-family="sans-serif" '
+                            r'font-size="11">([^<]*)<', svg_path.read_text())
+        assert len(labels) >= 3
+        assert len(set(labels)) == len(labels), labels
+
+    @pytest.mark.parametrize("values", [["-1e308", "1e308"],
+                                        ["0", "1.79e308"],
+                                        ["1.7976931348623157e308"]],
+                             ids=["spread", "margin", "widened_max"])
+    def test_overflowing_range_exit_4(self, tmp_path, capsys, values):
+        # the spread, or the plot's margin around it, passes the float range
+        metrics = self.write_metrics(tmp_path / "run", values)
+        before = tree(tmp_path)
+        assert cli_main(["plot", str(tmp_path / "run")]) == 4
+        err = capsys.readouterr().err
+        assert (f"{metrics}: column 'sw2' spans more than the float range"
+                in err)
+        assert tree(tmp_path) == before
 
 
 class TestRemovedPrecisionKey:
@@ -464,13 +510,6 @@ class TestRemovedPrecisionKey:
 
 
 NAN, INF = float("nan"), float("inf")
-
-
-def checkpoint_bytes(shapes, version=1) -> bytes:
-    """A float64 checkpoint with the given array table and zero data."""
-    table = [struct.pack(f"<I{len(s)}I", len(s), *s) for s in shapes]
-    return b"".join([b"DMDL", struct.pack("<IBI", version, 0, len(shapes)),
-                     *table, bytes(8 * sum(math.prod(s) for s in shapes))])
 
 
 def gmm8_json(**first_component) -> str:
@@ -505,8 +544,10 @@ class TestMalformedValues:
         path.write_text(json.dumps(raw))
         code = cli_main(["run", str(path), "--out", str(tmp_path / "run")])
         assert code == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err
         assert not (tmp_path / "run").exists()
+        return err
 
     def test_top_level_array(self, tmp_path, tiny_teacher_ckpt, capsys):
         self.assert_run_rejected(tmp_path, capsys,
@@ -570,9 +611,10 @@ class TestMalformedValues:
     def test_run_file(self, tmp_path, tiny_teacher_ckpt, capsys, key, write):
         bad = tmp_path / "bad_input"
         write(bad)
-        self.assert_run_rejected(
+        err = self.assert_run_rejected(
             tmp_path, capsys, {**small_cfg(tiny_teacher_ckpt), key: str(bad)},
             key)
+        assert str(bad) in err
 
     def test_teacher_must_fit_data_file(self, tmp_path, tiny_teacher_ckpt):
         # a valid spec that is not gmm8-shaped: the 2-D, 4-label teacher

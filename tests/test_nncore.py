@@ -14,9 +14,9 @@ from dmdlab import (NULL_LABEL, NetConfig, NetParams, init_params, net_forward,
                     net_forward_cached, net_backward, zeros_like_params,
                     init_adam, adam_step, ema_update, save_params, load_params)
 from dmdlab.distill import DistillConfig, fake_model_update, init_distill_state
-from dmdlab.net import NonFiniteError, _sigmoid
+from dmdlab.net import NonFiniteError, _sigmoid, slot_shapes
 
-from conftest import write_fp32_checkpoint
+from conftest import checkpoint_bytes, write_fp32_checkpoint
 
 
 def small_config(dim=2, n_labels=3, hidden=8, n_hidden=2, out_dim=None):
@@ -234,7 +234,7 @@ class TestBackward:
         x = rng.standard_normal((2, cfg.dim))
         u = rng.standard_normal((2, cfg.output_dim))
         _, cache = net_forward_cached(params, x, 0.3, 0)
-        _, dx = net_backward(params, cache, u, return_input_grad=True)
+        dx = net_backward(params, cache, u, input_grad=True)
         h = 1e-6
         for i in range(2):
             for j in range(cfg.dim):
@@ -288,7 +288,7 @@ class TestAdam:
         state = init_adam(params, lr=1e-3)
         adam_step(state, params, grads)
         adam_step(state, params, grads)
-        b1, b2 = state.beta1, state.beta2
+        b1, b2 = 0.9, 0.999
         assert abs(state.m.biases[0][1] - (1 - b1 ** 2) * g) < 1e-15
         assert abs(state.v.biases[0][1] - (1 - b2 ** 2) * g * g) < 1e-15
 
@@ -459,7 +459,7 @@ class TestFlatLayout:
 
     def test_wrong_size_rejected(self):
         cfg = small_config()
-        n = init_params(cfg, np.random.default_rng(34)).n_params()
+        n = init_params(cfg, np.random.default_rng(34)).flat.size
         with pytest.raises(ValueError):
             NetParams.from_flat(cfg, np.zeros(n + 1))
 
@@ -467,7 +467,7 @@ class TestFlatLayout:
 def reference_adam(state, params, grads):
     """Per-slot Adam as the optimizer computed it before the flat buffer."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = 0.9, 0.999
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     for p, g, m, v in zip(params.arrays(), grads.arrays(), state.m.arrays(),
@@ -476,7 +476,7 @@ def reference_adam(state, params, grads):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * np.square(g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
 
 
 def reference_ema(ema, live, decay):
@@ -590,6 +590,31 @@ _NET_CONFIGS = st.builds(
     temb_dim=st.integers(1, 5), n_freq=st.integers(1, 4))
 
 
+@st.composite
+def _shape_tables(draw):
+    """The slot shapes of a drawn config after one to three edits: drop, add
+    or swap an entry, or change one dimension."""
+    shapes = slot_shapes(draw(_NET_CONFIGS))
+    dims = st.integers(0, 9)
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["drop", "add", "swap", "resize"]))
+        at = draw(st.integers(0, len(shapes)))
+        if edit == "add":
+            shapes.insert(at, tuple(draw(st.lists(dims, max_size=3))))
+        elif at == len(shapes):
+            continue
+        elif edit == "drop":
+            del shapes[at]
+        elif edit == "swap":
+            other = draw(st.integers(0, len(shapes) - 1))
+            shapes[at], shapes[other] = shapes[other], shapes[at]
+        elif shapes[at]:
+            shape = list(shapes[at])
+            shape[draw(st.integers(0, len(shape) - 1))] = draw(dims)
+            shapes[at] = tuple(shape)
+    return shapes
+
+
 class TestCheckpointProperty:
     @settings(max_examples=60, deadline=None)
     @given(cfg=_NET_CONFIGS, seed=st.integers(0, 2 ** 32 - 1))
@@ -607,6 +632,21 @@ class TestCheckpointProperty:
         assert loaded.flat.dtype == np.float64
         assert np.array_equal(loaded.flat, params.flat)
         assert_slots_view_flat(loaded)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shapes=_shape_tables())
+    def test_edited_table_loads_or_names_file(self, shapes):
+        # a table is a network's exactly when slot_shapes gives it back;
+        # any other is a ValueError that names the file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edited.ckpt"
+            path.write_bytes(checkpoint_bytes(shapes))
+            try:
+                loaded = load_params(path)
+            except ValueError as err:
+                assert str(path) in str(err)
+                return
+        assert slot_shapes(loaded.config) == shapes
 
 
 def reference_forward_cached(params, x, tau, cond):
@@ -706,14 +746,11 @@ class TestCachedDerivative:
         assert np.array_equal(y, want_y)
         assert np.array_equal(net_forward(params, x, tau, cond), y)
         assert len(cache.dsilu) == params.config.n_hidden
-        grads, dx = net_backward(params, cache, u, return_input_grad=True)
+        grads = net_backward(params, cache, u)
         for (name, got), (_, ref) in zip(grads.slots(), want.slots()):
             assert np.array_equal(got, ref), name
-        assert np.array_equal(dx, want_dx)
-        none, dx_only = net_backward(params, cache, u, return_input_grad=True,
-                                     param_grads=False)
-        assert none is None
-        assert np.array_equal(dx_only, want_dx)
+        assert np.array_equal(net_backward(params, cache, u, input_grad=True),
+                              want_dx)
 
     def test_one_cache_serves_two_backwards(self):
         rng = np.random.default_rng(41)
@@ -721,19 +758,14 @@ class TestCachedDerivative:
         x = rng.standard_normal((9, 2))
         _, cache = net_forward_cached(params, x, 0.4, NULL_LABEL)
         u, w = rng.standard_normal((2, 9, 2))
-        first, first_dx = net_backward(params, cache, u, return_input_grad=True)
+        first = net_backward(params, cache, u)
+        first_dx = net_backward(params, cache, u, input_grad=True)
         net_backward(params, cache, w)
-        again, again_dx = net_backward(params, cache, u, return_input_grad=True)
+        net_backward(params, cache, w, input_grad=True)
+        again = net_backward(params, cache, u)
+        again_dx = net_backward(params, cache, u, input_grad=True)
         assert np.array_equal(first.flat, again.flat)
         assert np.array_equal(first_dx, again_dx)
-
-    def test_param_grads_off_needs_input_grad(self):
-        rng = np.random.default_rng(42)
-        params = init_params(small_config(), rng)
-        _, cache = net_forward_cached(params, rng.standard_normal((3, 2)),
-                                      0.5, 0)
-        with pytest.raises(ValueError, match="return_input_grad"):
-            net_backward(params, cache, np.zeros((3, 2)), param_grads=False)
 
 
 class TestPassMemory:
