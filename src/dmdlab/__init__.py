@@ -13,7 +13,7 @@ from .checkpoint import save_params, load_params
 from .data import (Component, LabeledBatch, MixtureSpec, gmm8, sample_dataset,
                    sample_points_for_labels, target_stats,
                    expected_sample_stats)
-from .flow import (TeacherConfig, as_predictor, cfg_combine, renoise,
+from .flow import (TeacherConfig, cfg_combine, renoise,
                    sample_teacher, teacher_loss, train_teacher)
 from .distill import (DistillConfig, DistillState, Mode, NonFiniteError,
                       Regularizer, RegularizerTargets, ScheduleConfig,
@@ -33,7 +33,7 @@ __all__ = [
     "save_params", "load_params",
     "Component", "LabeledBatch", "MixtureSpec", "gmm8", "sample_dataset",
     "sample_points_for_labels", "target_stats", "expected_sample_stats",
-    "TeacherConfig", "as_predictor", "cfg_combine", "renoise",
+    "TeacherConfig", "cfg_combine", "renoise",
     "sample_teacher", "teacher_loss", "train_teacher",
     "DistillConfig", "DistillState", "Mode", "NonFiniteError", "Regularizer",
     "RegularizerTargets", "ScheduleConfig", "SchedulePolicy",

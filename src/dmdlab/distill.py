@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .data import MixtureSpec, expected_sample_stats, sample_points_for_labels
-from .flow import as_predictor, regression_loss_and_grads, renoise
+from .flow import regression_loss_and_grads, renoise
 from .metrics import MetricRecord, batch_sample_stats
 from .net import (NULL_LABEL, NetConfig, NetParams, NonFiniteError, _sigmoid,
                   init_params, net_backward, net_forward, net_forward_cached)
@@ -273,18 +273,17 @@ def sample_tau(schedule: ScheduleConfig, t: float, rng: np.random.Generator,
 
 def delta_dm(real, fake, x_tau: np.ndarray, tau, cond) -> np.ndarray:
     """Real-conditional minus fake-conditional prediction (gradient-stopped)."""
-    return as_predictor(real)(x_tau, tau, cond) - as_predictor(fake)(x_tau, tau, cond)
+    return real(x_tau, tau, cond) - fake(x_tau, tau, cond)
 
 
 def delta_ca(real, x_tau: np.ndarray, tau, cond, alpha: float) -> np.ndarray:
     """(alpha - 1) * (conditional - unconditional real prediction)."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    predict = as_predictor(real)
-    p_cond = predict(x_tau, tau, cond)
+    p_cond = real(x_tau, tau, cond)
     if alpha == 1.0:
         return np.zeros_like(p_cond)
-    p_uncond = predict(x_tau, tau, np.full(x_tau.shape[0], NULL_LABEL))
+    p_uncond = real(x_tau, tau, np.full(x_tau.shape[0], NULL_LABEL))
     return (alpha - 1.0) * (p_cond - p_uncond)
 
 
@@ -319,7 +318,7 @@ def dmd_direction_decoupled(real, fake, gen_out: np.ndarray, t: float, cond,
     else:
         d_ca = np.zeros_like(gen_out)
     if config.normalizer_on:
-        ref = as_predictor(real)(x_dm, tau_dm, cond)
+        ref = real(x_dm, tau_dm, cond)
         scale = 1.0 / (np.mean(np.abs(gen_out - ref), axis=1, keepdims=True) + 1e-8)
         d_dm = d_dm * scale
         d_ca = d_ca * scale
@@ -352,11 +351,10 @@ def backward_simulate(gen, grid, k_target: int, cond, rng: np.random.Generator,
         raise ValueError("dim is required for injected generators")
     cond = np.asarray(cond)
     n = cond.shape[0]
-    predict = as_predictor(gen)
     z = rng.standard_normal((n, dim))
     z0 = z
     for j in range(k_target - 1):
-        xhat = predict(z, grid[j], cond)
+        xhat = gen(z, grid[j], cond)
         eps = rng.standard_normal((n, dim)) if fresh_noise else z0
         z = renoise(xhat, grid[j + 1], eps)
     return z
@@ -367,7 +365,7 @@ def sample_generator(gen, grid, cond, rng: np.random.Generator) -> np.ndarray:
     grid step, then take the final clean prediction."""
     grid = tuple(grid)
     z = backward_simulate(gen, grid, len(grid), cond, rng)
-    return as_predictor(gen)(z, grid[-1], np.asarray(cond))
+    return gen(z, grid[-1], np.asarray(cond))
 
 
 def fake_model_update(state: DistillState, gen_samples: np.ndarray, cond,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import LabeledBatch, MixtureSpec, sample_dataset
 from .net import (NULL_LABEL, NetConfig, NetParams, NonFiniteError,
-                  init_params, net_backward, net_forward, net_forward_cached)
+                  init_params, net_backward, net_forward_cached)
 from .optim import init_adam, adam_step, ema_update
 
 
@@ -71,19 +71,6 @@ def cfg_combine(s_cond: np.ndarray, s_uncond: np.ndarray, alpha: float) -> np.nd
     return s_uncond + alpha * (s_cond - s_uncond)
 
 
-def as_predictor(model):
-    """Normalize a model to a callable (x, tau, cond) -> clean prediction.
-
-    NetParams are wrapped in net_forward; callables pass through, which is how
-    tests inject closed-form denoisers.
-    """
-    if isinstance(model, NetParams):
-        return lambda x, tau, cond: net_forward(model, x, tau, cond)
-    if callable(model):
-        return model
-    raise TypeError(f"cannot use {type(model).__name__} as a predictor")
-
-
 def regression_loss_and_grads(model: NetParams, x_tau, tau, cond, target):
     """Denoising regression of model(x_tau, tau, cond) onto target: the mean
     over the batch of the squared error, and its parameter gradients."""
@@ -110,7 +97,7 @@ def teacher_loss(model, batch: LabeledBatch, rng: np.random.Generator,
     x_tau = renoise(x, tau, eps)
     if isinstance(model, NetParams):
         return regression_loss_and_grads(model, x_tau, tau, cond, x)
-    pred = as_predictor(model)(x_tau, tau, cond)
+    pred = model(x_tau, tau, cond)
     resid = pred - x
     return float(np.mean(np.sum(resid ** 2, axis=1))), None
 
@@ -165,7 +152,6 @@ def sample_teacher(model, n_steps: int, alpha: float, cond, n: int,
         dim = model.config.dim
     elif dim is None:
         raise ValueError("dim is required for injected predictors")
-    predict = as_predictor(model)
     cond = np.asarray(cond)
     if cond.ndim == 0:
         cond = np.full(n, int(cond))
@@ -173,11 +159,11 @@ def sample_teacher(model, n_steps: int, alpha: float, cond, n: int,
     dt = 1.0 / n_steps
     for k in range(n_steps):
         t = k * dt
-        s_cond = predict(z, t, cond)
+        s_cond = model(z, t, cond)
         if alpha == 1.0:
             xhat = s_cond
         else:
-            s_uncond = predict(z, t, np.full(n, NULL_LABEL))
+            s_uncond = model(z, t, np.full(n, NULL_LABEL))
             xhat = cfg_combine(s_cond, s_uncond, alpha)
         z = z + dt * (xhat - z) / (1.0 - t)
     return z

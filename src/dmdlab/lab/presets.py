@@ -45,7 +45,8 @@ TAU_PROBE_RANGES = [(0.0, 0.05), (0.0, 0.25), (0.0, 0.5), (0.0, 1.0),
                     (0.7, 1.0)]
 
 # name -> (budget defaults, [(run name, member keys)]); a member runs
-# BASE_RUN, then the defaults, then the user overrides, then its own keys.
+# BASE_RUN, then the defaults, then the user overrides, then its own keys;
+# run_preset refuses an override of a member key, which would do nothing.
 # Budgets are sized to the dynamics of gmm8 (the engine-vs-matching
 # equivalence window spans roughly the first couple hundred updates) and to
 # the single-core wall-clock gates on the ablation presets.
@@ -88,12 +89,14 @@ def run_preset(name: str, out_root, overrides: dict) -> list:
     out_root = Path(out_root)
     defaults, members = PRESETS[name]
     base = {**BASE_RUN, **defaults, **overrides}
+    fixed = {"out_dir"}.union(*(keys for _, keys in members))
+    for key in overrides:
+        if key in fixed:  # each member run sets it itself
+            raise ConfigError(key, f"preset {name!r} sets it for each member "
+                              "run (out_dir as <--out>/<run name>)")
     # every member is checked before the shared teacher is trained: its
     # config, its evaluation reference and its run directory
     cfgs = [run_config_from_dict({**base, **keys}) for _, keys in members]
-    if cfgs[0]["out_dir"] is not None:  # no member sets its own out_dir
-        raise ConfigError("out_dir", "a preset writes each run to "
-                          "<--out>/<run name>; give --out instead")
     spec = resolve_data(cfgs[0]["data"])  # no member sets its own data
     for (run_name, _), cfg in zip(members, cfgs):
         _eval_reference(cfg, spec)

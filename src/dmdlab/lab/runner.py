@@ -72,7 +72,8 @@ class RunArtifacts:
 
     def sample_paths(self) -> list:
         """The evaluation point clouds written so far, in iteration order."""
-        return sorted(self.samples_dir.glob("iter_*.csv"))
+        return sorted(self.samples_dir.glob("iter_*.csv"),
+                      key=lambda p: (len(p.stem), p.stem))
 
     def check(self, key: str, cfg: dict) -> None:
         """Raise ConfigError under key, before anything is written, unless

@@ -1,8 +1,8 @@
 """Tiny deterministic SVG emitter for line charts and scatter plots.
 
 Byte-for-byte reproducible output for identical data: fixed canvas, fixed
-palette, '%.6g' float formatting (more digits only where tick labels need
-them to differ), no timestamps or generated ids.
+palette, '%.6g' float formatting (more digits only where a tick label needs
+them to print its tick exactly), no timestamps or generated ids.
 """
 
 import numpy as np
@@ -20,21 +20,22 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float):
-    """(value, label) per tick: the multiples of a 1-2-2.5-5 step in
-    [lo, hi], labelled '%.6g', or with the fewest more significant digits
-    that tell every tick from its neighbours."""
+    """(value, label) per tick: the multiples k * step in [lo, hi] of a
+    1-2-2.5-5 step, step = m * 10^e with m in {10, 20, 25, 50, 100}. A label
+    has as many significant digits as k * m, at least 6 and at most 17 (which
+    tell any two doubles apart), so it prints its tick's exact decimal."""
     raw = (hi - lo) / 5
     mag = 10.0 ** np.floor(np.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
+    for m in (10, 20, 25, 50, 100):
+        if raw <= m / 10 * mag:
+            step = m / 10 * mag
             break
-    ticks = [k * step for k in range(int(np.ceil(lo / step)),
-                                     int(np.floor(hi / step + 1e-12)) + 1)]
-    # 17 significant digits tell any two doubles apart
-    spec = next(f".{d}g" for d in range(6, 18)
-                if len({format(t, f".{d}g") for t in ticks}) == len(ticks))
-    return [(t, format(t, spec)) for t in ticks]
+    ticks = []
+    for k in range(int(np.ceil(lo / step)),
+                   int(np.floor(hi / step + 1e-12)) + 1):
+        digits = min(max(len(str(abs(k * m)).rstrip("0")), 6), 17)
+        ticks.append((k * step, format(k * step, f".{digits}g")))
+    return ticks
 
 
 class _Canvas:

@@ -142,6 +142,10 @@ class NetParams:
     def copy(self) -> "NetParams":
         return NetParams.from_flat(self.config, self.flat.copy())
 
+    def __call__(self, x, noise_level, cond) -> np.ndarray:
+        """A network is a predictor: net_forward(self, x, noise_level, cond)."""
+        return net_forward(self, x, noise_level, cond)
+
 
 def zeros_like_params(params: NetParams) -> NetParams:
     return NetParams.from_flat(params.config, np.zeros_like(params.flat))

@@ -747,6 +747,46 @@ class TestSampleGenerator:
         np.testing.assert_array_equal(out, net_forward(params, z, 0.0, cond))
 
 
+def as_callable(net):
+    return lambda x, tau, cond: net_forward(net, x, tau, cond)
+
+
+class TestNetworkIsPredictor:
+    """A network and a callable running net_forward on it are one model."""
+
+    def test_decoupled_direction(self):
+        real, fake = tiny_net(81), tiny_net(82)
+        gen_out = np.random.default_rng(83).standard_normal((6, 2))
+        cond = np.array([0, 1, 2, 3, 0, 1])
+        cfg = base_config(alpha=3.0, mode=Mode.FULL_DMD, normalizer_on=True)
+        sched = ScheduleConfig(SchedulePolicy.DECOUPLED_FULL)
+        runs = [dmd_direction_decoupled(r, f, gen_out, 0.0, cond, cfg, sched,
+                                        np.random.default_rng(84))
+                for r, f in ((real, fake),
+                             (as_callable(real), as_callable(fake)))]
+        (d_net, *taus_net), (d_fn, *taus_fn) = runs
+        for name in ("delta_dm", "delta_ca", "delta_total"):
+            assert np.array_equal(getattr(d_net, name), getattr(d_fn, name))
+        assert np.array_equal(taus_net, taus_fn)
+
+    def test_backward_simulate(self):
+        gen = tiny_net(85)
+        cond = np.arange(8) % 4
+        grid = (0.0, 0.25, 0.5, 0.75)
+        z_net = backward_simulate(gen, grid, 4, cond, np.random.default_rng(86))
+        z_fn = backward_simulate(as_callable(gen), grid, 4, cond,
+                                 np.random.default_rng(86), dim=2)
+        assert np.array_equal(z_net, z_fn)
+
+    def test_model_that_is_not_callable(self):
+        x, cond = np.zeros((3, 2)), np.zeros(3, int)
+        with pytest.raises(TypeError):
+            delta_dm(tiny_net(87), "teacher.ckpt", x, 0.5, cond)
+        with pytest.raises(TypeError):
+            sample_teacher(object(), 2, 1.0, 0, 3, np.random.default_rng(0),
+                           dim=2)
+
+
 class TestConfigValidation:
     def test_grid_must_start_at_zero(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import pytest
 
 from dmdlab import NULL_LABEL, NetConfig, init_params
 from dmdlab.data import Component, MixtureSpec, LabeledBatch, gmm8, sample_dataset
-from dmdlab.flow import (TeacherConfig, as_predictor, cfg_combine, renoise,
+from dmdlab.flow import (TeacherConfig, cfg_combine, renoise,
                          sample_teacher, teacher_loss, train_teacher)
 
 

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from dmdlab.lab.config import (FIELD_KEYS, RUN_KEYS, RUN_OPTIONAL,
                                run_config_from_dict, teacher_config_from_dict)
 from dmdlab.lab.plots import PlotDataError, plot_run
 from dmdlab.lab.presets import TAU_PROBE_RANGES, run_preset
-from dmdlab.lab.runner import _abort, run_config
+from dmdlab.lab.runner import RunArtifacts, _abort, run_config
 from dmdlab.metrics import CSV_COLUMNS, batch_sample_stats
 
 from conftest import checkpoint_bytes, write_fp32_checkpoint
@@ -459,14 +460,33 @@ class TestPlots:
         # two values that '%.6g' prints alike
         self.write_metrics(tmp_path / "run", ["0.123456789", "0.12345679"])
         plot_run(tmp_path / "run")
-        self.assert_y_labels_differ(tmp_path / "run" / "plots" / "sw2.svg")
+        labels = self.assert_y_labels_differ(
+            tmp_path / "run" / "plots" / "sw2.svg")
+        # each label prints its tick, a multiple of the 2.5e-10 step, exactly
+        assert [Decimal(v) for v in labels] == [
+            Decimal("0.123456789") + k * Decimal("2.5e-10") for k in range(5)]
+
+    def test_samples_svg_draws_the_last_dump(self, tmp_path):
+        # past iteration 999999 the file names outgrow their zero padding
+        run_dir = tmp_path / "run"
+        self.write_metrics(run_dir, ["0.5", "0.25"])
+        (run_dir / "samples").mkdir()
+        for it in (999900, 1000000):
+            (run_dir / "samples" / f"iter_{it:06d}.csv").write_text(
+                "x0,x1,label\n0.5,0.5,0\n-0.5,0.25,1\n")
+        assert [p.name for p in RunArtifacts(run_dir).sample_paths()] == [
+            "iter_999900.csv", "iter_1000000.csv"]
+        plot_run(run_dir)
+        svg = (run_dir / "plots" / "samples.svg").read_text()
+        assert "Generated samples (iter_1000000)" in svg
 
     @staticmethod
-    def assert_y_labels_differ(svg_path: Path) -> None:
+    def assert_y_labels_differ(svg_path: Path) -> list:
         labels = re.findall(r'text-anchor="end" font-family="sans-serif" '
                             r'font-size="11">([^<]*)<', svg_path.read_text())
         assert len(labels) >= 3
         assert len(set(labels)) == len(labels), labels
+        return labels
 
     @pytest.mark.parametrize("values", [["-1e308", "1e308"],
                                         ["0", "1.79e308"],
@@ -1266,6 +1286,17 @@ class TestOutputPathsAndReference:
             "preset", "observer", "--out", str(tmp_path / "p"),
             "--override", f'teacher="{tiny_teacher_ckpt}"',
             "--override", f'out_dir="{tmp_path / "elsewhere"}"'], "out_dir")
+
+    def test_preset_member_key_override(self, tmp_path, capsys,
+                                        tiny_teacher_ckpt):
+        # every schedule-ablation member sets n_steps and schedule_policy,
+        # so these overrides would do nothing
+        self.assert_exit_2(tmp_path, capsys, [
+            "preset", "schedule-ablation", "--out", str(tmp_path / "p"),
+            "--override", f'teacher="{tiny_teacher_ckpt}"',
+            "--override", "iterations=2", "--override", "eval_every=2",
+            "--override", "batch=8", "--override", "n_steps=2",
+            "--override", "schedule_policy=DECOUPLED_FULL"], "n_steps")
 
     @pytest.mark.parametrize("over,key", [
         ({}, "--out"), ({"out": "adir"}, "out"), ({"log": "adir"}, "log"),

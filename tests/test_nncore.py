@@ -73,6 +73,15 @@ def fd_grad_slot(params, arr, idx, x, tau, cond, upstream, h=1e-5):
 
 
 class TestForward:
+    def test_params_call_is_net_forward(self):
+        rng = np.random.default_rng(3)
+        params = init_params(small_config(), rng)
+        x = rng.standard_normal((6, 2))
+        tau = rng.uniform(0, 1, size=6)
+        cond = np.array([0, 1, 2, NULL_LABEL, 1, 0])
+        assert np.array_equal(params(x, tau, cond),
+                              net_forward(params, x, tau, cond))
+
     def test_zero_network_outputs_zero(self):
         rng = np.random.default_rng(0)
         params = init_params(small_config(), rng)

@@ -3,12 +3,16 @@
 import ast
 import importlib
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import dmdlab
 
 SRC = Path(dmdlab.__file__).resolve().parent
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 def unused_imports(path: Path) -> list:
@@ -112,3 +116,44 @@ def test_demo_calls_bind_to_the_library():
         except TypeError as e:
             unbound.append(f"{path.name}:{node.lineno} {node.func.id}: {e}")
     assert unbound == []
+
+
+# 17 non-blank lines; settable values: Point's 2 fields, move's dx and dy,
+# make's args and kwargs and free's 5 parameters, but not Plain's field,
+# self, cls or the lambda's; 3 raise statements
+SIZED_MODULE = """from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Point:
+    x: float
+    y: float = 0.0
+    NOTE = "not a field"
+
+
+class Plain:
+    z: int
+
+    def move(self, dx, *, dy=0.0):
+        if dx < 0:
+            raise ValueError("dx")
+        return lambda a, b: a + b
+
+    @classmethod
+    def make(cls, *args, **kwargs):
+        raise NotImplementedError
+
+
+def free(a, /, b, *rest, c, **opts):
+    raise RuntimeError
+"""
+
+
+def test_src_size_counts(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(SIZED_MODULE)
+    out = subprocess.run([sys.executable, str(TOOLS / "src_size.py"),
+                          "--src", str(tmp_path)], capture_output=True,
+                         text=True, check=True).stdout
+    assert json.loads(out) == {"nonblank_lines": 17, "settable_values": 11,
+                               "raises": 3}
