@@ -8,13 +8,13 @@ Run:  python demos/03_schedule_policies.py
 
 import numpy as np
 
-from dmdlab import ScheduleConfig, SchedulePolicy, sample_tau
+from dmdlab import DistillConfig, SchedulePolicy, sample_tau
 
 
 def describe(policy, t, override=None):
-    sched = ScheduleConfig(policy, tau_ca_range=override)
+    config = DistillConfig(schedule_policy=policy, tau_ca_range=override)
     rng = np.random.default_rng(0)
-    ca, dm, shared = sample_tau(sched, t, rng, size=20_000)
+    ca, dm, shared = sample_tau(config, t, rng, size=20_000)
     print(f"{policy.value:22s} t={t}: "
           f"tau_ca in [{ca.min():.3f}, {ca.max():.3f}], "
           f"tau_dm in [{dm.min():.3f}, {dm.max():.3f}], shared_eps={shared}")

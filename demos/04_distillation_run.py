@@ -10,9 +10,9 @@ Run:  python demos/04_distillation_run.py
 
 import numpy as np
 
-from dmdlab import (DistillConfig, Mode, ScheduleConfig, SchedulePolicy,
-                    TeacherConfig, batch_sample_stats, expected_sample_stats,
-                    gmm8, generator_update, init_distill_state, mode_coverage,
+from dmdlab import (DistillConfig, Mode, SchedulePolicy, TeacherConfig,
+                    batch_sample_stats, expected_sample_stats, gmm8,
+                    generator_update, init_distill_state, mode_coverage,
                     sample_dataset, sample_generator, sliced_wasserstein2,
                     train_teacher)
 
@@ -40,8 +40,8 @@ def main():
     ref = sample_dataset(spec, 5000, np.random.default_rng(1))
 
     config = DistillConfig(alpha=1.5, n_steps=2, mode=Mode.FULL_DMD,
-                           normalizer_on=False, lr_fake=4e-4, batch=256)
-    schedule = ScheduleConfig(SchedulePolicy.DECOUPLED_HYBRID)
+                           normalizer_on=False, lr_fake=4e-4, batch=256,
+                           schedule_policy=SchedulePolicy.DECOUPLED_HYBRID)
     state = init_distill_state(teacher, config, spec, seed=0)
 
     _, vstar = expected_sample_stats(spec)
@@ -49,7 +49,7 @@ def main():
     print(f"before distillation: sw2={sw:.4f} coverage={cov:.3f} "
           f"var_ratio={var / vstar:.2f}")
     for step in range(1, 401):
-        record = generator_update(state, teacher, config, schedule)
+        record = generator_update(state, teacher, config)
         if step % 100 == 0:
             sw, cov, var = evaluate(state, config, spec, ref)
             print(f"update {step:4d}: sw2={sw:.4f} coverage={cov:.3f} "

@@ -16,13 +16,12 @@ from .data import (Component, LabeledBatch, MixtureSpec, gmm8, sample_dataset,
 from .flow import (TeacherConfig, cfg_combine, renoise,
                    sample_teacher, teacher_loss, train_teacher)
 from .distill import (DistillConfig, DistillState, Mode, NonFiniteError,
-                      Regularizer, RegularizerTargets, ScheduleConfig,
-                      SchedulePolicy, UpdateDirection, backward_simulate,
-                      delta_ca, delta_dm, dmd_direction_coupled,
-                      dmd_direction_decoupled, fake_model_update, gan_losses,
-                      generator_update, init_distill_state, meanvar_kl_loss,
-                      observer_probe, proxy_loss_and_grad, sample_generator,
-                      sample_tau)
+                      Regularizer, SchedulePolicy, UpdateDirection,
+                      backward_simulate, delta_ca, delta_dm,
+                      dmd_direction_coupled, dmd_direction_decoupled,
+                      fake_model_update, gan_losses, generator_update,
+                      init_distill_state, meanvar_kl_loss, observer_probe,
+                      proxy_loss_and_grad, sample_generator, sample_tau)
 from .metrics import (MetricRecord, batch_sample_stats, ikl_estimate,
                       mode_coverage, sliced_wasserstein2, wasserstein2_1d)
 
@@ -36,11 +35,11 @@ __all__ = [
     "TeacherConfig", "cfg_combine", "renoise",
     "sample_teacher", "teacher_loss", "train_teacher",
     "DistillConfig", "DistillState", "Mode", "NonFiniteError", "Regularizer",
-    "RegularizerTargets", "ScheduleConfig", "SchedulePolicy",
-    "UpdateDirection", "backward_simulate", "delta_ca", "delta_dm",
-    "dmd_direction_coupled", "dmd_direction_decoupled", "fake_model_update",
-    "gan_losses", "generator_update", "init_distill_state", "meanvar_kl_loss",
-    "observer_probe", "proxy_loss_and_grad", "sample_generator", "sample_tau",
+    "SchedulePolicy", "UpdateDirection", "backward_simulate", "delta_ca",
+    "delta_dm", "dmd_direction_coupled", "dmd_direction_decoupled",
+    "fake_model_update", "gan_losses", "generator_update",
+    "init_distill_state", "meanvar_kl_loss", "observer_probe",
+    "proxy_loss_and_grad", "sample_generator", "sample_tau",
     "MetricRecord", "batch_sample_stats", "ikl_estimate", "mode_coverage",
     "sliced_wasserstein2", "wasserstein2_1d",
 ]

@@ -72,10 +72,10 @@ class MixtureSpec:
         """Build and validate a spec; any malformed object is a ValueError."""
         try:
             return cls(
-                dim=int(obj["dim"]),
-                label_count=int(obj["labels"]),
+                dim=_integer(obj, "dim"),
+                label_count=_integer(obj, "labels"),
                 components=[
-                    Component(label=int(c["label"]),
+                    Component(label=_integer(c, "label"),
                               center=np.asarray(c["center"], dtype=float),
                               cov=np.asarray(c["cov"], dtype=float),
                               weight=float(c["weight"]))
@@ -91,6 +91,15 @@ class MixtureSpec:
     @classmethod
     def load(cls, path) -> "MixtureSpec":
         return cls.from_json(json.loads(Path(path).read_text()))
+
+
+def _integer(obj: dict, key: str) -> int:
+    """obj[key] as an int; 2.0 is one, but 2.9, true and "2" are not."""
+    value = obj[key]
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass

@@ -82,10 +82,14 @@ class DistillConfig:
     meanvar_mu_target: float | None = None
     meanvar_var_target: float | None = None
     observer_mode: bool = False
+    schedule_policy: SchedulePolicy = SchedulePolicy.COUPLED_SHARED
+    tau_ca_range: tuple | None = None
+    tau_dm_range: tuple | None = None
 
     def __post_init__(self):
         self.mode = Mode(self.mode)
         self.regularizer = Regularizer(self.regularizer)
+        self.schedule_policy = SchedulePolicy(self.schedule_policy)
         self.validate()
 
     @property
@@ -137,40 +141,30 @@ class DistillConfig:
             missing = "meanvar_mu_target" if mu is None else "meanvar_var_target"
             raise ValueError(f"{missing} must be set too: one moment target "
                              "alone would be ignored")
-
-
-@dataclass
-class ScheduleConfig:
-    policy: SchedulePolicy = SchedulePolicy.COUPLED_SHARED
-    tau_ca_range: tuple | None = None
-    tau_dm_range: tuple | None = None
-
-    def __post_init__(self):
-        self.policy = SchedulePolicy(self.policy)
         for name in ("tau_ca_range", "tau_dm_range"):
             r = getattr(self, name)
-            if r is None:
-                continue
-            lo, hi = float(r[0]), float(r[1])
-            if not (0.0 <= lo < hi <= 1.0):
+            if r is not None and not 0.0 <= float(r[0]) < float(r[1]) <= 1.0:
                 raise ValueError(f"{name} must satisfy 0 <= lo < hi <= 1")
-            setattr(self, name, (lo, hi))
         ca, dm = self.tau_ca_range, self.tau_dm_range
-        if self.policy == SchedulePolicy.COUPLED_SHARED:
-            if ca and dm and ca != dm:
-                raise ValueError("tau_dm_range must equal tau_ca_range under "
-                                 "COUPLED_SHARED, which makes one shared draw")
-            self.tau_ca_range = self.tau_dm_range = ca or dm
+        if (self.schedule_policy == SchedulePolicy.COUPLED_SHARED and ca and dm
+                and tuple(ca) != tuple(dm)):
+            raise ValueError("tau_dm_range must equal tau_ca_range under "
+                             "COUPLED_SHARED, which makes one shared draw")
 
     def ranges(self, t: float):
         """The (tau_ca, tau_dm) ranges at step level t: the policy's row, (t, 1)
-        being the span that remains, each override replacing its term's."""
+        being the span that remains, each override replacing its term's;
+        COUPLED_SHARED's one draw takes whichever override is set."""
         rest, full = (t, 1.0), (0.0, 1.0)
+        policy = self.schedule_policy
         ca, dm = {SchedulePolicy.COUPLED_SHARED: (full, full),
                   SchedulePolicy.DECOUPLED_FULL: (full, full),
                   SchedulePolicy.DECOUPLED_CONSTRAINED: (rest, rest),
-                  SchedulePolicy.DECOUPLED_HYBRID: (rest, full)}[self.policy]
-        return self.tau_ca_range or ca, self.tau_dm_range or dm
+                  SchedulePolicy.DECOUPLED_HYBRID: (rest, full)}[policy]
+        ca_o, dm_o = self.tau_ca_range, self.tau_dm_range
+        if policy == SchedulePolicy.COUPLED_SHARED:
+            ca_o = dm_o = ca_o or dm_o
+        return ca_o or ca, dm_o or dm
 
 
 @dataclass
@@ -178,16 +172,6 @@ class UpdateDirection:
     delta_dm: np.ndarray
     delta_ca: np.ndarray
     delta_total: np.ndarray
-
-
-@dataclass
-class RegularizerTargets:
-    mu_target: float
-    var_target: float
-
-    def __post_init__(self):
-        if self.var_target <= 0:
-            raise ValueError("var_target must be > 0")
 
 
 @dataclass
@@ -202,7 +186,7 @@ class DistillState:
     rng_gen: np.random.Generator
     rng_fake: np.random.Generator
     spec: MixtureSpec | None = None
-    reg_targets: list = field(default_factory=list)
+    reg_targets: list = field(default_factory=list)  # (mu, var) per label
 
 
 def init_distill_state(teacher: NetParams, config: DistillConfig,
@@ -223,11 +207,10 @@ def init_distill_state(teacher: NetParams, config: DistillConfig,
         disc_opt = init_adam(disc, lr=config.lr_fake)
     reg_targets = []
     if config.meanvar_mu_target is not None:  # validate(): so is var
-        reg_targets = [RegularizerTargets(config.meanvar_mu_target,
-                                          config.meanvar_var_target)
-                       for _ in range(teacher.config.n_labels)]
+        reg_targets = [(config.meanvar_mu_target, config.meanvar_var_target)
+                       ] * teacher.config.n_labels
     elif spec is not None:
-        reg_targets = [RegularizerTargets(*expected_sample_stats(spec, lb))
+        reg_targets = [expected_sample_stats(spec, lb)
                        for lb in range(spec.label_count)]
     elif config.regularizer == Regularizer.MEANVAR_KL:
         raise ValueError("MEANVAR_KL regularizer needs a data spec or both "
@@ -252,23 +235,20 @@ def init_distill_state(teacher: NetParams, config: DistillConfig,
     )
 
 
-def _draw_range(rng, lo, hi, size):
-    if hi <= lo:
-        raise ValueError(f"empty noise-level range [{lo}, {hi}]")
-    return rng.uniform(lo, hi, size)
-
-
-def sample_tau(schedule: ScheduleConfig, t: float, rng: np.random.Generator,
+def sample_tau(config: DistillConfig, t: float, rng: np.random.Generator,
                size=None):
     """Draw the (tau_ca, tau_dm, shared_eps) triple for one generator step,
-    uniformly over schedule.ranges(t): tau_ca, then tau_dm unless
+    uniformly over config.ranges(t): tau_ca, then tau_dm unless
     COUPLED_SHARED, whose one draw serves both. size vectorizes the draws.
     """
-    ca_range, dm_range = schedule.ranges(t)
-    tau_ca = _draw_range(rng, *ca_range, size)
-    if schedule.policy == SchedulePolicy.COUPLED_SHARED:
+    ca_range, dm_range = config.ranges(t)
+    for lo, hi in (ca_range, dm_range):
+        if hi <= lo:
+            raise ValueError(f"empty noise-level range [{lo}, {hi}]")
+    tau_ca = rng.uniform(*ca_range, size)
+    if config.schedule_policy == SchedulePolicy.COUPLED_SHARED:
         return tau_ca, tau_ca, True
-    return tau_ca, _draw_range(rng, *dm_range, size), False
+    return tau_ca, rng.uniform(*dm_range, size), False
 
 
 def delta_dm(real, fake, x_tau: np.ndarray, tau, cond) -> np.ndarray:
@@ -288,24 +268,19 @@ def delta_ca(real, x_tau: np.ndarray, tau, cond, alpha: float) -> np.ndarray:
 
 
 def dmd_direction_coupled(real, fake, gen_out: np.ndarray, t: float, cond,
-                          config: DistillConfig, rng: np.random.Generator,
-                          schedule: ScheduleConfig | None = None):
+                          config: DistillConfig, rng: np.random.Generator):
     """One shared (tau, eps) draw for both terms. Returns (direction, tau, tau)."""
-    if schedule is None:
-        schedule = ScheduleConfig(SchedulePolicy.COUPLED_SHARED)
-    if schedule.policy != SchedulePolicy.COUPLED_SHARED:
+    if config.schedule_policy != SchedulePolicy.COUPLED_SHARED:
         raise ValueError("coupled direction requires the COUPLED_SHARED policy")
-    return dmd_direction_decoupled(real, fake, gen_out, t, cond, config,
-                                   schedule, rng)
+    return dmd_direction_decoupled(real, fake, gen_out, t, cond, config, rng)
 
 
 def dmd_direction_decoupled(real, fake, gen_out: np.ndarray, t: float, cond,
-                            config: DistillConfig, schedule: ScheduleConfig,
-                            rng: np.random.Generator):
+                            config: DistillConfig, rng: np.random.Generator):
     """(tau, eps) per term as dictated by the schedule policy; under a shared
     policy one draw and one renoised point serve both terms. A term the mode
     leaves out is zero; the normalizer scales both terms per sample."""
-    tau_ca, tau_dm, shared = sample_tau(schedule, t, rng)
+    tau_ca, tau_dm, shared = sample_tau(config, t, rng)
     x_ca = renoise(gen_out, tau_ca, rng.standard_normal(gen_out.shape))
     x_dm = x_ca if shared else renoise(gen_out, tau_dm,
                                        rng.standard_normal(gen_out.shape))
@@ -381,7 +356,7 @@ def fake_model_update(state: DistillState, gen_samples: np.ndarray, cond,
     return loss
 
 
-def meanvar_kl_loss(batch: np.ndarray, targets: RegularizerTargets):
+def meanvar_kl_loss(batch: np.ndarray, mu_target: float, var_target: float):
     """Gaussian-moment KL penalty on per-sample mean/variance.
 
     loss = (1/B) sum_i 0.5 * ((var_i + (mu_i - mu_t)^2) / var_t
@@ -389,13 +364,15 @@ def meanvar_kl_loss(batch: np.ndarray, targets: RegularizerTargets):
     Returns (loss, gradient w.r.t. the batch). Vanishing per-sample variance
     is clamped away from the log singularity with a warning.
     """
+    if var_target <= 0:
+        raise ValueError("var_target must be > 0")
     batch = np.asarray(batch)
     mu, var = batch_sample_stats(batch)
     n, d = batch.shape
     if np.any(var < 1e-12):
         warnings.warn("per-sample variance clamped at 1e-12 (log singularity)")
         var = np.maximum(var, 1e-12)
-    vt, mt = targets.var_target, targets.mu_target
+    vt, mt = var_target, mu_target
     terms = 0.5 * ((var + (mu - mt) ** 2) / vt - 1.0 - np.log(var / vt))
     loss = float(np.mean(terms))
     dmu = (mu - mt) / vt / n
@@ -435,8 +412,8 @@ def gan_losses(disc: NetParams, real_batch: np.ndarray, fake_batch: np.ndarray,
     return disc_loss, disc_grads, gen_grad, gen_adv_loss
 
 
-def generator_update(state: DistillState, teacher, config: DistillConfig,
-                     schedule: ScheduleConfig) -> MetricRecord:
+def generator_update(state: DistillState, teacher,
+                     config: DistillConfig) -> MetricRecord:
     """One full training step: generator phase, then TTUR fake-model phase.
 
     The teacher and (during the generator phase) the fake model are never
@@ -455,7 +432,7 @@ def generator_update(state: DistillState, teacher, config: DistillConfig,
     gen_out, cache = net_forward_cached(state.generator, z_t, t, labels)
 
     direction, tau_ca, tau_dm = dmd_direction_decoupled(
-        teacher, state.fake, gen_out, t, labels, config, schedule, rng)
+        teacher, state.fake, gen_out, t, labels, config, rng)
 
     if not np.isfinite(direction.delta_total).all():
         raise NonFiniteError("non-finite update direction", context={
@@ -474,7 +451,8 @@ def generator_update(state: DistillState, teacher, config: DistillConfig,
             idx = np.nonzero(labels == label)[0]
             if idx.size == 0:
                 continue
-            loss_g, grad_g = meanvar_kl_loss(gen_out[idx], state.reg_targets[label])
+            loss_g, grad_g = meanvar_kl_loss(gen_out[idx],
+                                             *state.reg_targets[label])
             total += idx.size * loss_g
             reg_grad[idx] = idx.size * grad_g  # sum-form injection
         loss_reg = total / config.batch

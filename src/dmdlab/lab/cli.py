@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from ..distill import NonFiniteError
-from .config import ConfigError, load_teacher_config
+from .config import ConfigError, load_teacher_config, unique_keys
 from .plots import PlotDataError, plot_run
 from .presets import PRESET_NAMES, run_preset
 from .runner import run, train_teacher_cli
@@ -69,7 +69,7 @@ def main(argv=None) -> int:
         elif args.command == "run":
             print(f"run artifacts in {run(args.config, args.out).dir}")
         elif args.command == "preset":
-            overrides = dict(_parse_override(o) for o in args.override)
+            overrides = unique_keys(map(_parse_override, args.override))
             out_root = Path(args.out or f"runs/{args.name}")
             arts = run_preset(args.name, out_root, overrides)
             print(f"{len(arts)} runs in {out_root} (summary.csv written)")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from ..checkpoint import load_params
 from ..data import MixtureSpec, gmm8
-from ..distill import DistillConfig, Mode, Regularizer, ScheduleConfig, SchedulePolicy
+from ..distill import DistillConfig, Mode, Regularizer, SchedulePolicy
 from ..flow import TeacherConfig
 
 
@@ -32,7 +32,7 @@ RANGE = "[lo, hi]"   # kind of a noise-level range
 LEVELS = "levels"    # kind of a step grid
 
 # typed-config fields whose key is spelled differently
-FIELD_KEYS = {"lam": "lambda", "policy": "schedule_policy"}
+FIELD_KEYS = {"lam": "lambda"}
 
 
 @dataclass(frozen=True)
@@ -45,16 +45,15 @@ class Key:
     nullable: bool = False    # null is allowed (always when the default is)
 
 
-def _table(configs, rows: dict) -> dict:
-    """The rows, each FIELD default read from the typed configs' fields."""
+def _table(config, rows: dict) -> dict:
+    """The rows, each FIELD default read from the typed config's fields."""
     defaults = {FIELD_KEYS.get(f.name, f.name): f.default
-                for config in configs for f in fields(config)}
+                for f in fields(config)}
     return {key: replace(spec, default=defaults[key])
             if spec.default is FIELD else spec for key, spec in rows.items()}
 
 
-RUN_CONFIGS = (DistillConfig, ScheduleConfig)
-RUN_KEYS = _table(RUN_CONFIGS, {
+RUN_KEYS = _table(DistillConfig, {
     "mode": Key(Mode),
     "schedule_policy": Key(SchedulePolicy),
     "alpha": Key(),
@@ -86,8 +85,7 @@ RUN_KEYS = _table(RUN_CONFIGS, {
     "observer_mode": Key(bool, FIELD),
 })
 
-TEACHER_CONFIGS = (TeacherConfig,)
-TEACHER_KEYS = _table(TEACHER_CONFIGS, {
+TEACHER_KEYS = _table(TeacherConfig, {
     "iterations": Key(int),
     "batch": Key(int),
     "lr": Key(),
@@ -203,8 +201,9 @@ def resolve_data(value) -> MixtureSpec:
         return gmm8()
     _check_file("data", value)
     try:
-        return MixtureSpec.load(value)
-    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError too
+        return MixtureSpec.from_json(json.loads(
+            Path(value).read_text(), object_pairs_hook=unique_keys))
+    except ValueError as e:  # JSON, UTF-8 and unique_keys's errors too
         raise ConfigError("data", f"{value}: not a valid mixture spec: {e}")
 
 
@@ -222,10 +221,10 @@ def _check_teacher(value, spec: MixtureSpec) -> None:
             f"the data's dim {spec.dim} and {spec.label_count} labels")
 
 
-def _load(raw, keys: dict, configs, what: str) -> dict:
+def _load(raw, keys: dict, config, what: str) -> dict:
     """A config file's checks in order: object, missing keys, unknown keys,
     LAB_SEED, each key's kind and bound, the data and teacher files, the
-    data's dim, then the typed configs' value ranges."""
+    data's dim, then the typed config's value ranges."""
     if not isinstance(raw, dict):
         raise ConfigError("<root>", f"{what}: top level must be a JSON object")
     for key, spec in keys.items():
@@ -249,24 +248,34 @@ def _load(raw, keys: dict, configs, what: str) -> dict:
         raise ConfigError("data", f"{cfg['data']}: dim must be >= 2, got "
                           f"{mixture.dim}")
     try:
-        for config in configs:
-            build(config, cfg)
+        build(config, cfg)
     except ValueError as e:
-        # the typed configs start each message with the key at fault
+        # the typed config starts each message with the key at fault
         raise ConfigError(str(e).split(" ", 1)[0], str(e))
     return cfg
 
 
+def unique_keys(pairs) -> dict:
+    """A JSON object's or --override's pairs as a dict, none given twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(key, "given twice")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path):
-    # OSError: missing or unreadable; ValueError: not UTF-8, or not JSON
+    # unreadable, not UTF-8 or not JSON; unique_keys's error names its key
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as e:
+        return json.loads(Path(path).read_text(encoding="utf-8"),
+                          object_pairs_hook=unique_keys)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError("<json>", f"{path}: {e}")
 
 
 def run_config_from_dict(raw: dict) -> dict:
-    return _load(raw, RUN_KEYS, RUN_CONFIGS, "run config")
+    return _load(raw, RUN_KEYS, DistillConfig, "run config")
 
 
 def load_run_config(path) -> dict:
@@ -274,7 +283,7 @@ def load_run_config(path) -> dict:
 
 
 def teacher_config_from_dict(raw: dict) -> dict:
-    return _load(raw, TEACHER_KEYS, TEACHER_CONFIGS, "teacher config")
+    return _load(raw, TEACHER_KEYS, TeacherConfig, "teacher config")
 
 
 def load_teacher_config(path) -> dict:

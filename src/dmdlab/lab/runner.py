@@ -28,8 +28,8 @@ import numpy as np
 from ..checkpoint import load_params, save_params
 from ..data import MixtureSpec, sample_dataset, target_stats
 from ..distill import (DistillConfig, DistillState, NonFiniteError,
-                       ScheduleConfig, generator_update, init_distill_state,
-                       observer_probe, sample_generator)
+                       generator_update, init_distill_state, observer_probe,
+                       sample_generator)
 from ..flow import TeacherConfig, train_teacher
 from ..metrics import (CSV_COLUMNS, batch_sample_stats, mode_coverage,
                        sliced_wasserstein2)
@@ -191,7 +191,6 @@ def run_config(cfg: dict, out_dir, key: str = "--out") -> RunArtifacts:
         json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
 
     dconfig = build(DistillConfig, cfg)
-    schedule = build(ScheduleConfig, cfg)
     state = init_distill_state(teacher, dconfig, spec, seed=cfg["seed"])
 
     evals = eval_iterations(cfg)
@@ -202,7 +201,7 @@ def run_config(cfg: dict, out_dir, key: str = "--out") -> RunArtifacts:
         writer.writerow(CSV_COLUMNS)
         try:
             for it in range(1, cfg["iterations"] + 1):
-                record = generator_update(state, teacher, dconfig, schedule)
+                record = generator_update(state, teacher, dconfig)
                 if it in evals:
                     clouds = _eval_clouds(state, dconfig.grid, spec,
                                           cfg["seed"], it, cfg["eval_n"])

@@ -19,8 +19,7 @@ import pytest
 from dmdlab import (NULL_LABEL, NetConfig, init_params, net_forward,
                     net_forward_cached, net_backward)
 from dmdlab.data import expected_sample_stats, gmm8, sample_dataset
-from dmdlab.distill import (DistillConfig, Mode, RegularizerTargets,
-                            ScheduleConfig, SchedulePolicy, delta_ca,
+from dmdlab.distill import (DistillConfig, Mode, SchedulePolicy, delta_ca,
                             delta_dm, dmd_direction_coupled,
                             dmd_direction_decoupled, fake_model_update,
                             init_distill_state, meanvar_kl_loss,
@@ -209,8 +208,8 @@ def test_criterion_04_schedule_bounds():
             SchedulePolicy.DECOUPLED_HYBRID: ((t, 1), (0, 1)),
         }
         for policy, ((cl, ch), (dl, dh)) in expectations.items():
-            ca, dm, shared = sample_tau(ScheduleConfig(policy), t, rng,
-                                        size=100_000)
+            ca, dm, shared = sample_tau(DistillConfig(schedule_policy=policy),
+                                        t, rng, size=100_000)
             violations = int(np.sum((ca < cl) | (ca > ch) | (dm < dl)
                                     | (dm > dh)))
             if violations:
@@ -224,12 +223,12 @@ def test_criterion_04_schedule_bounds():
     real, fake = tiny_net(11_000), tiny_net(11_001)
     gen_out = rng.standard_normal((6, 2))
     cond = rng.integers(0, 4, size=6)
-    cfg = DistillConfig(alpha=4.0, normalizer_on=False, batch=6)
-    sched = ScheduleConfig(SchedulePolicy.COUPLED_SHARED)
+    cfg = DistillConfig(alpha=4.0, normalizer_on=False, batch=6,
+                        schedule_policy=SchedulePolicy.COUPLED_SHARED)
     d1, *_ = dmd_direction_coupled(real, fake, gen_out, 0.25, cond, cfg,
                                    np.random.default_rng(42))
     d2, *_ = dmd_direction_decoupled(real, fake, gen_out, 0.25, cond, cfg,
-                                     sched, np.random.default_rng(42))
+                                     np.random.default_rng(42))
     if not np.array_equal(d1.delta_total, d2.delta_total):
         ok = False
         detail.append("decoupled path under coupled policy not bit-identical")
@@ -238,15 +237,13 @@ def test_criterion_04_schedule_bounds():
 
 
 def test_criterion_05_moment_kl_values():
-    targets = RegularizerTargets(mu_target=0.0, var_target=1.0)
-    loss0, _ = meanvar_kl_loss(np.array([[1.0, -1.0], [1.0, -1.0]]), targets)
-    worked = RegularizerTargets(mu_target=0.075, var_target=0.81)
-    loss1, _ = meanvar_kl_loss(np.array([[0.9, -0.9]] * 4), worked)
+    loss0, _ = meanvar_kl_loss(np.array([[1.0, -1.0], [1.0, -1.0]]), 0.0, 1.0)
+    loss1, _ = meanvar_kl_loss(np.array([[0.9, -0.9]] * 4), 0.075, 0.81)
     # finite-difference gradient check
     rng = np.random.default_rng(1005)
     batch = rng.standard_normal((6, 5))
-    t2 = RegularizerTargets(mu_target=0.2, var_target=0.6)
-    _, grad = meanvar_kl_loss(batch, t2)
+    t2 = (0.2, 0.6)  # (mu, var)
+    _, grad = meanvar_kl_loss(batch, *t2)
     worst = 0.0
     h = 1e-6
     for i in range(6):
@@ -254,8 +251,8 @@ def test_criterion_05_moment_kl_values():
             bp, bm = batch.copy(), batch.copy()
             bp[i, j] += h
             bm[i, j] -= h
-            lp, _ = meanvar_kl_loss(bp, t2)
-            lm, _ = meanvar_kl_loss(bm, t2)
+            lp, _ = meanvar_kl_loss(bp, *t2)
+            lm, _ = meanvar_kl_loss(bm, *t2)
             fd = (lp - lm) / (2 * h)
             worst = max(worst, abs(fd - grad[i, j]) / max(abs(fd), 1e-9))
     ok = loss0 == 0.0 and abs(loss1 - 0.0034722) < 1e-7 and worst < 1e-6

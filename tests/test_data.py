@@ -219,6 +219,29 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             MixtureSpec.from_json(obj)
 
+    @pytest.mark.parametrize("key,value", [
+        ("dim", 2.9), ("labels", 4.5), ("label", 0.7), ("dim", True),
+        ("labels", True), ("label", False), ("dim", "2"),
+        ("labels", float("nan")), ("label", float("inf")),
+    ])
+    def test_non_integer_count_rejected(self, key, value):
+        obj = gmm8().to_json()
+        (obj["components"][0] if key == "label" else obj)[key] = value
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            MixtureSpec.from_json(obj)
+
+    def test_integral_float_counts_accepted(self):
+        obj = gmm8().to_json()
+        obj["dim"], obj["labels"] = 2.0, 4.0
+        for c in obj["components"]:
+            c["label"] = float(c["label"])
+        spec = MixtureSpec.from_json(obj)
+        assert (spec.dim, spec.label_count) == (2, 4)
+        assert [c.label for c in spec.components] == [
+            c.label for c in gmm8().components]
+        assert all(type(v) is int for v in (
+            spec.dim, spec.label_count, *(c.label for c in spec.components)))
+
     def test_gmm8_structure(self):
         spec = gmm8()
         assert spec.label_count == 4

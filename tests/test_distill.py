@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from dmdlab import NULL_LABEL, NetConfig, init_params, net_forward
 from dmdlab.data import Component, MixtureSpec, gmm8
 from dmdlab.distill import (DistillConfig, DistillState, Mode, NonFiniteError,
-                            Regularizer, RegularizerTargets, ScheduleConfig,
-                            SchedulePolicy, backward_simulate,
+                            Regularizer, SchedulePolicy, backward_simulate,
                             delta_ca, delta_dm, dmd_direction_coupled,
                             dmd_direction_decoupled, fake_model_update,
                             gan_losses, generator_update, init_distill_state,
@@ -41,43 +40,50 @@ def base_config(**kw):
 
 class TestSampleTau:
     def test_coupled_identical(self):
-        sched = ScheduleConfig(SchedulePolicy.COUPLED_SHARED)
+        config = DistillConfig(
+            schedule_policy=SchedulePolicy.COUPLED_SHARED)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            ca, dm, shared = sample_tau(sched, 0.3, rng)
+            ca, dm, shared = sample_tau(config, 0.3, rng)
             assert ca == dm
             assert shared is True
 
     def test_hybrid_ranges(self):
-        sched = ScheduleConfig(SchedulePolicy.DECOUPLED_HYBRID)
+        config = DistillConfig(
+            schedule_policy=SchedulePolicy.DECOUPLED_HYBRID)
         rng = np.random.default_rng(1)
-        ca, dm, shared = sample_tau(sched, 0.5, rng, size=100_000)
+        ca, dm, shared = sample_tau(config, 0.5, rng, size=100_000)
         assert shared is False
         assert np.all(ca >= 0.5) and np.all(ca <= 1.0)
         assert np.all(dm >= 0.0) and np.all(dm <= 1.0)
         assert dm.min() < 0.5  # actually exercises the full range
 
     def test_constrained_min_bound(self):
-        sched = ScheduleConfig(SchedulePolicy.DECOUPLED_CONSTRAINED)
+        config = DistillConfig(
+            schedule_policy=SchedulePolicy.DECOUPLED_CONSTRAINED)
         rng = np.random.default_rng(2)
-        ca, dm, _ = sample_tau(sched, 0.75, rng, size=100_000)
+        ca, dm, _ = sample_tau(config, 0.75, rng, size=100_000)
         assert min(ca.min(), dm.min()) >= 0.75
 
     def test_override_replaces_default(self):
-        sched = ScheduleConfig(SchedulePolicy.DECOUPLED_HYBRID,
-                               tau_ca_range=(0.0, 0.05))
+        config = DistillConfig(
+            schedule_policy=SchedulePolicy.DECOUPLED_HYBRID,
+            tau_ca_range=(0.0, 0.05))
         rng = np.random.default_rng(3)
-        ca, dm, _ = sample_tau(sched, 0.5, rng, size=10_000)
+        ca, dm, _ = sample_tau(config, 0.5, rng, size=10_000)
         assert ca.max() <= 0.05
 
     def test_empty_range_rejected(self):
-        sched = ScheduleConfig(SchedulePolicy.DECOUPLED_CONSTRAINED)
+        config = DistillConfig(
+            schedule_policy=SchedulePolicy.DECOUPLED_CONSTRAINED)
         with pytest.raises(ValueError):
-            sample_tau(sched, 1.0, np.random.default_rng(4))
+            sample_tau(config, 1.0, np.random.default_rng(4))
 
     def test_bad_override_rejected(self):
-        with pytest.raises(ValueError):
-            ScheduleConfig(SchedulePolicy.DECOUPLED_FULL, tau_ca_range=(0.9, 0.2))
+        with pytest.raises(ValueError, match=r"^tau_ca_range must satisfy "
+                           r"0 <= lo < hi <= 1$"):
+            DistillConfig(schedule_policy=SchedulePolicy.DECOUPLED_FULL,
+                          tau_ca_range=(0.9, 0.2))
 
     def test_schedule_bounds_all_policies(self):
         # invariant: zero violations on 1e5 draws for every policy and grid t
@@ -90,8 +96,8 @@ class TestSampleTau:
                 SchedulePolicy.DECOUPLED_HYBRID: ((t, 1), (0, 1)),
             }
             for policy, ((ca_lo, ca_hi), (dm_lo, dm_hi)) in expectations.items():
-                ca, dm, _ = sample_tau(ScheduleConfig(policy), t, rng,
-                                       size=100_000)
+                ca, dm, _ = sample_tau(DistillConfig(schedule_policy=policy),
+                                       t, rng, size=100_000)
                 assert np.all((ca >= ca_lo) & (ca <= ca_hi))
                 assert np.all((dm >= dm_lo) & (dm <= dm_hi))
 
@@ -120,8 +126,9 @@ def test_schedule_table_property(policy, t, ca_o, dm_o, size, seed):
     expected = ([ca_o or dm_o or full] * 2 if coupled
                 else [ca_o or ca_row, dm_o or dm_row])
     rng = np.random.default_rng(seed)
-    ca, dm, shared = sample_tau(ScheduleConfig(policy, ca_o, dm_o), t, rng,
-                                size=size)
+    config = DistillConfig(schedule_policy=policy, tau_ca_range=ca_o,
+                           tau_dm_range=dm_o)
+    ca, dm, shared = sample_tau(config, t, rng, size=size)
     assert shared is coupled
     for draw, (lo, hi) in zip((ca, dm), expected):
         assert np.shape(draw) == (() if size is None else (size,))
@@ -288,12 +295,12 @@ class TestDirections:
         real, fake = tiny_net(38), tiny_net(39)
         gen_out = np.random.default_rng(40).standard_normal((6, 2))
         cond = np.arange(6) % 4
-        cfg = base_config(alpha=4.0, mode=Mode.FULL_DMD)
-        sched = ScheduleConfig(SchedulePolicy.COUPLED_SHARED)
+        cfg = base_config(alpha=4.0, mode=Mode.FULL_DMD,
+                          schedule_policy=SchedulePolicy.COUPLED_SHARED)
         d1, ca1, dm1 = dmd_direction_coupled(real, fake, gen_out, 0.25, cond,
                                              cfg, np.random.default_rng(41))
         d2, ca2, dm2 = dmd_direction_decoupled(real, fake, gen_out, 0.25, cond,
-                                               cfg, sched, np.random.default_rng(41))
+                                               cfg, np.random.default_rng(41))
         assert ca1 == ca2 and dm1 == dm2
         assert np.array_equal(d1.delta_total, d2.delta_total)
         assert np.array_equal(d1.delta_dm, d2.delta_dm)
@@ -303,25 +310,26 @@ class TestDirections:
         real, fake = tiny_net(42), tiny_net(43)
         gen_out = np.random.default_rng(44).standard_normal((5, 2))
         cond = np.zeros(5, int)
-        sched = ScheduleConfig(SchedulePolicy.DECOUPLED_HYBRID)
-        full = base_config(alpha=1.0, mode=Mode.FULL_DMD)
-        dm = base_config(alpha=1.0, mode=Mode.DM_ONLY)
+        hybrid = SchedulePolicy.DECOUPLED_HYBRID
+        full = base_config(alpha=1.0, mode=Mode.FULL_DMD,
+                           schedule_policy=hybrid)
+        dm = base_config(alpha=1.0, mode=Mode.DM_ONLY, schedule_policy=hybrid)
         d1, *_ = dmd_direction_decoupled(real, fake, gen_out, 0.5, cond, full,
-                                         sched, np.random.default_rng(45))
+                                         np.random.default_rng(45))
         d2, *_ = dmd_direction_decoupled(real, fake, gen_out, 0.5, cond, dm,
-                                         sched, np.random.default_rng(45))
+                                         np.random.default_rng(45))
         assert np.array_equal(d1.delta_total, d2.delta_total)
 
     def test_hybrid_logged_taus_respect_ranges(self):
         real, fake = tiny_net(46), tiny_net(47)
         gen_out = np.random.default_rng(48).standard_normal((3, 2))
         cond = np.zeros(3, int)
-        cfg = base_config(alpha=2.0, mode=Mode.FULL_DMD)
-        sched = ScheduleConfig(SchedulePolicy.DECOUPLED_HYBRID)
+        cfg = base_config(alpha=2.0, mode=Mode.FULL_DMD,
+                          schedule_policy=SchedulePolicy.DECOUPLED_HYBRID)
         rng = np.random.default_rng(49)
         for _ in range(1000):
             _, tau_ca, tau_dm = dmd_direction_decoupled(
-                real, fake, gen_out, 0.75, cond, cfg, sched, rng)
+                real, fake, gen_out, 0.75, cond, cfg, rng)
             assert tau_ca >= 0.75
             assert 0.0 <= tau_dm <= 1.0
 
@@ -342,10 +350,10 @@ class TestDirectionFold:
         data = np.random.default_rng(seed)
         gen_out = data.standard_normal((5, 2))
         cond = data.integers(0, 4, size=5)
-        cfg = base_config(alpha=alpha, mode=mode, normalizer_on=normalizer)
+        cfg = base_config(alpha=alpha, mode=mode, normalizer_on=normalizer,
+                          schedule_policy=policy)
         d, tau_ca, tau_dm = dmd_direction_decoupled(
-            real, fake, gen_out, t, cond, cfg, ScheduleConfig(policy),
-            np.random.default_rng(seed))
+            real, fake, gen_out, t, cond, cfg, np.random.default_rng(seed))
         assert np.array_equal(d.delta_total, d.delta_ca + d.delta_dm)
         if policy != SchedulePolicy.COUPLED_SHARED:
             return
@@ -362,9 +370,9 @@ class TestDirectionFold:
         gen_out = np.zeros((2, 2))
         with pytest.raises(ValueError, match="COUPLED_SHARED"):
             dmd_direction_coupled(tiny_net(0), tiny_net(1), gen_out, 0.0,
-                                  np.zeros(2, int), base_config(),
-                                  np.random.default_rng(0),
-                                  ScheduleConfig(policy))
+                                  np.zeros(2, int),
+                                  base_config(schedule_policy=policy),
+                                  np.random.default_rng(0))
 
 
 class TestProxyLoss:
@@ -516,41 +524,43 @@ class TestFakeModelUpdate:
 
 class TestMeanVarKl:
     def test_zero_at_targets_exact(self):
-        targets = RegularizerTargets(mu_target=0.0, var_target=1.0)
         batch = np.array([[1.0, -1.0], [1.0, -1.0]])
-        loss, grad = meanvar_kl_loss(batch, targets)
+        loss, grad = meanvar_kl_loss(batch, 0.0, 1.0)
         assert loss == 0.0
 
     def test_worked_value(self):
-        targets = RegularizerTargets(mu_target=0.075, var_target=0.81)
         batch = np.array([[0.9, -0.9]] * 3)  # mean 0, var 0.81 per sample
-        loss, _ = meanvar_kl_loss(batch, targets)
+        loss, _ = meanvar_kl_loss(batch, 0.075, 0.81)
         assert abs(loss - 0.0034722) < 1e-7
 
     def test_gradient_finite_difference(self):
         rng = np.random.default_rng(67)
-        targets = RegularizerTargets(mu_target=0.1, var_target=0.5)
+        targets = (0.1, 0.5)  # (mu, var)
         batch = rng.standard_normal((5, 4))
-        loss, grad = meanvar_kl_loss(batch, targets)
+        loss, grad = meanvar_kl_loss(batch, *targets)
         h = 1e-6
         for i in range(5):
             for j in range(4):
                 bp, bm = batch.copy(), batch.copy()
                 bp[i, j] += h
                 bm[i, j] -= h
-                lp, _ = meanvar_kl_loss(bp, targets)
-                lm, _ = meanvar_kl_loss(bm, targets)
+                lp, _ = meanvar_kl_loss(bp, *targets)
+                lm, _ = meanvar_kl_loss(bm, *targets)
                 fd = (lp - lm) / (2 * h)
                 assert abs(fd - grad[i, j]) / max(abs(fd), 1e-9) < 1e-6
 
     def test_variance_clamp_warns(self):
-        targets = RegularizerTargets(mu_target=0.0, var_target=1.0)
         with pytest.warns(UserWarning):
-            meanvar_kl_loss(np.zeros((2, 3)), targets)
+            meanvar_kl_loss(np.zeros((2, 3)), 0.0, 1.0)
+
+    @pytest.mark.parametrize("var_target", [0.0, -1.0])
+    def test_nonpositive_var_target_rejected(self, var_target):
+        with pytest.raises(ValueError, match="^var_target must be > 0"):
+            meanvar_kl_loss(np.ones((2, 3)), 0.0, var_target)
 
     def test_dim_one_rejected(self):
         with pytest.raises(ValueError):
-            meanvar_kl_loss(np.zeros((2, 1)), RegularizerTargets(0.0, 1.0))
+            meanvar_kl_loss(np.zeros((2, 1)), 0.0, 1.0)
 
 
 class TestGanLosses:
@@ -594,9 +604,8 @@ class TestGeneratorUpdate:
             cfg = base_config(mode=Mode.CA_ONLY, alpha=4.0, ttur_ratio=3,
                               observer_mode=observer)
             state = init_distill_state(teacher, cfg, spec, seed=99)
-            sched = ScheduleConfig(SchedulePolicy.COUPLED_SHARED)
             for _ in range(5):
-                generator_update(state, teacher, cfg, sched)
+                generator_update(state, teacher, cfg)
             trajs[observer] = state.generator
         for (_, a), (_, b) in zip(trajs[False].slots(), trajs[True].slots()):
             assert np.array_equal(a, b)
@@ -606,8 +615,7 @@ class TestGeneratorUpdate:
         cfg = base_config(mode=Mode.CA_ONLY, ttur_ratio=2, observer_mode=True)
         state = init_distill_state(teacher, cfg, gmm8(), seed=98)
         before = state.fake.copy()
-        generator_update(state, teacher, cfg,
-                         ScheduleConfig(SchedulePolicy.COUPLED_SHARED))
+        generator_update(state, teacher, cfg)
         assert any(not np.array_equal(a, b) for (_, a), (_, b)
                    in zip(state.fake.slots(), before.slots()))
 
@@ -616,8 +624,7 @@ class TestGeneratorUpdate:
         cfg = base_config(mode=Mode.CA_ONLY, ttur_ratio=4)
         state = init_distill_state(teacher, cfg, gmm8(), seed=97)
         before = state.fake.copy()
-        rec = generator_update(state, teacher, cfg,
-                               ScheduleConfig(SchedulePolicy.COUPLED_SHARED))
+        rec = generator_update(state, teacher, cfg)
         assert rec.loss_fake == 0.0
         for (_, a), (_, b) in zip(state.fake.slots(), before.slots()):
             assert np.array_equal(a, b)
@@ -632,20 +639,19 @@ class TestGeneratorUpdate:
         def teacher(x, tau, cond):
             return net_forward(state.fake, x, tau, cond)
 
-        generator_update(state, teacher, cfg,
-                         ScheduleConfig(SchedulePolicy.COUPLED_SHARED))
+        generator_update(state, teacher, cfg)
         for (_, a), (_, b) in zip(state.generator.slots(), before.slots()):
             assert np.array_equal(a, b)
 
     def test_teacher_and_fake_untouched_by_generator_phase(self):
         teacher = tiny_net(75)
-        cfg = base_config(mode=Mode.FULL_DMD, ttur_ratio=0)
+        cfg = base_config(mode=Mode.FULL_DMD, ttur_ratio=0,
+                          schedule_policy=SchedulePolicy.DECOUPLED_HYBRID)
         state = init_distill_state(teacher, cfg, gmm8(), seed=95)
         teacher_before = teacher.copy()
         fake_before = state.fake.copy()
         for _ in range(3):
-            generator_update(state, teacher, cfg,
-                             ScheduleConfig(SchedulePolicy.DECOUPLED_HYBRID))
+            generator_update(state, teacher, cfg)
         for (_, a), (_, b) in zip(teacher.slots(), teacher_before.slots()):
             assert np.array_equal(a, b)
         for (_, a), (_, b) in zip(state.fake.slots(), fake_before.slots()):
@@ -656,10 +662,11 @@ class TestGeneratorUpdate:
         spec = gmm8()
         records = []
         for _ in range(2):
-            cfg = base_config(mode=Mode.FULL_DMD, regularizer=Regularizer.MEANVAR_KL)
+            cfg = base_config(mode=Mode.FULL_DMD,
+                              regularizer=Regularizer.MEANVAR_KL,
+                              schedule_policy=SchedulePolicy.DECOUPLED_FULL)
             state = init_distill_state(teacher, cfg, spec, seed=1234)
-            rec = generator_update(state, teacher, cfg,
-                                   ScheduleConfig(SchedulePolicy.DECOUPLED_FULL))
+            rec = generator_update(state, teacher, cfg)
             records.append(rec)
         a, b = records
         assert a.loss_proxy == b.loss_proxy
@@ -671,8 +678,7 @@ class TestGeneratorUpdate:
         teacher = tiny_net(76)
         cfg = base_config(mode=Mode.FULL_DMD)
         state = init_distill_state(teacher, cfg, gmm8(), seed=1234)
-        rec = generator_update(state, teacher, cfg,
-                               ScheduleConfig(SchedulePolicy.COUPLED_SHARED))
+        rec = generator_update(state, teacher, cfg)
         assert (rec.sw2, rec.mode_coverage, rec.mean_of_means,
                 rec.mean_of_vars) == (None, None, None, None)
         assert np.isfinite(rec.loss_proxy)
@@ -683,8 +689,7 @@ class TestGeneratorUpdate:
         state = init_distill_state(teacher, cfg, gmm8(), seed=94)
         assert state.disc is not None
         disc_before = state.disc.copy()
-        rec = generator_update(state, teacher, cfg,
-                               ScheduleConfig(SchedulePolicy.COUPLED_SHARED))
+        rec = generator_update(state, teacher, cfg)
         assert rec.loss_reg > 0
         assert any(not np.array_equal(a, b) for (_, a), (_, b)
                    in zip(state.disc.slots(), disc_before.slots()))
@@ -720,8 +725,7 @@ class TestGeneratorUpdate:
         cfg = base_config(mode=Mode.CA_ONLY, regularizer=Regularizer.GAN)
         state = init_distill_state(teacher, cfg, gmm8(), seed=91)
         for _ in range(4):
-            generator_update(state, teacher, cfg,
-                             ScheduleConfig(SchedulePolicy.COUPLED_SHARED))
+            generator_update(state, teacher, cfg)
         assert np.array_equal(teacher.flat, before)
 
     def test_nonfinite_direction_aborts(self):
@@ -733,8 +737,7 @@ class TestGeneratorUpdate:
             return np.full_like(x, np.nan)
 
         with pytest.raises(NonFiniteError) as err:
-            generator_update(state, nan_teacher, cfg,
-                             ScheduleConfig(SchedulePolicy.COUPLED_SHARED))
+            generator_update(state, nan_teacher, cfg)
         assert err.value.context["iteration"] == 1
 
 
@@ -758,9 +761,9 @@ class TestNetworkIsPredictor:
         real, fake = tiny_net(81), tiny_net(82)
         gen_out = np.random.default_rng(83).standard_normal((6, 2))
         cond = np.array([0, 1, 2, 3, 0, 1])
-        cfg = base_config(alpha=3.0, mode=Mode.FULL_DMD, normalizer_on=True)
-        sched = ScheduleConfig(SchedulePolicy.DECOUPLED_FULL)
-        runs = [dmd_direction_decoupled(r, f, gen_out, 0.0, cond, cfg, sched,
+        cfg = base_config(alpha=3.0, mode=Mode.FULL_DMD, normalizer_on=True,
+                          schedule_policy=SchedulePolicy.DECOUPLED_FULL)
+        runs = [dmd_direction_decoupled(r, f, gen_out, 0.0, cond, cfg,
                                         np.random.default_rng(84))
                 for r, f in ((real, fake),
                              (as_callable(real), as_callable(fake)))]
@@ -821,18 +824,15 @@ class TestConfigValidation:
         cfg = base_config(regularizer=Regularizer.MEANVAR_KL,
                           meanvar_mu_target=0.25, meanvar_var_target=0.5)
         state = init_distill_state(teacher, cfg, gmm8(), seed=1)
-        assert all(t.mu_target == 0.25 and t.var_target == 0.5
-                   for t in state.reg_targets)
+        assert all(t == (0.25, 0.5) for t in state.reg_targets)
 
     def test_meanvar_targets_need_no_spec(self):
         teacher = tiny_net(201)
         cfg = base_config(regularizer=Regularizer.MEANVAR_KL,
                           meanvar_mu_target=0.25, meanvar_var_target=0.5)
         state = init_distill_state(teacher, cfg, None, seed=2)
-        assert [(t.mu_target, t.var_target) for t in state.reg_targets] == (
-            [(0.25, 0.5)] * teacher.config.n_labels)
-        rec = generator_update(state, teacher, cfg,
-                               ScheduleConfig(SchedulePolicy.COUPLED_SHARED))
+        assert state.reg_targets == [(0.25, 0.5)] * teacher.config.n_labels
+        rec = generator_update(state, teacher, cfg)
         assert np.isfinite(rec.loss_reg) and rec.loss_reg > 0.0
 
     def test_meanvar_without_spec_or_targets_rejected(self):

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import dmdlab
 from dmdlab import NetConfig, init_params, load_params, save_params
 from dmdlab.data import Component, MixtureSpec, gmm8
-from dmdlab.distill import DistillConfig, NonFiniteError, ScheduleConfig
+from dmdlab.distill import DistillConfig, NonFiniteError
 from dmdlab.flow import TeacherConfig
 from dmdlab.lab.cli import main as cli_main
 from dmdlab.lab.config import (FIELD_KEYS, RUN_KEYS, RUN_OPTIONAL,
@@ -623,11 +623,17 @@ class TestMalformedValues:
         ("data", lambda path: path.write_text(gmm8_json(label=4))),
         ("data", lambda path: path.write_text(json.dumps(
             {**gmm8().to_json(), "labels": 0}))),
+        ("data", lambda path: path.write_text(json.dumps(
+            {**gmm8().to_json(), "dim": 2.9}))),
+        ("data", lambda path: path.write_text(json.dumps(
+            {**gmm8().to_json(), "labels": 4.5}))),
+        ("data", lambda path: path.write_text(gmm8_json(label=0.7))),
     ], ids=["not_dmdl", "truncated", "eight_labels", "dim_3", "out_dim_1",
             "fp32", "bad_json", "no_components", "not_object",
             "version_2", "short_data", "no_arrays", "all_1d", "no_labels",
             "huge_ndim", "label_without_data", "center_3d",
-            "label_out_of_range", "labels_0"])
+            "label_out_of_range", "labels_0", "dim_2p9", "labels_4p5",
+            "label_0p7"])
     def test_run_file(self, tmp_path, tiny_teacher_ckpt, capsys, key, write):
         bad = tmp_path / "bad_input"
         write(bad)
@@ -811,6 +817,55 @@ class TestRunIdentities:
                 for name, over in variants.items()}
         assert metrics["full_alpha_1"] == metrics["dm_only"]
         assert metrics["theory"] == metrics["dm_only"]
+
+
+def given_twice(raw: dict, key: str, value) -> str:
+    """raw as JSON text, with key given a second time, last, as value."""
+    return f"{json.dumps(raw)[:-1]}, {json.dumps(key)}: {json.dumps(value)}}}"
+
+
+class TestDuplicateKeys:
+    """A key given twice exits 2 under that key, or under data inside a
+    mixture spec file, instead of its last value winning silently."""
+
+    def test_run_config_file(self, tmp_path, tiny_teacher_ckpt, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(given_twice(small_cfg(tiny_teacher_ckpt), "alpha",
+                                    1.4))
+        with pytest.raises(ConfigError) as err:
+            load_run_config(path)
+        assert err.value.key == "alpha"
+        code = cli_main(["run", str(path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "config key 'alpha': given twice" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_teacher_config_file(self, tmp_path, capsys):
+        path = tmp_path / "teacher.json"
+        path.write_text(given_twice(TEACHER_CFG, "lr", 1e-2))
+        code = cli_main(["train-teacher", str(path), "--out",
+                         str(tmp_path / "out")])
+        assert code == 2
+        assert "config key 'lr': given twice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_mixture_spec_file(self, tmp_path, tiny_teacher_ckpt, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(given_twice(gmm8().to_json(), "labels", 4))
+        err = TestMalformedValues.assert_run_rejected(
+            tmp_path, capsys, small_cfg(tiny_teacher_ckpt, data=str(spec)),
+            "data")
+        assert "'labels': given twice" in err
+
+    def test_preset_override(self, tmp_path, tiny_teacher_ckpt, capsys):
+        argv = ["preset", "observer", "--out", str(tmp_path / "ob")]
+        for over in ("iterations=2", "batch=8", "eval_every=2", "eval_n=16",
+                     "eval_ref_n=64", f'teacher="{tiny_teacher_ckpt}"',
+                     "alpha=1.4", "alpha=4.0"):
+            argv += ["--override", over]
+        assert cli_main(argv) == 2
+        assert "config key 'alpha': given twice" in capsys.readouterr().err
+        assert not (tmp_path / "ob").exists()
 
 
 class TestPresetCli:
@@ -1118,9 +1173,9 @@ class TestConfigSchema:
                                     "seed"]
 
     def test_typed_fields_own_their_defaults(self):
-        owned = {key: f.default for config in (DistillConfig, ScheduleConfig)
-                 for key, f in zip(field_keys(config),
-                                   dataclasses.fields(config))
+        owned = {key: f.default
+                 for key, f in zip(field_keys(DistillConfig),
+                                   dataclasses.fields(DistillConfig))
                  if key in RUN_OPTIONAL}
         assert {"w_meanvar", "lr_gen", "lr_fake", "backward_sim_fresh_noise",
                 "meanvar_mu_target", "meanvar_var_target"} <= set(owned)
@@ -1130,8 +1185,7 @@ class TestConfigSchema:
         assert TEACHER_OPTIONAL["ema_decay"] == TeacherConfig().ema_decay
 
     def test_every_typed_field_is_fed_by_a_key(self):
-        for config in (DistillConfig, ScheduleConfig):
-            assert set(field_keys(config)) <= set(RUN_KEYS), config
+        assert set(field_keys(DistillConfig)) <= set(RUN_KEYS)
         assert set(field_keys(TeacherConfig)) - set(TEACHER_KEYS) == {
             "log_every"}
 
@@ -1143,7 +1197,7 @@ class TestConfigSchema:
             read |= {node.slice.value for node in ast.walk(tree)
                      if isinstance(node, ast.Subscript)
                      and isinstance(node.slice, ast.Constant)}
-        fed = set(field_keys(DistillConfig) + field_keys(ScheduleConfig))
+        fed = set(field_keys(DistillConfig))
         assert set(RUN_KEYS) - fed - read == set()
         assert set(TEACHER_KEYS) - set(field_keys(TeacherConfig)) - read \
             == set()
