@@ -90,14 +90,29 @@ class MixtureSpec:
 
     @classmethod
     def load(cls, path) -> "MixtureSpec":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(json.loads(Path(path).read_text(),
+                                        object_pairs_hook=unique_keys))
+
+
+def unique_keys(pairs, given_twice=lambda key: ValueError(
+        f"{key!r}: given twice")) -> dict:
+    """pairs as a dict; a key given twice raises given_twice(key)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise given_twice(key)
+        obj[key] = value
+    return obj
+
+
+def is_integer(value) -> bool:
+    """2 and 2.0 are integers; 2.9, true, "2", NaN and inf are not."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and float(value).is_integer())
 
 
 def _integer(obj: dict, key: str) -> int:
-    """obj[key] as an int; 2.0 is one, but 2.9, true and "2" are not."""
-    value = obj[key]
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer()):
+    if not is_integer(value := obj[key]):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -189,13 +204,11 @@ def expected_sample_stats(spec: MixtureSpec, label=None):
         return (float(np.mean([p[0] for p in pairs])),
                 float(np.mean([p[1] for p in pairs])))
     comps = spec.components_for(label)
-    d = spec.dim
-    mu = 0.0
-    var = 0.0
+    mu = var = 0.0
     for c in comps:
         cmean = c.center.mean()
         mu += c.weight * cmean
-        e_var = ((c.cov + c.center ** 2).sum() / d
-                 - c.cov.sum() / d ** 2 - cmean ** 2)
+        e_var = ((c.cov + c.center ** 2).sum() / spec.dim
+                 - c.cov.sum() / spec.dim ** 2 - cmean ** 2)
         var += c.weight * e_var
     return float(mu), float(var)

@@ -146,25 +146,22 @@ class DistillConfig:
             if r is not None and not 0.0 <= float(r[0]) < float(r[1]) <= 1.0:
                 raise ValueError(f"{name} must satisfy 0 <= lo < hi <= 1")
         ca, dm = self.tau_ca_range, self.tau_dm_range
-        if (self.schedule_policy == SchedulePolicy.COUPLED_SHARED and ca and dm
-                and tuple(ca) != tuple(dm)):
-            raise ValueError("tau_dm_range must equal tau_ca_range under "
-                             "COUPLED_SHARED, which makes one shared draw")
+        if self.schedule_policy == SchedulePolicy.COUPLED_SHARED:
+            if ca and dm and tuple(ca) != tuple(dm):
+                raise ValueError("tau_dm_range must equal tau_ca_range under "
+                                 "COUPLED_SHARED, which makes one shared draw")
+            self.tau_ca_range = self.tau_dm_range = ca or dm
 
     def ranges(self, t: float):
         """The (tau_ca, tau_dm) ranges at step level t: the policy's row, (t, 1)
-        being the span that remains, each override replacing its term's;
-        COUPLED_SHARED's one draw takes whichever override is set."""
+        being the span that remains, each override replacing its term's."""
         rest, full = (t, 1.0), (0.0, 1.0)
         policy = self.schedule_policy
         ca, dm = {SchedulePolicy.COUPLED_SHARED: (full, full),
                   SchedulePolicy.DECOUPLED_FULL: (full, full),
                   SchedulePolicy.DECOUPLED_CONSTRAINED: (rest, rest),
                   SchedulePolicy.DECOUPLED_HYBRID: (rest, full)}[policy]
-        ca_o, dm_o = self.tau_ca_range, self.tau_dm_range
-        if policy == SchedulePolicy.COUPLED_SHARED:
-            ca_o = dm_o = ca_o or dm_o
-        return ca_o or ca, dm_o or dm
+        return self.tau_ca_range or ca, self.tau_dm_range or dm
 
 
 @dataclass

@@ -31,10 +31,9 @@ def _parse_override(text: str):
         raise ConfigError("<override>", f"expected k=v, got {text!r}")
     key, raw = text.split("=", 1)
     try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    return key, value
+        return key, json.loads(raw)
+    except ValueError:  # not JSON, or an integer too long to convert
+        return key, raw
 
 
 def main(argv=None) -> int:

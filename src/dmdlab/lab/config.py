@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from ..checkpoint import load_params
-from ..data import MixtureSpec, gmm8
+from ..data import MixtureSpec, gmm8, is_integer, unique_keys as _unique_keys
 from ..distill import DistillConfig, Mode, Regularizer, SchedulePolicy
 from ..flow import TeacherConfig
 
@@ -153,7 +153,7 @@ def _check(key, spec: Key, value):
     elif kind in (int, float):
         if not _finite(value):
             raise ConfigError(key, f"expected a finite number, got {value!r}")
-        if kind is int and int(value) != value:
+        if kind is int and not is_integer(value):
             raise ConfigError(key, f"expected an integer, got {value!r}")
         if spec.lo is not None and value < spec.lo:
             raise ConfigError(key, f"must be >= {spec.lo}, got {value}")
@@ -201,9 +201,8 @@ def resolve_data(value) -> MixtureSpec:
         return gmm8()
     _check_file("data", value)
     try:
-        return MixtureSpec.from_json(json.loads(
-            Path(value).read_text(), object_pairs_hook=unique_keys))
-    except ValueError as e:  # JSON, UTF-8 and unique_keys's errors too
+        return MixtureSpec.load(value)
+    except ValueError as e:  # JSON, UTF-8 and a key given twice too
         raise ConfigError("data", f"{value}: not a valid mixture spec: {e}")
 
 
@@ -257,20 +256,17 @@ def _load(raw, keys: dict, config, what: str) -> dict:
 
 def unique_keys(pairs) -> dict:
     """A JSON object's or --override's pairs as a dict, none given twice."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ConfigError(key, "given twice")
-        obj[key] = value
-    return obj
+    return _unique_keys(pairs, lambda key: ConfigError(key, "given twice"))
 
 
 def _load_json(path):
-    # unreadable, not UTF-8 or not JSON; unique_keys's error names its key
+    # OSError: missing or unreadable; ValueError: not UTF-8, or not JSON
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"),
                           object_pairs_hook=unique_keys)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ConfigError:  # a key given twice, already named
+        raise
+    except (OSError, ValueError) as e:
         raise ConfigError("<json>", f"{path}: {e}")
 
 

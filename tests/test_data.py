@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,6 +231,13 @@ class TestJsonRoundTrip:
         (obj["components"][0] if key == "label" else obj)[key] = value
         with pytest.raises(ValueError, match=f"^{key} must be an integer"):
             MixtureSpec.from_json(obj)
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        text = json.dumps(gmm8().to_json())
+        path = tmp_path / "spec.json"
+        path.write_text(f'{text[:-1]}, "labels": 4}}')
+        with pytest.raises(ValueError, match="^'labels': given twice$"):
+            MixtureSpec.load(path)
 
     def test_integral_float_counts_accepted(self):
         obj = gmm8().to_json()

@@ -530,6 +530,7 @@ class TestRemovedPrecisionKey:
 
 
 NAN, INF = float("nan"), float("inf")
+LONG_INT = "9" * 5000  # past Python's 4300-digit int-string limit
 
 
 def gmm8_json(**first_component) -> str:
@@ -628,12 +629,13 @@ class TestMalformedValues:
         ("data", lambda path: path.write_text(json.dumps(
             {**gmm8().to_json(), "labels": 4.5}))),
         ("data", lambda path: path.write_text(gmm8_json(label=0.7))),
+        ("data", lambda path: path.write_text(f'{{"dim": {LONG_INT}}}')),
     ], ids=["not_dmdl", "truncated", "eight_labels", "dim_3", "out_dim_1",
             "fp32", "bad_json", "no_components", "not_object",
             "version_2", "short_data", "no_arrays", "all_1d", "no_labels",
             "huge_ndim", "label_without_data", "center_3d",
             "label_out_of_range", "labels_0", "dim_2p9", "labels_4p5",
-            "label_0p7"])
+            "label_0p7", "dim_too_long"])
     def test_run_file(self, tmp_path, tiny_teacher_ckpt, capsys, key, write):
         bad = tmp_path / "bad_input"
         write(bad)
@@ -641,6 +643,32 @@ class TestMalformedValues:
             tmp_path, capsys, {**small_cfg(tiny_teacher_ckpt), key: str(bad)},
             key)
         assert str(bad) in err
+
+    @pytest.mark.parametrize("command,raw", [
+        ("run", None), ("train-teacher", TEACHER_CFG)])
+    def test_integer_too_long_in_config_file(self, tmp_path, tiny_teacher_ckpt,
+                                             capsys, command, raw):
+        # json.loads rejects it with a ValueError that is no JSONDecodeError
+        raw = raw or small_cfg(tiny_teacher_ckpt)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**raw, "seed": "LONG"}).replace(
+            '"LONG"', LONG_INT))
+        out = tmp_path / "out"
+        assert cli_main([command, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "<json>" in err and "4300" in err
+        assert not out.exists()
+
+    def test_integer_too_long_in_override(self, tmp_path, tiny_teacher_ckpt,
+                                          capsys):
+        # such an override is the string of its digits, not a number
+        argv = ["preset", "observer", "--out", str(tmp_path / "ob")]
+        for over in (f'teacher="{tiny_teacher_ckpt}"', f"alpha={LONG_INT}"):
+            argv += ["--override", over]
+        assert cli_main(argv) == 2
+        assert "config key 'alpha': expected a finite number" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "ob").exists()
 
     def test_teacher_must_fit_data_file(self, tmp_path, tiny_teacher_ckpt):
         # a valid spec that is not gmm8-shaped: the 2-D, 4-label teacher
