@@ -203,15 +203,16 @@ def init_distill_state(teacher: NetParams, config: DistillConfig,
         disc = init_params(disc_cfg, np.random.default_rng(s_disc))
         disc_opt = init_adam(disc, lr=config.lr_fake)
     reg_targets = []
-    if config.meanvar_mu_target is not None:  # validate(): so is var
-        reg_targets = [(config.meanvar_mu_target, config.meanvar_var_target)
-                       ] * teacher.config.n_labels
-    elif spec is not None:
-        reg_targets = [expected_sample_stats(spec, lb)
-                       for lb in range(spec.label_count)]
-    elif config.regularizer == Regularizer.MEANVAR_KL:
-        raise ValueError("MEANVAR_KL regularizer needs a data spec or both "
-                         "moment targets")
+    if config.regularizer == Regularizer.MEANVAR_KL:  # their only reader
+        if config.meanvar_mu_target is not None:  # validate(): so is var
+            reg_targets = [(config.meanvar_mu_target,
+                            config.meanvar_var_target)] * teacher.config.n_labels
+        elif spec is not None:
+            reg_targets = [expected_sample_stats(spec, lb)
+                           for lb in range(spec.label_count)]
+        else:
+            raise ValueError("MEANVAR_KL regularizer needs a data spec or "
+                             "both moment targets")
     generator = teacher.copy()
     fake, fake_opt = teacher, None
     if config.trains_fake:
@@ -257,9 +258,9 @@ def delta_ca(real, x_tau: np.ndarray, tau, cond, alpha: float) -> np.ndarray:
     """(alpha - 1) * (conditional - unconditional real prediction)."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
+    if alpha == 1.0:  # the term is zero: evaluate nothing
+        return np.zeros(np.shape(x_tau))
     p_cond = real(x_tau, tau, cond)
-    if alpha == 1.0:
-        return np.zeros_like(p_cond)
     p_uncond = real(x_tau, tau, np.full(x_tau.shape[0], NULL_LABEL))
     return (alpha - 1.0) * (p_cond - p_uncond)
 

@@ -1,7 +1,8 @@
 """JSON run configurations with key-aware validation.
 
 One table per config file, RUN_KEYS and TEACHER_KEYS, gives each key its
-check and its default. Loaders return the validated config as a plain dict.
+check and its default; a key that feeds a typed-config field reads the
+field's default. Loaders return the validated config as a plain dict.
 Schema violations raise ConfigError naming the offending key; the CLI turns
 that into exit code 2. The LAB_SEED environment variable overrides the seed at
 load time and is baked into snapshots so that a snapshot re-runs identically
@@ -11,7 +12,7 @@ regardless of the environment.
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ..checkpoint import load_params
@@ -27,7 +28,6 @@ class ConfigError(ValueError):
 
 
 REQUIRED = object()  # a key with no default
-FIELD = object()     # a key whose default is its typed-config field's
 RANGE = "[lo, hi]"   # kind of a noise-level range
 LEVELS = "levels"    # kind of a step grid
 
@@ -45,15 +45,7 @@ class Key:
     nullable: bool = False    # null is allowed (always when the default is)
 
 
-def _table(config, rows: dict) -> dict:
-    """The rows, each FIELD default read from the typed config's fields."""
-    defaults = {FIELD_KEYS.get(f.name, f.name): f.default
-                for f in fields(config)}
-    return {key: replace(spec, default=defaults[key])
-            if spec.default is FIELD else spec for key, spec in rows.items()}
-
-
-RUN_KEYS = _table(DistillConfig, {
+RUN_KEYS = {
     "mode": Key(Mode),
     "schedule_policy": Key(SchedulePolicy),
     "alpha": Key(),
@@ -66,26 +58,26 @@ RUN_KEYS = _table(DistillConfig, {
     "seed": Key(int, lo=0),
     "iterations": Key(int, lo=1),
     "batch": Key(int),
-    "tau_ca_range": Key(RANGE, FIELD),
-    "tau_dm_range": Key(RANGE, FIELD),
-    "w_meanvar": Key(float, FIELD),
+    "tau_ca_range": Key(RANGE, DistillConfig.tau_ca_range),
+    "tau_dm_range": Key(RANGE, DistillConfig.tau_dm_range),
+    "w_meanvar": Key(float, DistillConfig.w_meanvar),
     "eval_every": Key(int, 100, lo=1),
     "eval_n": Key(int, 1024, lo=4),
     "eval_ref_n": Key(int, 10_000, lo=4),
     "data": Key(str, "gmm8"),
     "teacher": Key(str, None),
     "out_dir": Key(str, None),
-    "lr_gen": Key(float, FIELD),
-    "lr_fake": Key(float, FIELD),
-    "backward_sim_fresh_noise": Key(bool, FIELD),
-    "meanvar_mu_target": Key(float, FIELD),
-    "meanvar_var_target": Key(float, FIELD),
+    "lr_gen": Key(float, DistillConfig.lr_gen),
+    "lr_fake": Key(float, DistillConfig.lr_fake),
+    "backward_sim_fresh_noise": Key(bool, DistillConfig.backward_sim_fresh_noise),
+    "meanvar_mu_target": Key(float, DistillConfig.meanvar_mu_target),
+    "meanvar_var_target": Key(float, DistillConfig.meanvar_var_target),
     "radius_mult": Key(float, 3.0, lo=1e-9),
-    "step_grid": Key(LEVELS, FIELD),
-    "observer_mode": Key(bool, FIELD),
-})
+    "step_grid": Key(LEVELS, DistillConfig.step_grid),
+    "observer_mode": Key(bool, DistillConfig.observer_mode),
+}
 
-TEACHER_KEYS = _table(TeacherConfig, {
+TEACHER_KEYS = {
     "iterations": Key(int),
     "batch": Key(int),
     "lr": Key(),
@@ -94,19 +86,9 @@ TEACHER_KEYS = _table(TeacherConfig, {
     "data": Key(str, "gmm8"),
     "out": Key(str, "teacher.ckpt"),
     "log": Key(str, None),
-    "lr_final": Key(float, FIELD, nullable=True),
-    "ema_decay": Key(float, FIELD),
-})
-
-
-def _split(keys: dict):
-    required = [key for key, spec in keys.items() if spec.default is REQUIRED]
-    return required, {key: keys[key].default for key in keys
-                      if key not in required}
-
-
-RUN_REQUIRED, RUN_OPTIONAL = _split(RUN_KEYS)
-TEACHER_REQUIRED, TEACHER_OPTIONAL = _split(TEACHER_KEYS)
+    "lr_final": Key(float, TeacherConfig.lr_final, nullable=True),
+    "ema_decay": Key(float, TeacherConfig.ema_decay),
+}
 
 
 def build(config, cfg: dict):

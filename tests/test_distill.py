@@ -170,6 +170,17 @@ class TestDeltas:
         x = np.random.default_rng(16).standard_normal((8, 2))
         assert np.all(delta_ca(real, x, 0.2, 3, 1.0) == 0.0)
 
+    def test_ca_alpha_one_evaluates_nothing(self):
+        calls = []
+
+        def real(x, tau, cond):
+            calls.append(tau)
+            return np.ones_like(x)
+
+        d = delta_ca(real, np.zeros((8, 2)), 0.2, 3, 1.0)
+        assert calls == []
+        assert d.shape == (8, 2) and np.all(d == 0.0)
+
     def test_ca_cond_equal_null_row(self):
         real = tiny_net(17)
         real.cond_embed[1] = real.cond_embed[-1]
@@ -466,6 +477,12 @@ class TestBackwardSimulate:
         with pytest.raises(ValueError):
             backward_simulate(tiny_net(59), (0.0, 0.5), 3, np.zeros(2, int),
                               np.random.default_rng(0))
+
+    def test_injected_generator_needs_dim(self):
+        with pytest.raises(ValueError,
+                           match="^dim is required for injected generators$"):
+            backward_simulate(lambda z, t, cond: z, (0.0, 0.5), 2,
+                              np.zeros(2, int), np.random.default_rng(0))
 
 
 class TestFakeModelUpdate:
@@ -839,6 +856,21 @@ class TestConfigValidation:
         cfg = base_config(regularizer=Regularizer.MEANVAR_KL)
         with pytest.raises(ValueError, match="MEANVAR_KL"):
             init_distill_state(tiny_net(202), cfg, None, seed=3)
+
+    @pytest.mark.parametrize("regularizer", [Regularizer.NONE,
+                                             Regularizer.GAN])
+    @pytest.mark.parametrize("targets", [{}, {"meanvar_mu_target": 0.25,
+                                              "meanvar_var_target": 0.5}])
+    def test_moment_targets_only_for_meanvar(self, regularizer, targets):
+        cfg = base_config(regularizer=regularizer, **targets)
+        state = init_distill_state(tiny_net(203), cfg, gmm8(), seed=4)
+        assert state.reg_targets == []
+
+    def test_gan_without_spec_rejected(self):
+        cfg = base_config(regularizer=Regularizer.GAN)
+        with pytest.raises(ValueError, match="^GAN regularizer needs a data "
+                           "spec for real batches$"):
+            init_distill_state(tiny_net(204), cfg, None, seed=5)
 
 
 class TestObserverProbe:

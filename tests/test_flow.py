@@ -62,9 +62,18 @@ class TestRenoise:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             renoise(np.zeros((2, 2)), 0.5, np.zeros((3, 2)))
+        with pytest.raises(ValueError,
+                           match=r"^per-sample tau length must match batch$"):
+            renoise(np.zeros((2, 2)), np.array([0.1, 0.2, 0.3]),
+                    np.zeros((2, 2)))
 
 
 class TestCfgCombine:
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="^conditional/unconditional "
+                           "shape mismatch$"):
+            cfg_combine(np.zeros((2, 2)), np.zeros((3, 2)), 2.0)
+
     def test_alpha_one_exact(self):
         rng = np.random.default_rng(3)
         s_cond = rng.standard_normal((4, 2)) * 1e6
@@ -200,6 +209,12 @@ class TestSampleTeacher:
         with pytest.raises(ValueError):
             sample_teacher(lambda z, t, c: z, 0, 1.0, 0, 4,
                            np.random.default_rng(0), dim=2)
+
+    def test_injected_predictor_needs_dim(self):
+        with pytest.raises(ValueError,
+                           match="^dim is required for injected predictors$"):
+            sample_teacher(lambda z, t, c: z, 1, 1.0, 0, 4,
+                           np.random.default_rng(0))
 
 
 class TestTeacherTraining:

@@ -25,9 +25,8 @@ from dmdlab.data import Component, MixtureSpec, gmm8
 from dmdlab.distill import DistillConfig, NonFiniteError
 from dmdlab.flow import TeacherConfig
 from dmdlab.lab.cli import main as cli_main
-from dmdlab.lab.config import (FIELD_KEYS, RUN_KEYS, RUN_OPTIONAL,
-                               RUN_REQUIRED, TEACHER_KEYS, TEACHER_OPTIONAL,
-                               TEACHER_REQUIRED, ConfigError, load_run_config,
+from dmdlab.lab.config import (FIELD_KEYS, REQUIRED, RUN_KEYS, TEACHER_KEYS,
+                               ConfigError, load_run_config,
                                run_config_from_dict, teacher_config_from_dict)
 from dmdlab.lab.plots import PlotDataError, plot_run
 from dmdlab.lab.presets import TAU_PROBE_RANGES, run_preset
@@ -762,7 +761,7 @@ class TestConfigFuzz:
     returned dict holds no NaN or infinity (strict JSON refuses them)."""
 
     @settings(max_examples=400, deadline=None)
-    @given(key=st.sampled_from(RUN_REQUIRED + list(RUN_OPTIONAL)),
+    @given(key=st.sampled_from(list(RUN_KEYS)),
            value=_VALUES)
     def test_run_config(self, tiny_teacher_ckpt, key, value):
         try:
@@ -773,7 +772,7 @@ class TestConfigFuzz:
         json.dumps(cfg, allow_nan=False)
 
     @settings(max_examples=200, deadline=None)
-    @given(key=st.sampled_from(TEACHER_REQUIRED + list(TEACHER_OPTIONAL)),
+    @given(key=st.sampled_from(list(TEACHER_KEYS)),
            value=_VALUES)
     def test_teacher_config(self, key, value):
         try:
@@ -1189,28 +1188,38 @@ def field_keys(config) -> list:
     return [FIELD_KEYS.get(f.name, f.name) for f in dataclasses.fields(config)]
 
 
+def required(keys: dict) -> list:
+    return [key for key, spec in keys.items() if spec.default is REQUIRED]
+
+
+def defaults(keys: dict) -> dict:
+    return {key: spec.default for key, spec in keys.items()
+            if spec.default is not REQUIRED}
+
+
 class TestConfigSchema:
     """Each key is one table row: no key silently does nothing, and every
     default is written once."""
 
-    def test_derived_names_follow_the_tables(self):
-        assert RUN_REQUIRED + list(RUN_OPTIONAL) == list(RUN_KEYS)
-        assert TEACHER_REQUIRED + list(TEACHER_OPTIONAL) == list(TEACHER_KEYS)
-        assert RUN_REQUIRED[:3] == ["mode", "schedule_policy", "alpha"]
-        assert TEACHER_REQUIRED == ["iterations", "batch", "lr", "p_uncond",
-                                    "seed"]
+    def test_required_keys_come_first(self):
+        for keys in (RUN_KEYS, TEACHER_KEYS):
+            assert required(keys) + list(defaults(keys)) == list(keys)
+        assert required(RUN_KEYS)[:3] == ["mode", "schedule_policy", "alpha"]
+        assert required(TEACHER_KEYS) == ["iterations", "batch", "lr",
+                                          "p_uncond", "seed"]
 
     def test_typed_fields_own_their_defaults(self):
+        run_defaults = defaults(RUN_KEYS)
         owned = {key: f.default
                  for key, f in zip(field_keys(DistillConfig),
                                    dataclasses.fields(DistillConfig))
-                 if key in RUN_OPTIONAL}
+                 if key in run_defaults}
         assert {"w_meanvar", "lr_gen", "lr_fake", "backward_sim_fresh_noise",
                 "meanvar_mu_target", "meanvar_var_target"} <= set(owned)
         for key, default in owned.items():
-            assert RUN_OPTIONAL[key] == default, key
-        assert TEACHER_OPTIONAL["lr_final"] == TeacherConfig().lr_final
-        assert TEACHER_OPTIONAL["ema_decay"] == TeacherConfig().ema_decay
+            assert run_defaults[key] == default, key
+        for key in ("lr_final", "ema_decay"):
+            assert defaults(TEACHER_KEYS)[key] == getattr(TeacherConfig(), key)
 
     def test_every_typed_field_is_fed_by_a_key(self):
         assert set(field_keys(DistillConfig)) <= set(RUN_KEYS)
@@ -1238,15 +1247,15 @@ class TestConfigSchema:
             "Teacher config keys", 1)
         teacher_part = teacher_part.split("\n\n", 1)[0]
         checked = 0
-        for text, defaults in ((run_part, RUN_OPTIONAL),
-                               (teacher_part, TEACHER_OPTIONAL)):
+        for text, keys in ((run_part, RUN_KEYS), (teacher_part, TEACHER_KEYS)):
+            optional = defaults(keys)
             for key, value in re.findall(r"`(\w+)`\s+\(([^()]*)\)", text):
                 try:
                     literal = json.loads(value)
                 except json.JSONDecodeError:
                     continue
-                assert key in defaults, key
-                assert literal == defaults[key], key
+                assert key in optional, key
+                assert literal == optional[key], key
                 checked += 1
         assert checked >= 12
 

@@ -84,6 +84,12 @@ class TestSlicedWasserstein:
             sliced_wasserstein2(np.zeros((3, 0)), np.zeros((3, 0)), 4,
                                 np.random.default_rng(0))
 
+    def test_dim_mismatch_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^dimension mismatch between sample sets$"):
+            sliced_wasserstein2(np.zeros((3, 2)), np.zeros((3, 3)), 4,
+                                np.random.default_rng(0))
+
     @pytest.mark.parametrize("n_proj", [0, -3])
     def test_n_proj_below_one_rejected(self, n_proj):
         A = np.random.default_rng(32).standard_normal((10, 2))
@@ -163,6 +169,11 @@ class TestModeCoverage:
     def test_unknown_condition(self):
         with pytest.raises(ValueError):
             mode_coverage(np.zeros((1, 2)), gmm8(), 17)
+
+    @pytest.mark.parametrize("radius_mult", [0.0, -1.0])
+    def test_nonpositive_radius_rejected(self, radius_mult):
+        with pytest.raises(ValueError, match="^radius_mult must be positive$"):
+            mode_coverage(np.zeros((1, 2)), gmm8(), 0, radius_mult)
 
 
 class TestIkl:

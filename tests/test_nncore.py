@@ -163,6 +163,12 @@ class TestForward:
             net_forward(params, np.zeros((2, 2)), 1.5, 0)
         with pytest.raises(ValueError):
             net_forward(params, np.zeros((2, 2)), 0.5, 99)
+        with pytest.raises(ValueError, match=r"^noise_level must be scalar "
+                           r"or shape \(2,\), got \(3,\)$"):
+            net_forward(params, np.zeros((2, 2)), np.full(3, 0.5), 0)
+        with pytest.raises(ValueError, match=r"^cond must be scalar or shape "
+                           r"\(2,\), got \(2, 1\)$"):
+            net_forward(params, np.zeros((2, 2)), 0.5, np.zeros((2, 1), int))
 
 
 class TestBackward:
@@ -310,6 +316,14 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(state, params, grads)
 
+    def test_shape_mismatch_rejected(self):
+        rng = np.random.default_rng(15)
+        params = init_params(small_config(), rng)
+        grads = zeros_like_params(init_params(small_config(hidden=4), rng))
+        with pytest.raises(ValueError,
+                           match="^gradient/parameter shape mismatch$"):
+            adam_step(init_adam(params, lr=1e-3), params, grads)
+
     def test_overflowing_square_rejected_before_any_change(self):
         # 1e200 is finite, but its square is not: v would become inf and
         # freeze the parameter
@@ -375,6 +389,12 @@ class TestEma:
         p = init_params(small_config(), rng)
         with pytest.raises(ValueError):
             ema_update(p.copy(), p, 1.5)
+
+    def test_shape_mismatch_rejected(self):
+        rng = np.random.default_rng(17)
+        p = init_params(small_config(), rng)
+        with pytest.raises(ValueError, match="^ema/live shape mismatch$"):
+            ema_update(p, init_params(small_config(hidden=4), rng), 0.5)
 
 
 class TestCheckpoint:

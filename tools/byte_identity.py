@@ -70,6 +70,10 @@ SHAPES = {
     "constrained_dm_2step": {"mode": "DM_ONLY", "n_steps": 2,
                              "schedule_policy": "DECOUPLED_CONSTRAINED",
                              "backward_sim_fresh_noise": False},
+    # alpha 1: the engine term is zero without evaluating the teacher
+    "full_alpha1": {"alpha": 1.0},
+    "ca_alpha1_hybrid_4step": {"mode": "CA_ONLY", "alpha": 1.0, "n_steps": 4,
+                               "schedule_policy": "DECOUPLED_HYBRID"},
 }
 
 PLOTTED = "ca_gan_s3"  # a run with a discriminator and three eval points
