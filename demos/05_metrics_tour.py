@@ -1,13 +1,13 @@
-"""The evaluation toolbox: sliced Wasserstein, per-sample stats, coverage,
-and the noise-level-integrated KL diagnostic.
+"""The evaluation toolbox: sliced Wasserstein, per-sample stats and mode
+coverage.
 
 Run:  python demos/05_metrics_tour.py
 """
 
 import numpy as np
 
-from dmdlab import (batch_sample_stats, gmm8, ikl_estimate, mode_coverage,
-                    sample_dataset, sliced_wasserstein2)
+from dmdlab import (batch_sample_stats, gmm8, mode_coverage, sample_dataset,
+                    sliced_wasserstein2)
 
 
 def main():
@@ -25,20 +25,6 @@ def main():
           f"mean of per-sample variances {variances.mean():.4f}")
     print("coverage of label 0 by its own samples:",
           mode_coverage(batch.points[batch.labels == 0], spec, 0))
-
-    def p(n, r):
-        return r.standard_normal((n, 1))
-
-    def q(n, r):
-        return r.standard_normal((n, 1)) + 1.0
-
-    est, se = ikl_estimate(p, q, n_tau=1, n_samples=8000,
-                           rng=np.random.default_rng(2), taus=[1.0])
-    print(f"KL(N(0,1) || N(1,1)) at the clean endpoint: {est:.3f} +- {se:.3f} "
-          f"(closed form 0.5)")
-    est, se = ikl_estimate(p, q, n_tau=12, n_samples=2000,
-                           rng=np.random.default_rng(3))
-    print(f"noise-level-integrated divergence: {est:.3f} +- {se:.3f}")
 
 
 if __name__ == "__main__":

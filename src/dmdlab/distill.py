@@ -18,6 +18,7 @@ seeds; the generator phase and the fake/TTUR phase consume separate RNG
 streams so that a purely observing fake model cannot perturb training.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -107,36 +108,38 @@ class DistillConfig:
 
     def validate(self) -> None:
         """Each message starts with the run-config key at fault."""
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0")
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError("lambda must be > 0")
         if self.step_grid is None and self.n_steps not in _DEFAULT_GRIDS:
             raise ValueError("n_steps must be one of {1, 2, 4} (or give step_grid)")
         grid = self.grid
-        if grid[0] != 0.0:
+        if not grid or grid[0] != 0.0:
             raise ValueError("step_grid must start at 0")
-        if any(b <= a for a, b in zip(grid, grid[1:])) or grid[-1] >= 1.0:
+        if (any(not a < b for a, b in zip(grid, grid[1:]))
+                or not grid[-1] < 1.0):
             raise ValueError("step_grid must be strictly increasing within [0, 1)")
         if len(grid) != self.n_steps:
             raise ValueError(f"n_steps must equal the {len(grid)} step_grid "
                              f"levels, got {self.n_steps}")
-        if self.ttur_ratio < 0:
+        if not self.ttur_ratio >= 0:
             raise ValueError("ttur_ratio must be >= 0")
-        if self.batch <= 0:
+        if not self.batch > 0:
             raise ValueError("batch must be positive")
-        if self.w_gan < 0:
+        if not self.w_gan >= 0:
             raise ValueError("w_gan must be >= 0")
-        if self.w_meanvar < 0:
+        if not self.w_meanvar >= 0:
             raise ValueError("w_meanvar must be >= 0")
-        if self.lr_gen <= 0:
+        if not self.lr_gen > 0:
             raise ValueError("lr_gen must be positive")
-        if self.lr_fake <= 0:
+        if not self.lr_fake > 0:
             raise ValueError("lr_fake must be positive")
-        if (self.meanvar_var_target is not None
-                and self.meanvar_var_target <= 0):
-            raise ValueError("meanvar_var_target must be > 0")
         mu, var = self.meanvar_mu_target, self.meanvar_var_target
+        if mu is not None and not math.isfinite(mu):
+            raise ValueError("meanvar_mu_target must be finite")
+        if var is not None and not var > 0:
+            raise ValueError("meanvar_var_target must be > 0")
         if (mu is None) != (var is None):
             missing = "meanvar_mu_target" if mu is None else "meanvar_var_target"
             raise ValueError(f"{missing} must be set too: one moment target "
@@ -486,13 +489,12 @@ def generator_update(state: DistillState, teacher,
 
 
 def observer_probe(state: DistillState, teacher, probe_points: np.ndarray,
-                   taus, cond, artifact_dir=None, *,
+                   taus, cond, *, artifact_dir,
                    rng: np.random.Generator):
     """Evaluate the DM term over probe points at each noise level.
 
     Returns one row (tau, mean L2 norm of delta_dm, mean <delta_dm, v>) per
-    tau, where v is the known artifact direction (alignment is NaN-free only
-    when v is given; otherwise that column is 0).
+    tau, where v is artifact_dir, the known artifact direction.
     """
     probe_points = np.asarray(probe_points)
     rows = []
@@ -501,8 +503,5 @@ def observer_probe(state: DistillState, teacher, probe_points: np.ndarray,
         x_tau = renoise(probe_points, float(tau), eps)
         d = delta_dm(teacher, state.fake, x_tau, float(tau), cond)
         mag = float(np.mean(np.linalg.norm(d, axis=1)))
-        align = 0.0
-        if artifact_dir is not None:
-            align = float(np.mean(d @ np.asarray(artifact_dir)))
-        rows.append((float(tau), mag, align))
+        rows.append((float(tau), mag, float(np.mean(d @ artifact_dir))))
     return rows

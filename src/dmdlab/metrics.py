@@ -1,5 +1,5 @@
 """Distribution-level evaluation: sliced Wasserstein distance, per-sample
-statistics, mode coverage, and a noise-level-integrated KL diagnostic."""
+statistics and mode coverage."""
 
 import math
 from dataclasses import dataclass, fields
@@ -7,7 +7,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import MixtureSpec
-from .flow import renoise
 from .net import NonFiniteError
 
 
@@ -139,46 +138,3 @@ def mode_coverage(samples: np.ndarray, spec: MixtureSpec, cond: int,
         if np.any(np.sqrt((z ** 2).sum(axis=1)) <= radius_mult):
             hit += 1
     return hit / len(comps)
-
-
-def ikl_estimate(sampler_p, sampler_q, n_tau: int, n_samples: int,
-                 rng: np.random.Generator, taus=None):
-    """Monte-Carlo estimate of the noise-level-integrated KL divergence.
-
-    At each tau the two sample clouds are renoised, densities are fit with a
-    Gaussian KDE, and KL(p_tau || q_tau) is averaged over an independent
-    renoised draw from p (kept separate from the KDE fit points so that the
-    identical-distribution case is unbiased). The KDE bandwidth follows
-    Scott's rule, and rng is required. Samplers are callables
-    (n, rng) -> (n, dim) arrays with dim <= 3 that draw fresh samples per
-    call. Returns (clamped estimate, Monte-Carlo standard error).
-    """
-    # scipy.stats costs about 65 MB and 1 s to import, and nothing else in
-    # the lab uses it, so it loads only when this diagnostic runs
-    from scipy.stats import gaussian_kde
-
-    if taus is None:
-        taus = rng.uniform(0.0, 1.0, size=n_tau)
-    taus = np.asarray(taus, dtype=float)
-    vals = []
-    for tau in taus:
-        xp = np.atleast_2d(sampler_p(n_samples, rng))
-        xq = np.atleast_2d(sampler_q(n_samples, rng))
-        xe = np.atleast_2d(sampler_p(n_samples, rng))
-        if xp.shape[1] > 3:
-            raise ValueError("KDE-based estimate is limited to dim <= 3")
-        xp_t = renoise(xp, tau, rng.standard_normal(xp.shape))
-        xq_t = renoise(xq, tau, rng.standard_normal(xq.shape))
-        xe_t = renoise(xe, tau, rng.standard_normal(xe.shape))
-        kde_p = gaussian_kde(xp_t.T)
-        kde_q = gaussian_kde(xq_t.T)
-        logp = kde_p.logpdf(xe_t.T)
-        logq = kde_q.logpdf(xe_t.T)
-        vals.append(float(np.mean(logp - logq)))
-    vals = np.asarray(vals)
-    est = float(vals.mean())
-    if len(vals) > 1:
-        se = float(vals.std(ddof=1) / np.sqrt(len(vals)))
-    else:
-        se = 0.0
-    return max(est, 0.0), se

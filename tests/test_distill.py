@@ -815,6 +815,10 @@ class TestConfigValidation:
             DistillConfig(step_grid=(0.0, 0.5, 0.4)).validate()
         with pytest.raises(ValueError):
             DistillConfig(step_grid=(0.0, 1.0)).validate()
+        with pytest.raises(ValueError, match="^step_grid must be strictly "):
+            DistillConfig(n_steps=2, step_grid=(0.0, np.nan))
+        with pytest.raises(ValueError, match="^step_grid must start at 0$"):
+            DistillConfig(step_grid=())
         DistillConfig(n_steps=3, step_grid=(0.0, 0.3, 0.9)).validate()
 
     def test_grid_length_must_match_n_steps(self):
@@ -828,6 +832,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{key}"):
             DistillConfig(**{key: -1e-3}).validate()
         DistillConfig(**{key: 0.0}).validate()
+
+    @pytest.mark.parametrize("field", [
+        "alpha", "lam", "ttur_ratio", "batch", "w_gan", "w_meanvar", "lr_gen",
+        "lr_fake", "meanvar_mu_target", "meanvar_var_target"])
+    def test_nan_rejected_under_its_key(self, field):
+        key = "lambda" if field == "lam" else field
+        kw = {"meanvar_mu_target": 0.0, "meanvar_var_target": 1.0}
+        with pytest.raises(ValueError, match=f"^{key} "):
+            DistillConfig(**{**kw, field: np.nan})
+
+    def test_mu_target_must_be_finite(self):
+        for mu in (np.inf, -np.inf):
+            with pytest.raises(ValueError,
+                               match="^meanvar_mu_target must be finite$"):
+                DistillConfig(meanvar_mu_target=mu, meanvar_var_target=1.0)
+        # an int past int64's range, which numpy's isfinite cannot take
+        DistillConfig(meanvar_mu_target=-2 ** 63 - 1, meanvar_var_target=1.0)
 
     def test_default_grids(self):
         assert DistillConfig(n_steps=1).grid == (0.0,)
@@ -910,5 +931,6 @@ class TestObserverProbe:
         state = init_distill_state(teacher, base_config(), gmm8(), seed=90)
         taus = np.linspace(0.05, 0.95, 7)
         rows = observer_probe(state, teacher, np.zeros((5, 2)), taus, 1,
+                              artifact_dir=np.zeros(2),
                               rng=np.random.default_rng(88))
         assert len(rows) == 7

@@ -236,12 +236,20 @@ class TestTeacherTraining:
             TeacherConfig(p_uncond=0.0).validate()
         with pytest.raises(ValueError):
             TeacherConfig(lr=1e-3, lr_final=1e-2).validate()
+        with pytest.raises(ValueError, match="^log_every must be positive$"):
+            TeacherConfig(log_every=0)
 
     @pytest.mark.parametrize("lr_final", [None, 1e-5])
     def test_lr_must_be_positive(self, lr_final):
-        for lr in (-1.0, 0.0):
+        for lr in (-1.0, 0.0, np.nan):
             with pytest.raises(ValueError, match="^lr "):
                 TeacherConfig(lr=lr, lr_final=lr_final).validate()
+
+    @pytest.mark.parametrize("key", ["iterations", "batch", "lr_final",
+                                     "p_uncond", "ema_decay", "log_every"])
+    def test_nan_rejected_under_its_key(self, key):
+        with pytest.raises(ValueError, match=f"^{key} "):
+            TeacherConfig(**{key: np.nan})
 
     def test_ema_smoothed_training(self):
         spec = MixtureSpec(dim=2, label_count=1, components=[

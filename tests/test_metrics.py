@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from dmdlab.data import Component, MixtureSpec, gmm8
 from dmdlab.metrics import (_PROJ_BLOCK, MetricRecord, batch_sample_stats,
-                            ikl_estimate, mode_coverage, sliced_wasserstein2,
-                            wasserstein2_1d)
+                            mode_coverage, sliced_wasserstein2, wasserstein2_1d)
 from dmdlab.net import NonFiniteError
 
 
@@ -174,70 +173,6 @@ class TestModeCoverage:
     def test_nonpositive_radius_rejected(self, radius_mult):
         with pytest.raises(ValueError, match="^radius_mult must be positive$"):
             mode_coverage(np.zeros((1, 2)), gmm8(), 0, radius_mult)
-
-
-class TestIkl:
-    def test_identical_distributions_near_zero(self):
-        def sampler(n, rng):
-            return rng.standard_normal((n, 2))
-
-        est, se = ikl_estimate(sampler, sampler, n_tau=8, n_samples=1500,
-                               rng=np.random.default_rng(26))
-        assert est >= 0.0
-        assert est <= max(2 * se, 0.02)
-
-    def test_shifted_gaussian_closed_form(self):
-        # KL(N(0,1) || N(1,1)) = 0.5 at the clean endpoint
-        def p(n, rng):
-            return rng.standard_normal((n, 1))
-
-        def q(n, rng):
-            return rng.standard_normal((n, 1)) + 1.0
-
-        est, _ = ikl_estimate(p, q, n_tau=1, n_samples=10_000,
-                              rng=np.random.default_rng(27), taus=[1.0])
-        assert abs(est - 0.5) < 0.1
-
-    def test_order_invariance(self):
-        base = np.random.default_rng(28).standard_normal((400, 2))
-        perm = np.random.default_rng(29).permutation(400)
-
-        def fixed(n, rng):
-            return base[:n]
-
-        def permuted(n, rng):
-            return base[perm][:n]
-
-        # deterministic noise stream shared via identical seeds
-        e1, _ = ikl_estimate(fixed, fixed, 1, 400,
-                             np.random.default_rng(30), taus=[0.6])
-        e2, _ = ikl_estimate(permuted, permuted, 1, 400,
-                             np.random.default_rng(30), taus=[0.6])
-        # KDE fit and averaged eval are order-free up to fp reduction order
-        assert abs(e1 - e2) < 1e-8
-
-    def test_monotone_under_interpolation(self):
-        def p(n, rng):
-            return rng.standard_normal((n, 1))
-
-        results = []
-        for i, s in enumerate([0.0, 0.25, 0.5, 0.75, 1.0]):
-            def q(n, rng, shift=2.0 * (1 - s)):
-                return rng.standard_normal((n, 1)) + shift
-
-            est, se = ikl_estimate(p, q, n_tau=6, n_samples=1500,
-                                   rng=np.random.default_rng(31), taus=None)
-            results.append((est, se))
-        for (e1, s1), (e2, s2) in zip(results, results[1:]):
-            assert e2 <= e1 + 2 * (s1 + s2)
-        assert results[-1][0] <= max(results[0][0] * 0.2, 0.05)
-
-    def test_high_dim_rejected(self):
-        def p(n, rng):
-            return rng.standard_normal((n, 5))
-
-        with pytest.raises(ValueError):
-            ikl_estimate(p, p, 1, 100, np.random.default_rng(0))
 
 
 class TestMetricRecord:

@@ -4,15 +4,18 @@ import ast
 import importlib
 import inspect
 import json
+import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import dmdlab
 
 SRC = Path(dmdlab.__file__).resolve().parent
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
+TOOLS = ROOT / "tools"
 
 
 def unused_imports(path: Path) -> list:
@@ -34,6 +37,26 @@ def test_no_unused_imports():
     modules = [p for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"]
     assert len(modules) > 5
     assert [u for path in modules for u in unused_imports(path)] == []
+
+
+def third_party_imports() -> set:
+    """Top-level names of the absolute imports anywhere in the library,
+    inside functions too, less the standard library and dmdlab itself."""
+    names = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"dmdlab"}
+
+
+def test_declared_dependencies_match_imports():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group()
+                for dep in project["dependencies"]}
+    assert third_party_imports() == declared
 
 
 def private_definitions(path: Path) -> dict:
