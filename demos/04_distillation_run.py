@@ -54,7 +54,7 @@ def main():
             sw, cov, var = evaluate(state, config, spec, ref)
             print(f"update {step:4d}: sw2={sw:.4f} coverage={cov:.3f} "
                   f"var_ratio={var / vstar:.2f} "
-                  f"loss_fake={record.loss_fake:.4f}")
+                  f"loss_fake={record['loss_fake']:.4f}")
     print("done; generator now samples in", config.n_steps, "steps")
 
 

@@ -22,7 +22,7 @@ from .distill import (DistillConfig, DistillState, Mode, NonFiniteError,
                       fake_model_update, gan_losses, generator_update,
                       init_distill_state, meanvar_kl_loss, observer_probe,
                       proxy_loss_and_grad, sample_generator, sample_tau)
-from .metrics import (MetricRecord, batch_sample_stats, mode_coverage,
+from .metrics import (batch_sample_stats, csv_row, mode_coverage,
                       sliced_wasserstein2, wasserstein2_1d)
 
 __all__ = [
@@ -40,6 +40,6 @@ __all__ = [
     "fake_model_update", "gan_losses", "generator_update",
     "init_distill_state", "meanvar_kl_loss", "observer_probe",
     "proxy_loss_and_grad", "sample_generator", "sample_tau",
-    "MetricRecord", "batch_sample_stats", "mode_coverage",
+    "batch_sample_stats", "csv_row", "mode_coverage",
     "sliced_wasserstein2", "wasserstein2_1d",
 ]

@@ -22,12 +22,13 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
 from .data import MixtureSpec, expected_sample_stats, sample_points_for_labels
 from .flow import regression_loss_and_grads, renoise
-from .metrics import MetricRecord, batch_sample_stats
+from .metrics import batch_sample_stats
 from .net import (NULL_LABEL, NetConfig, NetParams, NonFiniteError, _sigmoid,
                   init_params, net_backward, net_forward, net_forward_cached)
 from .optim import AdamState, adam_step, init_adam
@@ -108,10 +109,10 @@ class DistillConfig:
 
     def validate(self) -> None:
         """Each message starts with the run-config key at fault."""
-        if not self.alpha >= 0:
-            raise ValueError("alpha must be >= 0")
-        if not self.lam > 0:
-            raise ValueError("lambda must be > 0")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and >= 0")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lambda must be finite and > 0")
         if self.step_grid is None and self.n_steps not in _DEFAULT_GRIDS:
             raise ValueError("n_steps must be one of {1, 2, 4} (or give step_grid)")
         grid = self.grid
@@ -123,31 +124,32 @@ class DistillConfig:
         if len(grid) != self.n_steps:
             raise ValueError(f"n_steps must equal the {len(grid)} step_grid "
                              f"levels, got {self.n_steps}")
-        if not self.ttur_ratio >= 0:
-            raise ValueError("ttur_ratio must be >= 0")
-        if not self.batch > 0:
-            raise ValueError("batch must be positive")
-        if not self.w_gan >= 0:
-            raise ValueError("w_gan must be >= 0")
-        if not self.w_meanvar >= 0:
-            raise ValueError("w_meanvar must be >= 0")
-        if not self.lr_gen > 0:
-            raise ValueError("lr_gen must be positive")
-        if not self.lr_fake > 0:
-            raise ValueError("lr_fake must be positive")
+        if not (isinstance(self.ttur_ratio, Integral) and self.ttur_ratio >= 0):
+            raise ValueError("ttur_ratio must be an integer >= 0")
+        if not (isinstance(self.batch, Integral) and self.batch > 0):
+            raise ValueError("batch must be a positive integer")
+        if not 0 <= self.w_gan < math.inf:
+            raise ValueError("w_gan must be finite and >= 0")
+        if not 0 <= self.w_meanvar < math.inf:
+            raise ValueError("w_meanvar must be finite and >= 0")
+        if not 0 < self.lr_gen < math.inf:
+            raise ValueError("lr_gen must be finite and positive")
+        if not 0 < self.lr_fake < math.inf:
+            raise ValueError("lr_fake must be finite and positive")
         mu, var = self.meanvar_mu_target, self.meanvar_var_target
         if mu is not None and not math.isfinite(mu):
             raise ValueError("meanvar_mu_target must be finite")
-        if var is not None and not var > 0:
-            raise ValueError("meanvar_var_target must be > 0")
+        if var is not None and not 0 < var < math.inf:
+            raise ValueError("meanvar_var_target must be finite and > 0")
         if (mu is None) != (var is None):
             missing = "meanvar_mu_target" if mu is None else "meanvar_var_target"
             raise ValueError(f"{missing} must be set too: one moment target "
                              "alone would be ignored")
         for name in ("tau_ca_range", "tau_dm_range"):
             r = getattr(self, name)
-            if r is not None and not 0.0 <= float(r[0]) < float(r[1]) <= 1.0:
-                raise ValueError(f"{name} must satisfy 0 <= lo < hi <= 1")
+            if r is not None and not (
+                    len(r) == 2 and 0.0 <= float(r[0]) < float(r[1]) <= 1.0):
+                raise ValueError(f"{name} must be [lo, hi] with 0 <= lo < hi <= 1")
         ca, dm = self.tau_ca_range, self.tau_dm_range
         if self.schedule_policy == SchedulePolicy.COUPLED_SHARED:
             if ca and dm and tuple(ca) != tuple(dm):
@@ -414,13 +416,14 @@ def gan_losses(disc: NetParams, real_batch: np.ndarray, fake_batch: np.ndarray,
 
 
 def generator_update(state: DistillState, teacher,
-                     config: DistillConfig) -> MetricRecord:
+                     config: DistillConfig) -> dict:
     """One full training step: generator phase, then TTUR fake-model phase.
 
     The teacher and (during the generator phase) the fake model are never
-    written to; only forward evaluations of them enter the direction. The
-    returned record leaves the four distribution-level fields None; the run
-    loop fills them from its evaluation clouds.
+    written to; only forward evaluations of them enter the direction. Returns
+    what the step measured: iteration, loss_proxy, loss_fake, loss_reg,
+    tau_ca, tau_dm and t. The run loop adds the distribution-level values at
+    an evaluation point; metrics.csv_row ignores any other key.
     """
     rng = state.rng_gen
     grid = config.grid
@@ -480,12 +483,9 @@ def generator_update(state: DistillState, teacher,
                                           state.rng_fake)
 
     state.iteration += 1
-    return MetricRecord(
-        iteration=state.iteration, sw2=None, mean_of_means=None,
-        mean_of_vars=None, mode_coverage=None, loss_proxy=loss_proxy,
-        loss_fake=loss_fake, loss_reg=loss_reg, tau_ca=float(tau_ca),
-        tau_dm=float(tau_dm), t=float(t),
-    )
+    return {"iteration": state.iteration, "loss_proxy": loss_proxy,
+            "loss_fake": loss_fake, "loss_reg": loss_reg,
+            "tau_ca": float(tau_ca), "tau_dm": float(tau_dm), "t": float(t)}
 
 
 def observer_probe(state: DistillState, teacher, probe_points: np.ndarray,

@@ -8,6 +8,7 @@ a velocity.
 
 import csv
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -32,20 +33,20 @@ class TeacherConfig:
 
     def validate(self) -> None:
         """Each message starts with the teacher-config key at fault."""
-        if not self.iterations > 0:
-            raise ValueError("iterations must be positive")
-        if not self.batch > 0:
-            raise ValueError("batch must be positive")
+        if not (isinstance(self.iterations, Integral) and self.iterations > 0):
+            raise ValueError("iterations must be a positive integer")
+        if not (isinstance(self.batch, Integral) and self.batch > 0):
+            raise ValueError("batch must be a positive integer")
         if not 0.0 < self.p_uncond < 1.0:
             raise ValueError("p_uncond must lie in (0, 1)")
-        if not self.lr > 0:
-            raise ValueError("lr must be > 0")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("lr must be finite and > 0")
         if self.lr_final is not None and not 0.0 < self.lr_final <= self.lr:
             raise ValueError("lr_final must lie in (0, lr]")
         if self.ema_decay is not None and not 0.0 <= self.ema_decay <= 1.0:
             raise ValueError("ema_decay must lie in [0, 1]")
-        if not self.log_every > 0:
-            raise ValueError("log_every must be positive")
+        if not (isinstance(self.log_every, Integral) and self.log_every > 0):
+            raise ValueError("log_every must be a positive integer")
 
 
 def renoise(x: np.ndarray, tau, eps: np.ndarray) -> np.ndarray:

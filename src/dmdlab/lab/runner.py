@@ -3,7 +3,8 @@
 Layout of a run directory:
     config_snapshot.json   fully resolved config; re-running it reproduces
                            every emitted byte
-    metrics.csv            one MetricRecord row per evaluation point
+    metrics.csv            one row per evaluation point: the update's
+                           values and the evaluation clouds' (CSV_COLUMNS)
     samples/iter_*.csv     evaluation point clouds (x..., label)
     checkpoints/*.ckpt     final generator / fake (and discriminator)
     manifest.json          timestamps and durations (the only file allowed
@@ -31,8 +32,8 @@ from ..distill import (DistillConfig, DistillState, NonFiniteError,
                        generator_update, init_distill_state, observer_probe,
                        sample_generator)
 from ..flow import TeacherConfig, train_teacher
-from ..metrics import (CSV_COLUMNS, batch_sample_stats, mode_coverage,
-                       sliced_wasserstein2)
+from ..metrics import (CSV_COLUMNS, batch_sample_stats, csv_row,
+                       mode_coverage, sliced_wasserstein2)
 from .config import (ConfigError, _check_teacher, build, check_outputs,
                      load_run_config, resolve_data)
 
@@ -206,16 +207,16 @@ def run_config(cfg: dict, out_dir, key: str = "--out") -> RunArtifacts:
                     clouds = _eval_clouds(state, dconfig.grid, spec,
                                           cfg["seed"], it, cfg["eval_n"])
                     sw_rng = np.random.default_rng([cfg["seed"], it, 0x51])
-                    record.sw2 = float(np.mean([
+                    record["sw2"] = float(np.mean([
                         sliced_wasserstein2(cloud, ref, 128, sw_rng)
                         for cloud, ref in zip(clouds, ref_by_label)]))
-                    record.mode_coverage = float(np.mean([
+                    record["mode_coverage"] = float(np.mean([
                         mode_coverage(cloud, spec, label, cfg["radius_mult"])
                         for label, cloud in enumerate(clouds)]))
                     means, variances = batch_sample_stats(np.concatenate(clouds))
-                    record.mean_of_means = float(means.mean())
-                    record.mean_of_vars = float(variances.mean())
-                    writer.writerow(record.to_row())
+                    record["mean_of_means"] = float(means.mean())
+                    record["mean_of_vars"] = float(variances.mean())
+                    writer.writerow(csv_row(record))
                     fh.flush()
                     with open(art.sample_path(it), "w", newline="") as sf:
                         sw = csv.writer(sf)

@@ -2,7 +2,6 @@
 statistics and mode coverage."""
 
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -10,30 +9,21 @@ from .data import MixtureSpec
 from .net import NonFiniteError
 
 
-@dataclass
-class MetricRecord:
-    iteration: int
-    sw2: float
-    mean_of_means: float
-    mean_of_vars: float
-    mode_coverage: float
-    loss_proxy: float
-    loss_fake: float
-    loss_reg: float
-    tau_ca: float
-    tau_dm: float
-    t: float
-
-    def to_row(self) -> list:
-        vals = [getattr(self, c) for c in CSV_COLUMNS]
-        for c, v in zip(CSV_COLUMNS, vals):
-            if v is None or not np.isfinite(v):
-                raise NonFiniteError(
-                    f"MetricRecord field {c} is not finite: {v}", {"field": c})
-        return [str(self.iteration)] + [repr(float(v)) for v in vals[1:]]
+CSV_COLUMNS = ["iteration", "sw2", "mean_of_means", "mean_of_vars",
+               "mode_coverage", "loss_proxy", "loss_fake", "loss_reg",
+               "tau_ca", "tau_dm", "t"]
 
 
-CSV_COLUMNS = [f.name for f in fields(MetricRecord)]
+def csv_row(values: dict) -> list:
+    """One metrics.csv row: the CSV_COLUMNS of values in order, the iteration
+    as an integer, then each value's repr; every other key is ignored."""
+    for c in CSV_COLUMNS:
+        v = values.get(c)
+        if v is None or not np.isfinite(v):
+            raise NonFiniteError(f"metrics.csv column {c} is not finite: {v}",
+                                 {"field": c})
+    return ([str(values["iteration"])]
+            + [repr(float(values[c])) for c in CSV_COLUMNS[1:]])
 
 
 def _quantile_grid(n: int, m: int):

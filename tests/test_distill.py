@@ -80,8 +80,8 @@ class TestSampleTau:
             sample_tau(config, 1.0, np.random.default_rng(4))
 
     def test_bad_override_rejected(self):
-        with pytest.raises(ValueError, match=r"^tau_ca_range must satisfy "
-                           r"0 <= lo < hi <= 1$"):
+        with pytest.raises(ValueError, match=r"^tau_ca_range must be \[lo, hi\] "
+                           r"with 0 <= lo < hi <= 1$"):
             DistillConfig(schedule_policy=SchedulePolicy.DECOUPLED_FULL,
                           tau_ca_range=(0.9, 0.2))
 
@@ -642,7 +642,7 @@ class TestGeneratorUpdate:
         state = init_distill_state(teacher, cfg, gmm8(), seed=97)
         before = state.fake.copy()
         rec = generator_update(state, teacher, cfg)
-        assert rec.loss_fake == 0.0
+        assert rec["loss_fake"] == 0.0
         for (_, a), (_, b) in zip(state.fake.slots(), before.slots()):
             assert np.array_equal(a, b)
 
@@ -686,19 +686,19 @@ class TestGeneratorUpdate:
             rec = generator_update(state, teacher, cfg)
             records.append(rec)
         a, b = records
-        assert a.loss_proxy == b.loss_proxy
-        assert a.loss_reg == b.loss_reg
-        assert a.tau_ca == b.tau_ca and a.tau_dm == b.tau_dm and a.t == b.t
-        assert a.mean_of_means == b.mean_of_means
+        assert a["loss_proxy"] == b["loss_proxy"]
+        assert a["loss_reg"] == b["loss_reg"]
+        assert (a["tau_ca"] == b["tau_ca"] and a["tau_dm"] == b["tau_dm"]
+                and a["t"] == b["t"])
 
     def test_record_leaves_distribution_fields_to_the_run_loop(self):
         teacher = tiny_net(76)
         cfg = base_config(mode=Mode.FULL_DMD)
         state = init_distill_state(teacher, cfg, gmm8(), seed=1234)
         rec = generator_update(state, teacher, cfg)
-        assert (rec.sw2, rec.mode_coverage, rec.mean_of_means,
-                rec.mean_of_vars) == (None, None, None, None)
-        assert np.isfinite(rec.loss_proxy)
+        assert set(rec) == {"iteration", "loss_proxy", "loss_fake",
+                            "loss_reg", "tau_ca", "tau_dm", "t"}
+        assert np.isfinite(rec["loss_proxy"])
 
     def test_gan_regularizer_updates_discriminator(self):
         teacher = tiny_net(77)
@@ -707,7 +707,7 @@ class TestGeneratorUpdate:
         assert state.disc is not None
         disc_before = state.disc.copy()
         rec = generator_update(state, teacher, cfg)
-        assert rec.loss_reg > 0
+        assert rec["loss_reg"] > 0
         assert any(not np.array_equal(a, b) for (_, a), (_, b)
                    in zip(state.disc.slots(), disc_before.slots()))
 
@@ -839,8 +839,21 @@ class TestConfigValidation:
     def test_nan_rejected_under_its_key(self, field):
         key = "lambda" if field == "lam" else field
         kw = {"meanvar_mu_target": 0.0, "meanvar_var_target": 1.0}
-        with pytest.raises(ValueError, match=f"^{key} "):
-            DistillConfig(**{**kw, field: np.nan})
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"^{key} "):
+                DistillConfig(**{**kw, field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("batch", 2.5), ("batch", 4.0), ("ttur_ratio", 1.5),
+        ("tau_ca_range", (0.1,)), ("tau_ca_range", (0.1, 0.5, 0.9)),
+        ("tau_dm_range", (0.1, 0.5, 0.9))])
+    def test_fractional_count_or_bad_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            DistillConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = DistillConfig(batch=np.int64(4), ttur_ratio=np.int32(2))
+        assert (cfg.batch, cfg.ttur_ratio) == (4, 2)
 
     def test_mu_target_must_be_finite(self):
         for mu in (np.inf, -np.inf):
@@ -871,7 +884,7 @@ class TestConfigValidation:
         state = init_distill_state(teacher, cfg, None, seed=2)
         assert state.reg_targets == [(0.25, 0.5)] * teacher.config.n_labels
         rec = generator_update(state, teacher, cfg)
-        assert np.isfinite(rec.loss_reg) and rec.loss_reg > 0.0
+        assert np.isfinite(rec["loss_reg"]) and rec["loss_reg"] > 0.0
 
     def test_meanvar_without_spec_or_targets_rejected(self):
         cfg = base_config(regularizer=Regularizer.MEANVAR_KL)

@@ -236,20 +236,30 @@ class TestTeacherTraining:
             TeacherConfig(p_uncond=0.0).validate()
         with pytest.raises(ValueError):
             TeacherConfig(lr=1e-3, lr_final=1e-2).validate()
-        with pytest.raises(ValueError, match="^log_every must be positive$"):
+        with pytest.raises(ValueError,
+                           match="^log_every must be a positive integer$"):
             TeacherConfig(log_every=0)
 
     @pytest.mark.parametrize("lr_final", [None, 1e-5])
     def test_lr_must_be_positive(self, lr_final):
-        for lr in (-1.0, 0.0, np.nan):
+        for lr in (-1.0, 0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="^lr "):
                 TeacherConfig(lr=lr, lr_final=lr_final).validate()
 
     @pytest.mark.parametrize("key", ["iterations", "batch", "lr_final",
                                      "p_uncond", "ema_decay", "log_every"])
     def test_nan_rejected_under_its_key(self, key):
-        with pytest.raises(ValueError, match=f"^{key} "):
-            TeacherConfig(**{key: np.nan})
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"^{key} "):
+                TeacherConfig(**{key: value})
+
+    @pytest.mark.parametrize("key,value", [
+        ("iterations", 2.5), ("iterations", 4.0), ("batch", 2.5),
+        ("log_every", 2.5)])
+    def test_fractional_count_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be a positive "
+                           "integer$"):
+            TeacherConfig(**{key: value})
 
     def test_ema_smoothed_training(self):
         spec = MixtureSpec(dim=2, label_count=1, components=[

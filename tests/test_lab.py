@@ -285,6 +285,21 @@ class TestRunner:
         with pytest.raises(KeyError, match="internal"):
             cli_main(["run", str(path), "--out", str(tmp_path / "run")])
 
+    def test_update_extra_keys_leave_metrics_csv_unchanged(
+            self, tmp_path, tiny_teacher_ckpt, monkeypatch):
+        # values an update returns beyond CSV_COLUMNS never reach metrics.csv
+        import dmdlab.lab.runner as runner_mod
+
+        cfg = run_config_from_dict(small_cfg(tiny_teacher_ckpt))
+        plain = run_config(cfg, tmp_path / "plain").metrics_path.read_bytes()
+        update = runner_mod.generator_update
+        monkeypatch.setattr(runner_mod, "generator_update",
+                            lambda *args: {**update(*args), "norm_ca": np.nan,
+                                           "note": "not a column"})
+        extra = run_config(cfg, tmp_path / "extra").metrics_path.read_bytes()
+        assert extra == plain
+        assert plain.count(b"\n") == 3  # header and two evaluation rows
+
 
 class TestPresets:
     def preset_overrides(self, teacher):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmdlab.data import Component, MixtureSpec, gmm8
-from dmdlab.metrics import (_PROJ_BLOCK, MetricRecord, batch_sample_stats,
+from dmdlab.metrics import (_PROJ_BLOCK, batch_sample_stats, csv_row,
                             mode_coverage, sliced_wasserstein2, wasserstein2_1d)
 from dmdlab.net import NonFiniteError
 
@@ -175,15 +175,27 @@ class TestModeCoverage:
             mode_coverage(np.zeros((1, 2)), gmm8(), 0, radius_mult)
 
 
-class TestMetricRecord:
+class TestCsvRow:
+    VALUES = {"iteration": 5, "sw2": 0.1, "mean_of_means": 0.0,
+              "mean_of_vars": 1.0, "mode_coverage": 0.5, "loss_proxy": 0.2,
+              "loss_fake": 0.3, "loss_reg": 0.0, "tau_ca": 0.7, "tau_dm": 0.2,
+              "t": 0.0}
+
     def test_row_shape_and_guard(self):
-        rec = MetricRecord(iteration=5, sw2=0.1, mean_of_means=0.0,
-                           mean_of_vars=1.0, mode_coverage=0.5, loss_proxy=0.2,
-                           loss_fake=0.3, loss_reg=0.0, tau_ca=0.7, tau_dm=0.2,
-                           t=0.0)
-        row = rec.to_row()
+        row = csv_row(self.VALUES)
         assert len(row) == 11
-        rec.sw2 = float("nan")
         with pytest.raises(NonFiniteError) as err:
-            rec.to_row()
+            csv_row({**self.VALUES, "sw2": float("nan")})
         assert err.value.context == {"field": "sw2"}
+
+    def test_missing_key_raises_under_it(self):
+        values = dict(self.VALUES)
+        del values["mode_coverage"]
+        with pytest.raises(NonFiniteError) as err:
+            csv_row(values)
+        assert err.value.context == {"field": "mode_coverage"}
+
+    def test_extra_key_leaves_row_unchanged(self):
+        row = csv_row(self.VALUES)
+        assert csv_row({**self.VALUES, "norm_ca": float("nan"),
+                        "note": "not a column"}) == row

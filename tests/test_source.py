@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import json
 import re
@@ -139,6 +140,20 @@ def test_demo_calls_bind_to_the_library():
         except TypeError as e:
             unbound.append(f"{path.name}:{node.lineno} {node.func.id}: {e}")
     assert unbound == []
+
+
+def test_bench_traced_functions_resolve():
+    # bench/run.py --trace 1 patches each (module, name) of bench/spans.py's
+    # TRACED by name, so a renamed or deleted function breaks trace mode
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    missing = [f"{module}.{name}" for module, name in spans.TRACED
+               if not callable(getattr(importlib.import_module(module), name,
+                                       None))]
+    assert missing == []
 
 
 # 17 non-blank lines; settable values: Point's 2 fields, move's dx and dy,

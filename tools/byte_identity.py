@@ -5,13 +5,15 @@ to dmdlab must leave byte-identical.
     python3 tools/byte_identity.py compare A B
 
 ``write`` trains a 200-iteration gmm8 teacher with ``lab train-teacher``
-(checkpoint and loss log), then runs every shape in SHAPES at seeds 3 and 21
-and every preset at a small budget on that teacher, and one run with no
-``teacher`` key that finds a copy of it already in its run directory, each
-into its own directory under OUT (which must not exist yet). ``lab plot``
-then draws the PLOTTED run, so its ``plots/*.svg`` are compared too. It imports
-dmdlab from SRC, by default the src/ next to this directory, so one copy of
-the script can write the trees of two checkouts:
+(checkpoint and loss log), and a second one that keeps an EMA of its weights
+at a fixed learning rate (EMA_TEACHER), for its files alone. It then runs
+every shape in SHAPES at seeds 3 and 21 and every preset at a small budget on
+the first teacher, and one run with no ``teacher`` key that finds a copy of
+it already in its run directory, each into its own directory under OUT
+(which must not exist yet). ``lab plot`` then draws the PLOTTED run, so its
+``plots/*.svg`` are compared too. It imports dmdlab from SRC, by default the
+src/ next to this directory, so one copy of the script can write the trees
+of two checkouts:
 
     python3 tools/byte_identity.py write /tmp/old --src ../old-checkout/src
     python3 tools/byte_identity.py write /tmp/new
@@ -42,6 +44,9 @@ PRESET_BUDGET = {"iterations": 6, "batch": 16, "eval_every": 3}
 # teacher config: the default TeacherConfig at a 200-iteration budget
 TEACHER = {"iterations": 200, "batch": 256, "lr": 1e-3, "p_uncond": 0.1,
            "seed": 0}
+# the only teacher training that exercises the EMA update
+EMA_TEACHER = {**TEACHER, "ema_decay": 0.99, "lr_final": None,
+               "out": "teacher_ema.ckpt"}
 
 # run name -> keys laid over the presets' BASE_RUN (FULL_DMD, coupled,
 # 1 step, alpha 1.4) and BUDGET
@@ -74,6 +79,9 @@ SHAPES = {
     "full_alpha1": {"alpha": 1.0},
     "ca_alpha1_hybrid_4step": {"mode": "CA_ONLY", "alpha": 1.0, "n_steps": 4,
                                "schedule_policy": "DECOUPLED_HYBRID"},
+    # a custom step grid, which no preset or default grid has
+    "constrained_grid_3step": {"n_steps": 3, "step_grid": [0.0, 0.3, 0.9],
+                               "schedule_policy": "DECOUPLED_CONSTRAINED"},
 }
 
 PLOTTED = "ca_gan_s3"  # a run with a discriminator and three eval points
@@ -90,9 +98,10 @@ def write(out: Path) -> None:
     from dmdlab.lab.runner import run_config
 
     out.mkdir(parents=True)
-    (out / "teacher.json").write_text(json.dumps(TEACHER))
-    if lab(["train-teacher", str(out / "teacher.json"), "--out", str(out)]):
-        raise SystemExit("lab train-teacher failed")
+    for name, cfg in (("teacher", TEACHER), ("teacher_ema", EMA_TEACHER)):
+        (out / f"{name}.json").write_text(json.dumps(cfg))
+        if lab(["train-teacher", str(out / f"{name}.json"), "--out", str(out)]):
+            raise SystemExit(f"lab train-teacher failed on {name}.json")
     teacher = str(out / "teacher.ckpt")
     for name, keys in SHAPES.items():
         for seed in SEEDS:
