@@ -121,12 +121,15 @@ class DistillConfig:
         if (any(not a < b for a, b in zip(grid, grid[1:]))
                 or not grid[-1] < 1.0):
             raise ValueError("step_grid must be strictly increasing within [0, 1)")
-        if len(grid) != self.n_steps:
-            raise ValueError(f"n_steps must equal the {len(grid)} step_grid "
-                             f"levels, got {self.n_steps}")
-        if not (isinstance(self.ttur_ratio, Integral) and self.ttur_ratio >= 0):
+        if (isinstance(self.n_steps, bool) or len(grid) != self.n_steps
+                or not isinstance(self.n_steps, Integral)):
+            raise ValueError(f"n_steps must be the integer {len(grid)}, the "
+                             f"step_grid's length, got {self.n_steps!r}")
+        if (not isinstance(self.ttur_ratio, Integral)
+                or isinstance(self.ttur_ratio, bool) or self.ttur_ratio < 0):
             raise ValueError("ttur_ratio must be an integer >= 0")
-        if not (isinstance(self.batch, Integral) and self.batch > 0):
+        if (not isinstance(self.batch, Integral)
+                or isinstance(self.batch, bool) or self.batch <= 0):
             raise ValueError("batch must be a positive integer")
         if not 0 <= self.w_gan < math.inf:
             raise ValueError("w_gan must be finite and >= 0")
@@ -261,8 +264,8 @@ def delta_dm(real, fake, x_tau: np.ndarray, tau, cond) -> np.ndarray:
 
 def delta_ca(real, x_tau: np.ndarray, tau, cond, alpha: float) -> np.ndarray:
     """(alpha - 1) * (conditional - unconditional real prediction)."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not 0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and >= 0")
     if alpha == 1.0:  # the term is zero: evaluate nothing
         return np.zeros(np.shape(x_tau))
     p_cond = real(x_tau, tau, cond)

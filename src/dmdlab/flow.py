@@ -33,9 +33,11 @@ class TeacherConfig:
 
     def validate(self) -> None:
         """Each message starts with the teacher-config key at fault."""
-        if not (isinstance(self.iterations, Integral) and self.iterations > 0):
+        if (not isinstance(self.iterations, Integral)
+                or isinstance(self.iterations, bool) or self.iterations <= 0):
             raise ValueError("iterations must be a positive integer")
-        if not (isinstance(self.batch, Integral) and self.batch > 0):
+        if (not isinstance(self.batch, Integral)
+                or isinstance(self.batch, bool) or self.batch <= 0):
             raise ValueError("batch must be a positive integer")
         if not 0.0 < self.p_uncond < 1.0:
             raise ValueError("p_uncond must lie in (0, 1)")
@@ -45,7 +47,8 @@ class TeacherConfig:
             raise ValueError("lr_final must lie in (0, lr]")
         if self.ema_decay is not None and not 0.0 <= self.ema_decay <= 1.0:
             raise ValueError("ema_decay must lie in [0, 1]")
-        if not (isinstance(self.log_every, Integral) and self.log_every > 0):
+        if (not isinstance(self.log_every, Integral)
+                or isinstance(self.log_every, bool) or self.log_every <= 0):
             raise ValueError("log_every must be a positive integer")
 
 

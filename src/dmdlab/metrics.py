@@ -30,8 +30,8 @@ def _quantile_grid(n: int, m: int):
     """Merged grid of two piecewise-constant quantile functions with n and m
     levels: the width of each cell and, per cell, the index of the order
     statistic each sample set takes there."""
-    qs = np.union1d(np.arange(1, n) / n, np.arange(1, m) / m)
-    edges = np.concatenate([[0.0], qs, [1.0]])
+    qs = np.sort(np.concatenate([np.arange(n + 1) / n, np.arange(1, m) / m]))
+    edges = qs[np.diff(qs, prepend=-1.0) > 0]  # numpy set routines load numpy.ma
     widths = np.diff(edges)
     mids = (edges[:-1] + edges[1:]) / 2
     ia = np.minimum((mids * n).astype(int), n - 1)

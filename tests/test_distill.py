@@ -199,8 +199,10 @@ class TestDeltas:
         np.testing.assert_allclose(d, [[3.2, 0.0]] * 3)
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            delta_ca(tiny_net(19), np.zeros((1, 2)), 0.5, 0, -1.0)
+        for alpha in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError,
+                               match="^alpha must be finite and >= 0$"):
+                delta_ca(tiny_net(19), np.zeros((1, 2)), 0.5, 0, alpha)
 
 
 class InjectedScores:
@@ -845,6 +847,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("batch", 2.5), ("batch", 4.0), ("ttur_ratio", 1.5),
+        ("batch", True), ("ttur_ratio", False), ("ttur_ratio", True),
+        ("n_steps", True), ("n_steps", 2.0),
         ("tau_ca_range", (0.1,)), ("tau_ca_range", (0.1, 0.5, 0.9)),
         ("tau_dm_range", (0.1, 0.5, 0.9))])
     def test_fractional_count_or_bad_range_rejected(self, field, value):
@@ -852,8 +856,9 @@ class TestConfigValidation:
             DistillConfig(**{field: value})
 
     def test_numpy_integer_counts_accepted(self):
-        cfg = DistillConfig(batch=np.int64(4), ttur_ratio=np.int32(2))
-        assert (cfg.batch, cfg.ttur_ratio) == (4, 2)
+        cfg = DistillConfig(batch=np.int64(4), ttur_ratio=np.int32(2),
+                            n_steps=np.int64(2))
+        assert (cfg.batch, cfg.ttur_ratio, cfg.grid) == (4, 2, (0.0, 0.5))
 
     def test_mu_target_must_be_finite(self):
         for mu in (np.inf, -np.inf):

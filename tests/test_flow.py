@@ -255,7 +255,8 @@ class TestTeacherTraining:
 
     @pytest.mark.parametrize("key,value", [
         ("iterations", 2.5), ("iterations", 4.0), ("batch", 2.5),
-        ("log_every", 2.5)])
+        ("log_every", 2.5), ("iterations", True), ("batch", True),
+        ("log_every", True)])
     def test_fractional_count_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be a positive "
                            "integer$"):

@@ -1116,18 +1116,31 @@ class TestDefaultTeacher:
         assert not list(out.rglob("*.ckpt"))
 
 
-def test_lab_import_loads_no_scipy():
-    # the lab needs only numpy; scipy.stats alone costs about 65 MB and 1 s
-    # at import, so importing the package and the CLI must not load scipy
+_RUN_PROBE = ("from dmdlab.lab.config import run_config_from_dict; "
+              "from dmdlab.lab.runner import run_config; "
+              "run_config(run_config_from_dict(json.loads(sys.argv[1])), "
+              "sys.argv[2])")
+
+
+@pytest.mark.parametrize("probe, banned", [
+    ("import dmdlab, dmdlab.lab.cli, dmdlab.lab.presets", {"scipy"}),
+    (_RUN_PROBE, {"scipy", "numpy.ma"}),
+], ids=["import", "run"])
+def test_lab_loads_no_unused_package(probe, banned, tiny_teacher_ckpt,
+                                     tmp_path):
+    # the lab needs only numpy: scipy.stats alone costs about 65 MB and 1 s
+    # at import, and numpy.ma (which np.unique imports) about 1.6 MB, so
+    # importing the package and the CLI must not load scipy, and a run
+    # through its evaluation points must load neither
     src = str(Path(dmdlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = ("import sys, dmdlab, dmdlab.lab.cli, dmdlab.lab.presets; "
-             "print(sorted(m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    code = f"import json, sys; {probe}; print(*sys.modules, sep='\\n')"
+    argv = [json.dumps(small_cfg(tiny_teacher_ckpt)), str(tmp_path / "run")]
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert [m for m in out.split() if any(
+        m == b or m.startswith(b + ".") for b in banned)] == []
 
 
 class TestNonFiniteDumpNamesNetwork:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmdlab.data import Component, MixtureSpec, gmm8
-from dmdlab.metrics import (_PROJ_BLOCK, batch_sample_stats, csv_row,
-                            mode_coverage, sliced_wasserstein2, wasserstein2_1d)
+from dmdlab.metrics import (_PROJ_BLOCK, _quantile_grid, batch_sample_stats,
+                            csv_row, mode_coverage, sliced_wasserstein2,
+                            wasserstein2_1d)
 from dmdlab.net import NonFiniteError
 
 
@@ -120,6 +121,39 @@ class TestSlicedWasserstein:
         assert sliced_wasserstein2(A, B, n_proj, rng_new) == want
         # the runner shares one rng across labels: the draw count must match
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def union1d_quantile_grid(n, m):
+    """Oracle: the merged grid's widths and order-statistic indices, built
+    on np.union1d's sorted set of both level sets."""
+    qs = np.union1d(np.arange(1, n) / n, np.arange(1, m) / m)
+    edges = np.concatenate([[0.0], qs, [1.0]])
+    mids = (edges[:-1] + edges[1:]) / 2
+    return (np.diff(edges), np.minimum((mids * n).astype(int), n - 1),
+            np.minimum((mids * m).astype(int), m - 1))
+
+
+class TestQuantileGrid:
+    # wasserstein2_1d and the reference SW2 share _quantile_grid, so the
+    # reference comparison above cannot see a changed grid; this one can
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 3000), m=st.integers(1, 3000))
+    @example(n=1, m=1)
+    @example(n=1, m=7)
+    @example(n=9, m=1)
+    @example(n=64, m=64)
+    @example(n=12, m=18)  # shared divisor 6
+    @example(n=100, m=250)  # shared divisor 50
+    @example(n=7, m=13)  # coprime
+    @example(n=255, m=256)  # coprime
+    @example(n=256, m=2500)  # default eval_n, eval_ref_n per gmm8 label
+    @example(n=2500, m=256)
+    @example(n=256, m=2497)
+    def test_matches_union1d_grid_bit_exact(self, n, m):
+        for got, want in zip(_quantile_grid(n, m), union1d_quantile_grid(n, m)):
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestBatchSampleStats:
