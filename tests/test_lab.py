@@ -1129,7 +1129,7 @@ _RUN_PROBE = ("from dmdlab.lab.config import run_config_from_dict; "
 def test_lab_loads_no_unused_package(probe, banned, tiny_teacher_ckpt,
                                      tmp_path):
     # the lab needs only numpy: scipy.stats alone costs about 65 MB and 1 s
-    # at import, and numpy.ma (which np.unique imports) about 1.6 MB, so
+    # at import, and numpy.ma (which np.unique imports) about 1.8 MB, so
     # importing the package and the CLI must not load scipy, and a run
     # through its evaluation points must load neither
     src = str(Path(dmdlab.__file__).resolve().parents[1])
