@@ -27,7 +27,7 @@ from numbers import Integral
 import numpy as np
 
 from .data import MixtureSpec, expected_sample_stats, sample_points_for_labels
-from .flow import regression_loss_and_grads, renoise
+from .flow import _check_alpha, regression_loss_and_grads, renoise
 from .metrics import batch_sample_stats
 from .net import (NULL_LABEL, NetConfig, NetParams, NonFiniteError, _sigmoid,
                   init_params, net_backward, net_forward, net_forward_cached)
@@ -109,8 +109,7 @@ class DistillConfig:
 
     def validate(self) -> None:
         """Each message starts with the run-config key at fault."""
-        if not 0 <= self.alpha < math.inf:
-            raise ValueError("alpha must be finite and >= 0")
+        _check_alpha(self.alpha)
         if not 0 < self.lam < math.inf:
             raise ValueError("lambda must be finite and > 0")
         if self.step_grid is None and self.n_steps not in _DEFAULT_GRIDS:
@@ -153,6 +152,10 @@ class DistillConfig:
             if r is not None and not (
                     len(r) == 2 and 0.0 <= float(r[0]) < float(r[1]) <= 1.0):
                 raise ValueError(f"{name} must be [lo, hi] with 0 <= lo < hi <= 1")
+        for name in ("normalizer_on", "observer_mode",
+                     "backward_sim_fresh_noise"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be true or false")
         ca, dm = self.tau_ca_range, self.tau_dm_range
         if self.schedule_policy == SchedulePolicy.COUPLED_SHARED:
             if ca and dm and tuple(ca) != tuple(dm):
@@ -259,13 +262,14 @@ def sample_tau(config: DistillConfig, t: float, rng: np.random.Generator,
 
 def delta_dm(real, fake, x_tau: np.ndarray, tau, cond) -> np.ndarray:
     """Real-conditional minus fake-conditional prediction (gradient-stopped)."""
+    if fake is real:  # the term is zero: evaluate nothing
+        return np.zeros(np.shape(x_tau))
     return real(x_tau, tau, cond) - fake(x_tau, tau, cond)
 
 
 def delta_ca(real, x_tau: np.ndarray, tau, cond, alpha: float) -> np.ndarray:
     """(alpha - 1) * (conditional - unconditional real prediction)."""
-    if not 0 <= alpha < math.inf:
-        raise ValueError("alpha must be finite and >= 0")
+    _check_alpha(alpha)
     if alpha == 1.0:  # the term is zero: evaluate nothing
         return np.zeros(np.shape(x_tau))
     p_cond = real(x_tau, tau, cond)
@@ -283,21 +287,17 @@ def dmd_direction_coupled(real, fake, gen_out: np.ndarray, t: float, cond,
 
 def dmd_direction_decoupled(real, fake, gen_out: np.ndarray, t: float, cond,
                             config: DistillConfig, rng: np.random.Generator):
-    """(tau, eps) per term as dictated by the schedule policy; under a shared
-    policy one draw and one renoised point serve both terms. A term the mode
-    leaves out is zero; the normalizer scales both terms per sample."""
+    """(tau, eps) per term as the schedule policy dictates; a shared policy
+    renoises once for both terms. The mode leaves DM out by making the teacher
+    its own fake and CA out with alpha 1; the normalizer scales both terms."""
     tau_ca, tau_dm, shared = sample_tau(config, t, rng)
     x_ca = renoise(gen_out, tau_ca, rng.standard_normal(gen_out.shape))
     x_dm = x_ca if shared else renoise(gen_out, tau_dm,
                                        rng.standard_normal(gen_out.shape))
-    if config.mode.uses_dm:
-        d_dm = delta_dm(real, fake, x_dm, tau_dm, cond)
-    else:
-        d_dm = np.zeros_like(gen_out)
-    if config.mode.uses_ca:
-        d_ca = delta_ca(real, x_ca, tau_ca, cond, config.alpha)
-    else:
-        d_ca = np.zeros_like(gen_out)
+    d_dm = delta_dm(real, fake if config.mode.uses_dm else real,
+                    x_dm, tau_dm, cond)
+    d_ca = delta_ca(real, x_ca, tau_ca, cond,
+                    config.alpha if config.mode.uses_ca else 1.0)
     if config.normalizer_on:
         ref = real(x_dm, tau_dm, cond)
         scale = 1.0 / (np.mean(np.abs(gen_out - ref), axis=1, keepdims=True) + 1e-8)
@@ -370,8 +370,10 @@ def meanvar_kl_loss(batch: np.ndarray, mu_target: float, var_target: float):
     Returns (loss, gradient w.r.t. the batch). Vanishing per-sample variance
     is clamped away from the log singularity with a warning.
     """
-    if var_target <= 0:
-        raise ValueError("var_target must be > 0")
+    if not 0 < var_target < math.inf:
+        raise ValueError("var_target must be finite and > 0")
+    if not math.isfinite(mu_target):
+        raise ValueError("mu_target must be finite")
     batch = np.asarray(batch)
     mu, var = batch_sample_stats(batch)
     n, d = batch.shape

@@ -66,8 +66,14 @@ def renoise(x: np.ndarray, tau, eps: np.ndarray) -> np.ndarray:
     return (1.0 - tau) * eps + tau * x
 
 
+def _check_alpha(alpha) -> None:
+    if not 0 <= alpha < np.inf:
+        raise ValueError("alpha must be finite and >= 0")
+
+
 def cfg_combine(s_cond: np.ndarray, s_uncond: np.ndarray, alpha: float) -> np.ndarray:
     """Guided prediction s_uncond + alpha * (s_cond - s_uncond)."""
+    _check_alpha(alpha)
     s_cond = np.asarray(s_cond)
     s_uncond = np.asarray(s_uncond)
     if s_cond.shape != s_uncond.shape:
@@ -154,6 +160,7 @@ def sample_teacher(model, n_steps: int, alpha: float, cond, n: int,
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    _check_alpha(alpha)
     if isinstance(model, NetParams):
         dim = model.config.dim
     elif dim is None:

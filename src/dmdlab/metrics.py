@@ -116,8 +116,8 @@ def mode_coverage(samples: np.ndarray, spec: MixtureSpec, cond: int,
                   radius_mult: float = 3.0) -> float:
     """Fraction of the condition's modes with at least one sample within
     radius_mult sigmas (per-coordinate normalized distance) of the center."""
-    if radius_mult <= 0:
-        raise ValueError("radius_mult must be positive")
+    if not 0 < radius_mult < math.inf:
+        raise ValueError("radius_mult must be finite and positive")
     comps = spec.components_for(cond)
     samples = np.asarray(samples)
     if samples.size == 0:

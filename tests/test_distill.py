@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmdlab.net as net_mod
 from dmdlab import NULL_LABEL, NetConfig, init_params, net_forward
 from dmdlab.data import Component, MixtureSpec, gmm8
 from dmdlab.distill import (DistillConfig, DistillState, Mode, NonFiniteError,
@@ -181,6 +182,17 @@ class TestDeltas:
         assert calls == []
         assert d.shape == (8, 2) and np.all(d == 0.0)
 
+    def test_dm_fake_is_real_evaluates_nothing(self):
+        calls = []
+
+        def real(x, tau, cond):
+            calls.append(tau)
+            return np.ones_like(x)
+
+        d = delta_dm(real, real, np.zeros((8, 2)), 0.2, 3)
+        assert calls == []
+        assert d.shape == (8, 2) and np.all(d == 0.0)
+
     def test_ca_cond_equal_null_row(self):
         real = tiny_net(17)
         real.cond_embed[1] = real.cond_embed[-1]
@@ -345,6 +357,52 @@ class TestDirections:
                 real, fake, gen_out, 0.75, cond, cfg, rng)
             assert tau_ca >= 0.75
             assert 0.0 <= tau_dm <= 1.0
+
+
+class CountingModel:
+    """A predictor that logs each call's label kind under its own name."""
+
+    def __init__(self, name, log, scale):
+        self.name, self.log, self.scale = name, log, scale
+
+    def __call__(self, x, tau, cond):
+        uncond = np.all(np.asarray(cond) == NULL_LABEL)
+        self.log.append((self.name, "uncond" if uncond else "cond"))
+        return self.scale * np.asarray(x) + (0.0 if uncond else 1.0)
+
+
+class TestDirectionCallCounts:
+    """Each term decides its own zero case: a term the mode leaves out, a DM
+    term whose fake is the teacher and a CA term at alpha 1 evaluate nothing.
+    """
+
+    @pytest.mark.parametrize("fake_is_teacher", [False, True])
+    @pytest.mark.parametrize("normalizer", [False, True])
+    @pytest.mark.parametrize("alpha", [1.0, 1.4])
+    @pytest.mark.parametrize("policy", [SchedulePolicy.COUPLED_SHARED,
+                                        SchedulePolicy.DECOUPLED_HYBRID])
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_forwards_per_term(self, mode, policy, alpha, normalizer,
+                               fake_is_teacher):
+        log = []
+        real = CountingModel("real", log, 0.5)
+        fake = real if fake_is_teacher else CountingModel("fake", log, 0.3)
+        cfg = base_config(alpha=alpha, mode=mode, normalizer_on=normalizer,
+                          schedule_policy=policy)
+        gen_out = np.random.default_rng(50).standard_normal((4, 2))
+        d, *_ = dmd_direction_decoupled(real, fake, gen_out, 0.0,
+                                        np.arange(4) % 4, cfg,
+                                        np.random.default_rng(51))
+        dm = mode.uses_dm and not fake_is_teacher
+        ca = mode.uses_ca and alpha != 1.0
+        # DM: real and fake, conditional; CA: real, conditional and
+        # unconditional; the normalizer: real, conditional
+        assert sorted(log) == sorted(
+            [("real", "cond"), ("fake", "cond")] * dm
+            + [("real", "cond"), ("real", "uncond")] * ca
+            + [("real", "cond")] * normalizer)
+        assert np.any(d.delta_dm != 0.0) == dm
+        assert np.any(d.delta_ca != 0.0) == ca
 
 
 class TestDirectionFold:
@@ -572,10 +630,14 @@ class TestMeanVarKl:
         with pytest.warns(UserWarning):
             meanvar_kl_loss(np.zeros((2, 3)), 0.0, 1.0)
 
-    @pytest.mark.parametrize("var_target", [0.0, -1.0])
+    @pytest.mark.parametrize("var_target", [0.0, -1.0, np.nan, np.inf])
     def test_nonpositive_var_target_rejected(self, var_target):
-        with pytest.raises(ValueError, match="^var_target must be > 0"):
+        with pytest.raises(ValueError,
+                           match="^var_target must be finite and > 0$"):
             meanvar_kl_loss(np.ones((2, 3)), 0.0, var_target)
+        for mu_target in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^mu_target must be finite$"):
+                meanvar_kl_loss(np.ones((2, 3)), mu_target, 1.0)
 
     def test_dim_one_rejected(self):
         with pytest.raises(ValueError):
@@ -661,6 +723,34 @@ class TestGeneratorUpdate:
         generator_update(state, teacher, cfg)
         for (_, a), (_, b) in zip(state.generator.slots(), before.slots()):
             assert np.array_equal(a, b)
+
+    def test_untrained_fake_makes_no_dm_forward(self, monkeypatch):
+        # at ttur_ratio 0 the fake is the teacher: the DM term is exactly 0
+        # without its two forwards, as evaluating a copy of the teacher shows
+        forward = net_mod._forward
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return forward(*args, **kw)
+
+        monkeypatch.setattr(net_mod, "_forward", counted)
+        teacher = tiny_net(79)
+        cfg = base_config(mode=Mode.FULL_DMD, alpha=1.4, ttur_ratio=0,
+                          normalizer_on=True)
+        runs = {}
+        for copied in (False, True):
+            state = init_distill_state(teacher, cfg, gmm8(), seed=89)
+            if copied:
+                state.fake = teacher.copy()
+            calls.clear()
+            rec = generator_update(state, teacher, cfg)
+            runs[copied] = (len(calls), rec, state.generator.flat.copy())
+        (n_same, rec_same, gen_same), (n_copy, rec_copy, gen_copy) = (
+            runs[False], runs[True])
+        assert n_same == n_copy - 2
+        assert rec_same == rec_copy
+        assert np.array_equal(gen_same, gen_copy)
 
     def test_teacher_and_fake_untouched_by_generator_phase(self):
         teacher = tiny_net(75)
@@ -855,6 +945,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{field} "):
             DistillConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", [
+        "normalizer_on", "observer_mode", "backward_sim_fresh_noise"])
+    def test_switch_must_be_bool(self, field):
+        for value in ("no", None, 0, 1, 1.0, np.int64(1)):
+            with pytest.raises(ValueError,
+                               match=f"^{field} must be true or false$"):
+                DistillConfig(**{field: value})
+        for value in (False, np.bool_(True)):
+            assert getattr(DistillConfig(**{field: value}), field) == value
+
     def test_numpy_integer_counts_accepted(self):
         cfg = DistillConfig(batch=np.int64(4), ttur_ratio=np.int32(2),
                             n_steps=np.int64(2))
@@ -925,6 +1025,20 @@ class TestObserverProbe:
         for _, mag, align in rows:
             assert mag == 0.0
             assert align == 0.0
+
+    def test_untrained_fake_evaluates_nothing(self, monkeypatch):
+        teacher = tiny_net(80)
+        cfg = base_config(mode=Mode.CA_ONLY, observer_mode=True, ttur_ratio=0)
+        state = init_distill_state(teacher, cfg, gmm8(), seed=92)
+
+        def no_forward(*args, **kw):
+            raise AssertionError("the probe ran a forward")
+
+        monkeypatch.setattr(net_mod, "_forward", no_forward)
+        rows = observer_probe(state, teacher, np.ones((20, 2)), [0.1, 0.9], 0,
+                              artifact_dir=np.array([1.0, 0.0]),
+                              rng=np.random.default_rng(83))
+        assert [r[1:] for r in rows] == [(0.0, 0.0)] * 2
 
     def test_bias_correction_alignment(self):
         # observer tracking a +v biased generator: DM term opposes the bias

@@ -97,6 +97,11 @@ class TestCfgCombine:
             np.testing.assert_allclose(cfg_combine(s, s.copy(), alpha), s,
                                        atol=1e-12)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, -0.5])
+    def test_bad_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="^alpha must be finite and >= 0$"):
+            cfg_combine(np.ones((2, 2)), np.zeros((2, 2)), alpha)
+
 
 class TestTeacherLoss:
     def test_perfect_denoiser_zero_loss(self):
@@ -208,6 +213,15 @@ class TestSampleTeacher:
     def test_invalid_steps(self):
         with pytest.raises(ValueError):
             sample_teacher(lambda z, t, c: z, 0, 1.0, 0, 4,
+                           np.random.default_rng(0), dim=2)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -0.5])
+    def test_bad_alpha_rejected_before_any_call(self, alpha):
+        def predictor(z, t, c):
+            raise AssertionError("the sampler evaluated the model")
+
+        with pytest.raises(ValueError, match="^alpha must be finite and >= 0$"):
+            sample_teacher(predictor, 2, alpha, 0, 4,
                            np.random.default_rng(0), dim=2)
 
     def test_injected_predictor_needs_dim(self):

@@ -203,9 +203,10 @@ class TestModeCoverage:
         with pytest.raises(ValueError):
             mode_coverage(np.zeros((1, 2)), gmm8(), 17)
 
-    @pytest.mark.parametrize("radius_mult", [0.0, -1.0])
+    @pytest.mark.parametrize("radius_mult", [0.0, -1.0, np.nan, np.inf])
     def test_nonpositive_radius_rejected(self, radius_mult):
-        with pytest.raises(ValueError, match="^radius_mult must be positive$"):
+        with pytest.raises(ValueError,
+                           match="^radius_mult must be finite and positive$"):
             mode_coverage(np.zeros((1, 2)), gmm8(), 0, radius_mult)
 
 

@@ -68,10 +68,13 @@ SHAPES = {
     "theory_alpha3": {"mode": "THEORY_DMD", "alpha": 3.0,
                       "normalizer_on": False},
     "ca_observer": {"mode": "CA_ONLY", "observer_mode": True},
-    # a fake that nothing trains: the DM term reads it, then the probe
+    # a fake that nothing trains is the teacher: the DM term and the probe
+    # return zeros without reading it
     "dmd_ttur0": {"ttur_ratio": 0},
     "ca_observer_ttur0": {"mode": "CA_ONLY", "observer_mode": True,
                           "ttur_ratio": 0},
+    # the DM term's fake is the teacher, and the mode leaves out the engine
+    "dm_only_ttur0": {"mode": "DM_ONLY", "ttur_ratio": 0},
     "constrained_dm_2step": {"mode": "DM_ONLY", "n_steps": 2,
                              "schedule_policy": "DECOUPLED_CONSTRAINED",
                              "backward_sim_fresh_noise": False},
