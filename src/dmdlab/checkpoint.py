@@ -30,11 +30,10 @@ def save_params(params: NetParams, path) -> None:
     if params.flat.dtype != np.float64:
         raise ValueError(f"only float64 parameters can be saved, "
                          f"got {params.flat.dtype}")
-    arrays = params.arrays()
-    out = [MAGIC, struct.pack("<IBI", VERSION, 0, len(arrays))]
-    for a in arrays:
-        out.append(struct.pack("<I", a.ndim))
-        out.append(struct.pack(f"<{a.ndim}I", *a.shape))
+    shapes = slot_shapes(params.config)
+    out = [MAGIC, struct.pack("<IBI", VERSION, 0, len(shapes))]
+    for shape in shapes:
+        out.append(struct.pack(f"<I{len(shape)}I", len(shape), *shape))
     out.append(params.flat.astype(_DTYPE, copy=False).tobytes())
     Path(path).write_bytes(b"".join(out))
 
@@ -66,7 +65,7 @@ def load_params(path) -> NetParams:
     if off + n * _DTYPE.itemsize != len(buf):
         raise ValueError(f"{path}: data section does not match the array table")
     flat = np.frombuffer(buf, dtype=_DTYPE, count=n, offset=off).copy()
-    return NetParams.from_flat(_config_from_shapes(shapes, path), flat)
+    return NetParams(_config_from_shapes(shapes, path), flat)
 
 
 def _config_from_shapes(shapes, path) -> NetConfig:

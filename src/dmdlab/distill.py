@@ -22,12 +22,11 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from numbers import Integral
 
 import numpy as np
 
 from .data import MixtureSpec, expected_sample_stats, sample_points_for_labels
-from .flow import _check_alpha, regression_loss_and_grads, renoise
+from .flow import _check_alpha, _is_int, regression_loss_and_grads, renoise
 from .metrics import batch_sample_stats
 from .net import (NULL_LABEL, NetConfig, NetParams, NonFiniteError, _sigmoid,
                   init_params, net_backward, net_forward, net_forward_cached)
@@ -120,15 +119,12 @@ class DistillConfig:
         if (any(not a < b for a, b in zip(grid, grid[1:]))
                 or not grid[-1] < 1.0):
             raise ValueError("step_grid must be strictly increasing within [0, 1)")
-        if (isinstance(self.n_steps, bool) or len(grid) != self.n_steps
-                or not isinstance(self.n_steps, Integral)):
+        if not _is_int(self.n_steps) or len(grid) != self.n_steps:
             raise ValueError(f"n_steps must be the integer {len(grid)}, the "
                              f"step_grid's length, got {self.n_steps!r}")
-        if (not isinstance(self.ttur_ratio, Integral)
-                or isinstance(self.ttur_ratio, bool) or self.ttur_ratio < 0):
+        if not _is_int(self.ttur_ratio) or self.ttur_ratio < 0:
             raise ValueError("ttur_ratio must be an integer >= 0")
-        if (not isinstance(self.batch, Integral)
-                or isinstance(self.batch, bool) or self.batch <= 0):
+        if not _is_int(self.batch) or self.batch <= 0:
             raise ValueError("batch must be a positive integer")
         if not 0 <= self.w_gan < math.inf:
             raise ValueError("w_gan must be finite and >= 0")
@@ -324,8 +320,9 @@ def backward_simulate(gen, grid, k_target: int, cond, rng: np.random.Generator,
     steps with gradients stopped: predict clean, renoise to the next grid
     level (fresh noise by default, the chain's initial noise otherwise)."""
     grid = tuple(grid)
-    if not 1 <= k_target <= len(grid):
-        raise ValueError(f"k_target must be in [1, {len(grid)}]")
+    if not _is_int(k_target) or not 1 <= k_target <= len(grid):
+        raise ValueError(f"k_target must be an integer in [1, {len(grid)}], "
+                         f"got {k_target!r}")
     if isinstance(gen, NetParams):
         dim = gen.config.dim
     elif dim is None:

@@ -33,11 +33,9 @@ class TeacherConfig:
 
     def validate(self) -> None:
         """Each message starts with the teacher-config key at fault."""
-        if (not isinstance(self.iterations, Integral)
-                or isinstance(self.iterations, bool) or self.iterations <= 0):
+        if not _is_int(self.iterations) or self.iterations <= 0:
             raise ValueError("iterations must be a positive integer")
-        if (not isinstance(self.batch, Integral)
-                or isinstance(self.batch, bool) or self.batch <= 0):
+        if not _is_int(self.batch) or self.batch <= 0:
             raise ValueError("batch must be a positive integer")
         if not 0.0 < self.p_uncond < 1.0:
             raise ValueError("p_uncond must lie in (0, 1)")
@@ -47,9 +45,13 @@ class TeacherConfig:
             raise ValueError("lr_final must lie in (0, lr]")
         if self.ema_decay is not None and not 0.0 <= self.ema_decay <= 1.0:
             raise ValueError("ema_decay must lie in [0, 1]")
-        if (not isinstance(self.log_every, Integral)
-                or isinstance(self.log_every, bool) or self.log_every <= 0):
+        if not _is_int(self.log_every) or self.log_every <= 0:
             raise ValueError("log_every must be a positive integer")
+
+
+def _is_int(value) -> bool:
+    """An integer, numpy's included, that is not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def renoise(x: np.ndarray, tau, eps: np.ndarray) -> np.ndarray:
@@ -158,8 +160,8 @@ def sample_teacher(model, n_steps: int, alpha: float, cond, n: int,
     equals 1 - t, lands on the prediction up to rounding. cond may be a
     scalar label or a per-sample array.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    if not _is_int(n_steps) or n_steps < 1:
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     _check_alpha(alpha)
     if isinstance(model, NetParams):
         dim = model.config.dim

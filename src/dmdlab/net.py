@@ -93,37 +93,30 @@ def slot_shapes(config: NetConfig) -> list:
 
 @dataclass
 class NetParams:
-    """All learnable arrays of one network.
+    """All learnable arrays of one network: its config and one flat buffer.
 
     flat holds every parameter contiguously in declaration order (weights,
     biases, cond_embed, time_freqs, time_w, time_b), the order of the
-    checkpoint container. Each slot is a view into flat, so write slots in
-    place; never rebind them.
+    checkpoint container. Construction makes each slot a view into flat, so
+    write slots in place; never rebind them.
     """
 
     config: NetConfig
     flat: np.ndarray
-    weights: list
-    biases: list
-    cond_embed: np.ndarray
-    time_freqs: np.ndarray
-    time_w: np.ndarray
-    time_b: np.ndarray
 
-    @classmethod
-    def from_flat(cls, config: NetConfig, flat: np.ndarray) -> "NetParams":
-        """Wrap a 1-D buffer holding exactly the config's slots as views."""
+    def __post_init__(self):
         views, off = [], 0
-        for shape in slot_shapes(config):
+        for shape in slot_shapes(self.config):
             n = math.prod(shape)
-            views.append(flat[off:off + n].reshape(shape))
+            views.append(self.flat[off:off + n].reshape(shape))
             off += n
-        if flat.shape != (off,):
-            raise ValueError(f"flat buffer has shape {flat.shape}, "
+        if self.flat.shape != (off,):
+            raise ValueError(f"flat buffer has shape {self.flat.shape}, "
                              f"the config needs ({off},)")
-        layers = config.n_hidden + 1
-        return cls(config, flat, views[:layers], views[layers:2 * layers],
-                   *views[2 * layers:])
+        layers = self.config.n_hidden + 1
+        self.weights = views[:layers]
+        self.biases = views[layers:2 * layers]
+        self.cond_embed, self.time_freqs, self.time_w, self.time_b = views[2 * layers:]
 
     def slots(self):
         """Yield (name, array) pairs in declaration order."""
@@ -136,11 +129,8 @@ class NetParams:
         yield "time_w", self.time_w
         yield "time_b", self.time_b
 
-    def arrays(self):
-        return [a for _, a in self.slots()]
-
     def copy(self) -> "NetParams":
-        return NetParams.from_flat(self.config, self.flat.copy())
+        return NetParams(self.config, self.flat.copy())
 
     def __call__(self, x, noise_level, cond) -> np.ndarray:
         """A network is a predictor: net_forward(self, x, noise_level, cond)."""
@@ -148,7 +138,7 @@ class NetParams:
 
 
 def zeros_like_params(params: NetParams) -> NetParams:
-    return NetParams.from_flat(params.config, np.zeros_like(params.flat))
+    return NetParams(params.config, np.zeros_like(params.flat))
 
 
 def init_params(config: NetConfig, rng: np.random.Generator) -> NetParams:
@@ -159,8 +149,7 @@ def init_params(config: NetConfig, rng: np.random.Generator) -> NetParams:
         a = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-a, a, size=(fan_in, fan_out))
 
-    params = NetParams.from_flat(
-        config, np.zeros(sum(math.prod(s) for s in slot_shapes(config))))
+    params = NetParams(config, np.zeros(sum(math.prod(s) for s in slot_shapes(config))))
     for w in params.weights:
         w[:] = glorot(*w.shape)
     params.cond_embed[:] = 0.02 * rng.standard_normal(params.cond_embed.shape)
@@ -210,10 +199,13 @@ def _forward(params: NetParams, x, noise_level, cond, want_cache):
         raise NonFiniteError("non-finite input x", params=params)
     n = x.shape[0]
     tau = _per_sample(noise_level, n, "noise_level", np.float64)
-    if np.any((tau < 0.0) | (tau > 1.0)):
+    if not ((tau >= 0.0) & (tau <= 1.0)).all():  # NaN fails both
         raise ValueError("noise_level must lie in [0, 1]")
+    labels = np.asarray(cond)
+    if labels.dtype.kind == "f" and not (np.trunc(labels) == labels).all():
+        raise ValueError("cond labels must be integers")
     # NULL_LABEL is -1, so indexing with it reaches the null (last) row
-    rows = _per_sample(cond, n, "cond", np.int64)
+    rows = _per_sample(labels, n, "cond", np.int64)
     if np.any((rows < NULL_LABEL) | (rows >= cfg.n_labels)):
         raise ValueError("cond labels must be in [0, n_labels) or NULL_LABEL")
 
@@ -280,7 +272,7 @@ def net_backward(params: NetParams, cache: ForwardCache, upstream,
 
     if not input_grad:
         # every slot but cond_embed is written whole below
-        grads = NetParams.from_flat(cfg, np.empty_like(params.flat))
+        grads = NetParams(cfg, np.empty_like(params.flat))
         grads.cond_embed[:] = 0.0
         np.matmul(cache.acts[-1].T, g, out=grads.weights[-1])
         g.sum(axis=0, out=grads.biases[-1])

@@ -533,10 +533,18 @@ class TestBackwardSimulate:
         z0 = np.random.default_rng(58).standard_normal((4, 2))
         np.testing.assert_allclose(z, 0.5 * z0 + 0.5 * c, atol=1e-15)
 
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            backward_simulate(tiny_net(59), (0.0, 0.5), 3, np.zeros(2, int),
-                              np.random.default_rng(0))
+    @pytest.mark.parametrize("k_target", [3, 0, True, 1.0, 1.5])
+    def test_bad_k_target_rejected_before_any_draw(self, k_target):
+        def gen(z, t, cond):
+            raise AssertionError("the generator was evaluated")
+
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"^k_target must be an integer in "
+                           rf"\[1, 2\], got {k_target!r}$"):
+            backward_simulate(gen, (0.0, 0.5), k_target, np.zeros(2, int),
+                              rng, dim=2)
+        assert rng.bit_generator.state == before
 
     def test_injected_generator_needs_dim(self):
         with pytest.raises(ValueError,

@@ -224,6 +224,23 @@ class TestSampleTeacher:
             sample_teacher(predictor, 2, alpha, 0, 4,
                            np.random.default_rng(0), dim=2)
 
+    @pytest.mark.parametrize("n_steps", [True, 2.0, 2.5, 0, -1])
+    def test_bad_n_steps_rejected_before_any_draw(self, n_steps):
+        def predictor(z, t, c):
+            raise AssertionError("the sampler evaluated the model")
+
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^n_steps must be an integer >= 1, "
+                           f"got {n_steps!r}$"):
+            sample_teacher(predictor, n_steps, 1.0, 0, 4, rng, dim=2)
+        assert rng.bit_generator.state == before
+
+    def test_numpy_integer_n_steps_accepted(self):
+        out = sample_teacher(lambda z, t, c: np.zeros_like(z), np.int64(2),
+                             1.0, 0, 4, np.random.default_rng(0), dim=2)
+        assert out.shape == (4, 2)
+
     def test_injected_predictor_needs_dim(self):
         with pytest.raises(ValueError,
                            match="^dim is required for injected predictors$"):

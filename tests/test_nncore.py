@@ -163,12 +163,26 @@ class TestForward:
             net_forward(params, np.zeros((2, 2)), 1.5, 0)
         with pytest.raises(ValueError):
             net_forward(params, np.zeros((2, 2)), 0.5, 99)
+        for tau in (np.nan, np.array([0.5, np.nan])):
+            with pytest.raises(ValueError,
+                               match=r"^noise_level must lie in \[0, 1\]$"):
+                net_forward(params, np.zeros((2, 2)), tau, 0)
+        for cond in (np.array([0, 2.7]), 1.5, np.array([0.0, np.nan])):
+            with pytest.raises(ValueError, match="^cond labels must be integers$"):
+                net_forward(params, np.zeros((2, 2)), 0.5, cond)
         with pytest.raises(ValueError, match=r"^noise_level must be scalar "
                            r"or shape \(2,\), got \(3,\)$"):
             net_forward(params, np.zeros((2, 2)), np.full(3, 0.5), 0)
         with pytest.raises(ValueError, match=r"^cond must be scalar or shape "
                            r"\(2,\), got \(2, 1\)$"):
             net_forward(params, np.zeros((2, 2)), 0.5, np.zeros((2, 1), int))
+
+    def test_integer_valued_float_labels_accepted(self):
+        params = init_params(small_config(), np.random.default_rng(6))
+        x = np.random.default_rng(7).standard_normal((3, 2))
+        assert np.array_equal(
+            net_forward(params, x, 0.5, np.array([0.0, 1.0, NULL_LABEL])),
+            net_forward(params, x, 0.5, np.array([0, 1, NULL_LABEL])))
 
 
 class TestBackward:
@@ -414,8 +428,7 @@ class TestCheckpoint:
     def test_fp32_flag(self, tmp_path):
         # the lab is fp64-only: float32 networks are neither saved nor loaded
         params = init_params(small_config(), np.random.default_rng(19))
-        params32 = NetParams.from_flat(params.config,
-                                       params.flat.astype(np.float32))
+        params32 = NetParams(params.config, params.flat.astype(np.float32))
         path = tmp_path / "net32.ckpt"
         with pytest.raises(ValueError, match="float64"):
             save_params(params32, path)
@@ -489,8 +502,26 @@ class TestFlatLayout:
     def test_wrong_size_rejected(self):
         cfg = small_config()
         n = init_params(cfg, np.random.default_rng(34)).flat.size
-        with pytest.raises(ValueError):
-            NetParams.from_flat(cfg, np.zeros(n + 1))
+        with pytest.raises(ValueError, match=r"^flat buffer has shape "
+                           rf"\({n + 1},\), the config needs \({n},\)$"):
+            NetParams(cfg, np.zeros(n + 1))
+
+    def test_config_and_flat_make_every_slot(self):
+        cfg = small_config(n_hidden=3, out_dim=1)
+        flat = np.zeros(sum(np.prod(s, dtype=int) for s in slot_shapes(cfg)))
+        params = NetParams(cfg, flat)
+        fields = [f.name for f in dataclasses.fields(NetParams)]
+        assert fields == ["config", "flat"]
+        assert [a.shape for _, a in params.slots()] == slot_shapes(cfg)
+        flat[:] = np.arange(flat.size)
+        off = 0
+        for _, a in params.slots():
+            assert np.array_equal(a.ravel(), np.arange(off, off + a.size))
+            off += a.size
+        with pytest.raises(TypeError):
+            NetParams(cfg, flat, params.weights, params.biases,
+                      params.cond_embed, params.time_freqs, params.time_w,
+                      params.time_b)
 
 
 def reference_adam(state, params, grads):
@@ -499,8 +530,8 @@ def reference_adam(state, params, grads):
     b1, b2 = 0.9, 0.999
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    for p, g, m, v in zip(params.arrays(), grads.arrays(), state.m.arrays(),
-                          state.v.arrays()):
+    for (_, p), (_, g), (_, m), (_, v) in zip(params.slots(), grads.slots(),
+                                              state.m.slots(), state.v.slots()):
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -509,7 +540,7 @@ def reference_adam(state, params, grads):
 
 
 def reference_ema(ema, live, decay):
-    for e, p in zip(ema.arrays(), live.arrays()):
+    for (_, e), (_, p) in zip(ema.slots(), live.slots()):
         e *= decay
         e += (1.0 - decay) * p
 
@@ -527,8 +558,8 @@ class TestFlatBitExact:
             reference_adam(ref_state, ref, grads)
             for got, want in ((params, ref), (state.m, ref_state.m),
                               (state.v, ref_state.v)):
-                assert all(np.array_equal(a, b) for a, b
-                           in zip(got.arrays(), want.arrays()))
+                assert all(np.array_equal(a, b) for (_, a), (_, b)
+                           in zip(got.slots(), want.slots()))
         assert state.step == ref_state.step == 6
 
     def test_ema_matches_per_slot_reference(self):
