@@ -15,6 +15,7 @@ import pytest
 from dmdlab.checkpoint import load_params, save_params
 from dmdlab.data import gmm8
 from dmdlab.flow import TeacherConfig, train_teacher
+from dmdlab.net import NetConfig, init_params
 
 CACHE_DIR = Path(__file__).parent / ".cache"
 CACHE_VERSION = 3  # bump when training numerics change (invalidates cache)
@@ -47,6 +48,20 @@ def write_fp32_checkpoint(params, path) -> None:
     table = buf[9:len(buf) - params.flat.nbytes]
     path.write_bytes(buf[:8] + b"\x01" + table
                      + params.flat.astype("<f4").tobytes())
+
+
+def save_tiny_teacher(path: Path) -> Path:
+    """An untrained gmm8-shaped network: run-contract and golden runs need a
+    valid checkpoint, not a trained teacher."""
+    params = init_params(NetConfig(dim=2, n_labels=4, hidden=16, n_hidden=2),
+                         np.random.default_rng(0))
+    save_params(params, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def tiny_teacher_ckpt(tmp_path_factory):
+    return save_tiny_teacher(tmp_path_factory.mktemp("teacher") / "teacher.ckpt")
 
 
 @pytest.fixture(scope="session")

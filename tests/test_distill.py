@@ -360,14 +360,15 @@ class TestDirections:
 
 
 class CountingModel:
-    """A predictor that logs each call's label kind under its own name."""
+    """A predictor that logs each call's label kind and noise level under its
+    own name."""
 
     def __init__(self, name, log, scale):
         self.name, self.log, self.scale = name, log, scale
 
     def __call__(self, x, tau, cond):
         uncond = np.all(np.asarray(cond) == NULL_LABEL)
-        self.log.append((self.name, "uncond" if uncond else "cond"))
+        self.log.append((self.name, "uncond" if uncond else "cond", tau))
         return self.scale * np.asarray(x) + (0.0 if uncond else 1.0)
 
 
@@ -390,17 +391,20 @@ class TestDirectionCallCounts:
         cfg = base_config(alpha=alpha, mode=mode, normalizer_on=normalizer,
                           schedule_policy=policy)
         gen_out = np.random.default_rng(50).standard_normal((4, 2))
-        d, *_ = dmd_direction_decoupled(real, fake, gen_out, 0.0,
-                                        np.arange(4) % 4, cfg,
-                                        np.random.default_rng(51))
+        d, tau_ca, tau_dm = dmd_direction_decoupled(
+            real, fake, gen_out, 0.0, np.arange(4) % 4, cfg,
+            np.random.default_rng(51))
+        if policy == SchedulePolicy.DECOUPLED_HYBRID:
+            assert tau_ca != tau_dm
         dm = mode.uses_dm and not fake_is_teacher
         ca = mode.uses_ca and alpha != 1.0
-        # DM: real and fake, conditional; CA: real, conditional and
-        # unconditional; the normalizer: real, conditional
+        # DM: real and fake, conditional, at tau_dm; CA: real, conditional
+        # and unconditional, at tau_ca; the normalizer: real, conditional,
+        # at tau_dm
         assert sorted(log) == sorted(
-            [("real", "cond"), ("fake", "cond")] * dm
-            + [("real", "cond"), ("real", "uncond")] * ca
-            + [("real", "cond")] * normalizer)
+            [("real", "cond", tau_dm), ("fake", "cond", tau_dm)] * dm
+            + [("real", "cond", tau_ca), ("real", "uncond", tau_ca)] * ca
+            + [("real", "cond", tau_dm)] * normalizer)
         assert np.any(d.delta_dm != 0.0) == dm
         assert np.any(d.delta_ca != 0.0) == ca
 

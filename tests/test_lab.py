@@ -36,16 +36,6 @@ from dmdlab.metrics import CSV_COLUMNS, batch_sample_stats
 from conftest import checkpoint_bytes, write_fp32_checkpoint
 
 
-@pytest.fixture(scope="module")
-def tiny_teacher_ckpt(tmp_path_factory):
-    # run-contract tests don't need a trained teacher, just a valid checkpoint
-    path = tmp_path_factory.mktemp("teacher") / "teacher.ckpt"
-    params = init_params(NetConfig(dim=2, n_labels=4, hidden=16, n_hidden=2),
-                         np.random.default_rng(0))
-    save_params(params, path)
-    return path
-
-
 def small_cfg(teacher, **over):
     cfg = {
         "mode": "FULL_DMD", "schedule_policy": "COUPLED_SHARED", "alpha": 4.0,

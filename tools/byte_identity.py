@@ -32,11 +32,6 @@ import shutil
 import sys
 from pathlib import Path
 
-# the lab is single-core; pin BLAS before numpy loads
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-os.environ.pop("LAB_SEED", None)  # would override every seed below
-
 SEEDS = (3, 21)
 BUDGET = {"iterations": 12, "batch": 32, "eval_every": 4, "eval_n": 64,
           "eval_ref_n": 256}
@@ -76,8 +71,7 @@ SHAPES = {
     # the DM term's fake is the teacher, and the mode leaves out the engine
     "dm_only_ttur0": {"mode": "DM_ONLY", "ttur_ratio": 0},
     "constrained_dm_2step": {"mode": "DM_ONLY", "n_steps": 2,
-                             "schedule_policy": "DECOUPLED_CONSTRAINED",
-                             "backward_sim_fresh_noise": False},
+                             "schedule_policy": "DECOUPLED_CONSTRAINED"},
     # alpha 1: the engine term is zero without evaluating the teacher
     "full_alpha1": {"alpha": 1.0},
     "ca_alpha1_hybrid_4step": {"mode": "CA_ONLY", "alpha": 1.0, "n_steps": 4,
@@ -168,6 +162,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "compare":
         return compare(args.a, args.b)
+    # the lab is single-core; pin BLAS before numpy loads
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    os.environ.pop("LAB_SEED", None)  # would override every seed below
     src = args.src.resolve()
     sys.path.insert(0, str(src))
     import dmdlab
