@@ -79,7 +79,6 @@ class DistillConfig:
     batch: int = 256
     lr_gen: float = 1e-4
     lr_fake: float = 1e-4
-    backward_sim_fresh_noise: bool = True
     meanvar_mu_target: float | None = None
     meanvar_var_target: float | None = None
     observer_mode: bool = False
@@ -148,8 +147,7 @@ class DistillConfig:
             if r is not None and not (
                     len(r) == 2 and 0.0 <= float(r[0]) < float(r[1]) <= 1.0):
                 raise ValueError(f"{name} must be [lo, hi] with 0 <= lo < hi <= 1")
-        for name in ("normalizer_on", "observer_mode",
-                     "backward_sim_fresh_noise"):
+        for name in ("normalizer_on", "observer_mode"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} must be true or false")
         ca, dm = self.tau_ca_range, self.tau_dm_range
@@ -315,10 +313,10 @@ def proxy_loss_and_grad(gen_out: np.ndarray, delta_total: np.ndarray,
 
 
 def backward_simulate(gen, grid, k_target: int, cond, rng: np.random.Generator,
-                      dim: int | None = None, fresh_noise: bool = True) -> np.ndarray:
+                      dim: int | None = None) -> np.ndarray:
     """Produce the generator input for step k_target by running the earlier
     steps with gradients stopped: predict clean, renoise to the next grid
-    level (fresh noise by default, the chain's initial noise otherwise)."""
+    level with fresh noise."""
     grid = tuple(grid)
     if not _is_int(k_target) or not 1 <= k_target <= len(grid):
         raise ValueError(f"k_target must be an integer in [1, {len(grid)}], "
@@ -330,11 +328,9 @@ def backward_simulate(gen, grid, k_target: int, cond, rng: np.random.Generator,
     cond = np.asarray(cond)
     n = cond.shape[0]
     z = rng.standard_normal((n, dim))
-    z0 = z
     for j in range(k_target - 1):
         xhat = gen(z, grid[j], cond)
-        eps = rng.standard_normal((n, dim)) if fresh_noise else z0
-        z = renoise(xhat, grid[j + 1], eps)
+        z = renoise(xhat, grid[j + 1], rng.standard_normal((n, dim)))
     return z
 
 
@@ -433,8 +429,7 @@ def generator_update(state: DistillState, teacher,
     k = int(rng.integers(1, len(grid) + 1))
     t = grid[k - 1]
     labels = rng.integers(0, n_labels, size=config.batch)
-    z_t = backward_simulate(state.generator, grid, k, labels, rng,
-                            fresh_noise=config.backward_sim_fresh_noise)
+    z_t = backward_simulate(state.generator, grid, k, labels, rng)
     gen_out, cache = net_forward_cached(state.generator, z_t, t, labels)
 
     direction, tau_ca, tau_dm = dmd_direction_decoupled(

@@ -69,7 +69,6 @@ RUN_KEYS = {
     "out_dir": Key(str, None),
     "lr_gen": Key(float, DistillConfig.lr_gen),
     "lr_fake": Key(float, DistillConfig.lr_fake),
-    "backward_sim_fresh_noise": Key(bool, DistillConfig.backward_sim_fresh_noise),
     "meanvar_mu_target": Key(float, DistillConfig.meanvar_mu_target),
     "meanvar_var_target": Key(float, DistillConfig.meanvar_var_target),
     "radius_mult": Key(float, 3.0, lo=1e-9),
@@ -194,11 +193,11 @@ def _check_teacher(value, spec: MixtureSpec) -> None:
         net = load_params(value).config
     except ValueError as e:  # the message names the file
         raise ConfigError("teacher", str(e))
-    if (net.dim, net.output_dim, net.n_labels) != (spec.dim, spec.dim,
-                                                   spec.label_count):
+    if (net.dim, net.out_dim, net.n_labels) != (spec.dim, spec.dim,
+                                                spec.label_count):
         raise ConfigError(
             "teacher", f"{value}: a network with input dim {net.dim}, output "
-            f"dim {net.output_dim} and {net.n_labels} labels does not fit "
+            f"dim {net.out_dim} and {net.n_labels} labels does not fit "
             f"the data's dim {spec.dim} and {spec.label_count} labels")
 
 

@@ -71,9 +71,9 @@ class NetConfig:
     temb_dim: int = 16
     n_freq: int = 8
 
-    @property
-    def output_dim(self) -> int:
-        return self.dim if self.out_dim is None else self.out_dim
+    def __post_init__(self):
+        if self.out_dim is None:
+            self.out_dim = self.dim
 
     @property
     def input_dim(self) -> int:
@@ -84,7 +84,7 @@ def slot_shapes(config: NetConfig) -> list:
     """Shapes of the parameter slots in declaration order: weights, biases,
     cond_embed (n_labels + 1, cond_dim; last row = null), time_freqs,
     time_w, time_b."""
-    dims = [config.input_dim] + [config.hidden] * config.n_hidden + [config.output_dim]
+    dims = [config.input_dim] + [config.hidden] * config.n_hidden + [config.out_dim]
     return ([(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
             + [(d,) for d in dims[1:]]
             + [(config.n_labels + 1, config.cond_dim), (config.n_freq,),
@@ -105,14 +105,16 @@ class NetParams:
     flat: np.ndarray
 
     def __post_init__(self):
-        views, off = [], 0
-        for shape in slot_shapes(self.config):
-            n = math.prod(shape)
-            views.append(self.flat[off:off + n].reshape(shape))
-            off += n
-        if self.flat.shape != (off,):
+        shapes = slot_shapes(self.config)
+        n = sum(map(math.prod, shapes))
+        if self.flat.shape != (n,):
             raise ValueError(f"flat buffer has shape {self.flat.shape}, "
-                             f"the config needs ({off},)")
+                             f"the config needs ({n},)")
+        views, off = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(self.flat[off:off + size].reshape(shape))
+            off += size
         layers = self.config.n_hidden + 1
         self.weights = views[:layers]
         self.biases = views[layers:2 * layers]
@@ -264,7 +266,7 @@ def net_backward(params: NetParams, cache: ForwardCache, upstream,
     if cache is None:
         raise ValueError("missing forward cache")
     g = np.asarray(upstream)
-    out_dim = cfg.output_dim
+    out_dim = cfg.out_dim
     if g.shape != (cache.tau.shape[0], out_dim):
         raise ValueError(f"upstream must have shape ({cache.tau.shape[0]}, {out_dim}), got {g.shape}")
     if not np.isfinite(g).all():

@@ -4,7 +4,6 @@ per session and cached on disk keyed by its exact configuration."""
 import csv
 import hashlib
 import json
-import math
 import struct
 import time
 from pathlib import Path
@@ -12,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmdlab.checkpoint import load_params, save_params
+from dmdlab.checkpoint import VERSION, load_params, save_params
 from dmdlab.data import gmm8
 from dmdlab.flow import TeacherConfig, train_teacher
-from dmdlab.net import NetConfig, init_params
+from dmdlab.net import NetConfig, init_params, slot_shapes
 
 CACHE_DIR = Path(__file__).parent / ".cache"
 CACHE_VERSION = 3  # bump when training numerics change (invalidates cache)
@@ -27,27 +26,27 @@ TEACHER_CONFIG = TeacherConfig(iterations=20_000, batch=256, lr=1e-3,
 def _teacher_key() -> str:
     blob = json.dumps({
         "version": CACHE_VERSION,
+        "checkpoint": VERSION,  # a format change retrains the cached teacher
         "seed": TEACHER_SEED,
         "config": vars(TEACHER_CONFIG),
     }, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def checkpoint_bytes(shapes, version=1) -> bytes:
-    """A float64 checkpoint with the given array table and zero data."""
+def checkpoint_bytes(fields, n_values, version=VERSION) -> bytes:
+    """A checkpoint whose header holds version and the eight NetConfig fields,
+    followed by n_values zero float64 values."""
+    return (b"DMDL" + struct.pack("<I8I", version, *fields)
+            + bytes(8 * n_values))
+
+
+def v1_checkpoint_bytes(params) -> bytes:
+    """params as version 1 wrote them: a per-slot shape table after a
+    precision flag of 0, then the float64 data."""
+    shapes = slot_shapes(params.config)
     table = [struct.pack(f"<I{len(s)}I", len(s), *s) for s in shapes]
-    return b"".join([b"DMDL", struct.pack("<IBI", version, 0, len(shapes)),
-                     *table, bytes(8 * sum(math.prod(s) for s in shapes))])
-
-
-def write_fp32_checkpoint(params, path) -> None:
-    """Write params the way save_params once wrote float32 networks: the same
-    array table, precision flag 1 and a float32 data section."""
-    save_params(params, path)
-    buf = path.read_bytes()
-    table = buf[9:len(buf) - params.flat.nbytes]
-    path.write_bytes(buf[:8] + b"\x01" + table
-                     + params.flat.astype("<f4").tobytes())
+    return b"".join([b"DMDL", struct.pack("<IBI", 1, 0, len(shapes)),
+                     *table, params.flat.tobytes()])
 
 
 def save_tiny_teacher(path: Path) -> Path:

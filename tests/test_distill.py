@@ -528,15 +528,6 @@ class TestBackwardSimulate:
         d = sliced_wasserstein2(z, cur, 64, np.random.default_rng(57))
         assert d < 0.08
 
-    def test_deterministic_interpolation_variant(self):
-        c = np.array([2.0, 2.0])
-        gen = lambda z, t, cond: np.tile(c, (z.shape[0], 1))
-        cond = np.zeros(4, int)
-        z = backward_simulate(gen, (0.0, 0.5), 2, cond,
-                              np.random.default_rng(58), dim=2, fresh_noise=False)
-        z0 = np.random.default_rng(58).standard_normal((4, 2))
-        np.testing.assert_allclose(z, 0.5 * z0 + 0.5 * c, atol=1e-15)
-
     @pytest.mark.parametrize("k_target", [3, 0, True, 1.0, 1.5])
     def test_bad_k_target_rejected_before_any_draw(self, k_target):
         def gen(z, t, cond):
@@ -957,8 +948,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{field} "):
             DistillConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", [
-        "normalizer_on", "observer_mode", "backward_sim_fresh_noise"])
+    @pytest.mark.parametrize("field", ["normalizer_on", "observer_mode"])
     def test_switch_must_be_bool(self, field):
         for value in ("no", None, 0, 1, 1.0, np.int64(1)):
             with pytest.raises(ValueError,

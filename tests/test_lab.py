@@ -5,7 +5,6 @@ import dataclasses
 import json
 import os
 import re
-import struct
 import subprocess
 import sys
 import tempfile
@@ -33,7 +32,7 @@ from dmdlab.lab.presets import TAU_PROBE_RANGES, run_preset
 from dmdlab.lab.runner import RunArtifacts, _abort, run_config
 from dmdlab.metrics import CSV_COLUMNS, batch_sample_stats
 
-from conftest import checkpoint_bytes, write_fp32_checkpoint
+from conftest import checkpoint_bytes, v1_checkpoint_bytes
 
 
 def small_cfg(teacher, **over):
@@ -47,6 +46,11 @@ def small_cfg(teacher, **over):
     cfg.update(over)
     return cfg
 
+
+# a network that fits gmm8, and its checkpoint header fields
+TINY_NET = NetConfig(dim=2, n_labels=4, hidden=8, n_hidden=1)
+TINY_FIELDS = dataclasses.astuple(TINY_NET)
+TINY_SIZE = init_params(TINY_NET, np.random.default_rng(0)).flat.size
 
 TEACHER_CFG = {"iterations": 40, "batch": 16, "lr": 1e-3, "p_uncond": 0.1,
                "seed": 5, "out": "t.ckpt"}
@@ -73,9 +77,12 @@ class TestConfigValidation:
         assert "alpha" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tiny_teacher_ckpt):
-        with pytest.raises(ConfigError) as err:
-            run_config_from_dict(small_cfg(tiny_teacher_ckpt, bogus=1))
-        assert err.value.key == "bogus"
+        # backward_sim_fresh_noise is retired: backward simulation always
+        # draws fresh noise
+        for key in ("bogus", "backward_sim_fresh_noise"):
+            with pytest.raises(ConfigError) as err:
+                run_config_from_dict(small_cfg(tiny_teacher_ckpt, **{key: True}))
+            assert err.value.key == key
 
     def test_bad_enum_rejected(self, tiny_teacher_ckpt):
         with pytest.raises(ConfigError) as err:
@@ -605,23 +612,23 @@ class TestMalformedValues:
         ("teacher", lambda path: save_params(init_params(
             NetConfig(dim=2, n_labels=4, hidden=8, n_hidden=1, out_dim=1),
             np.random.default_rng(0)), path)),
-        ("teacher", lambda path: write_fp32_checkpoint(init_params(
-            NetConfig(dim=2, n_labels=4, hidden=8, n_hidden=1),
-            np.random.default_rng(0)), path)),
+        ("teacher", lambda path: path.write_bytes(v1_checkpoint_bytes(
+            init_params(TINY_NET, np.random.default_rng(0))))),
         ("data", lambda path: path.write_text("{not json")),
         ("data", lambda path: path.write_text('{"dim": 2, "labels": 4}')),
         ("data", lambda path: path.write_text("[1, 2]")),
         ("teacher", lambda path: path.write_bytes(
-            checkpoint_bytes([], version=2))),
+            checkpoint_bytes(TINY_FIELDS, TINY_SIZE, version=3))),
         ("teacher", lambda path: path.write_bytes(
-            checkpoint_bytes([(1, 1), (1,)] * 3)[:-8])),
-        ("teacher", lambda path: path.write_bytes(checkpoint_bytes([]))),
+            checkpoint_bytes(TINY_FIELDS, TINY_SIZE)[:-8])),
         ("teacher", lambda path: path.write_bytes(
-            checkpoint_bytes([(1,)] * 6))),
+            checkpoint_bytes((0,) + TINY_FIELDS[1:], TINY_SIZE))),
         ("teacher", lambda path: path.write_bytes(
-            checkpoint_bytes([(1, 1), (1,)] * 3))),
-        ("teacher", lambda path: path.write_bytes(
-            b"DMDL" + struct.pack("<IBII", 1, 0, 1, 2 ** 32 - 1))),
+            checkpoint_bytes(TINY_FIELDS, TINY_SIZE) + bytes(4))),
+        ("teacher", lambda path: path.write_bytes(checkpoint_bytes(
+            TINY_FIELDS[:1] + (0,) + TINY_FIELDS[2:], TINY_SIZE))),
+        ("teacher", lambda path: path.write_bytes(checkpoint_bytes(
+            TINY_FIELDS[:3] + (2 ** 32 - 1,) + TINY_FIELDS[4:], TINY_SIZE))),
         ("data", lambda path: path.write_text(json.dumps(
             {**gmm8().to_json(), "labels": 5}))),
         ("data", lambda path: path.write_text(gmm8_json(center=[0.0] * 3))),
@@ -635,9 +642,9 @@ class TestMalformedValues:
         ("data", lambda path: path.write_text(gmm8_json(label=0.7))),
         ("data", lambda path: path.write_text(f'{{"dim": {LONG_INT}}}')),
     ], ids=["not_dmdl", "truncated", "eight_labels", "dim_3", "out_dim_1",
-            "fp32", "bad_json", "no_components", "not_object",
-            "version_2", "short_data", "no_arrays", "all_1d", "no_labels",
-            "huge_ndim", "label_without_data", "center_3d",
+            "version_1", "bad_json", "no_components", "not_object",
+            "version_3", "short_data", "dim_0", "ragged_data", "no_labels",
+            "huge_n_hidden", "label_without_data", "center_3d",
             "label_out_of_range", "labels_0", "dim_2p9", "labels_4p5",
             "label_0p7", "dim_too_long"])
     def test_run_file(self, tmp_path, tiny_teacher_ckpt, capsys, key, write):
@@ -1232,8 +1239,8 @@ class TestConfigSchema:
                  for key, f in zip(field_keys(DistillConfig),
                                    dataclasses.fields(DistillConfig))
                  if key in run_defaults}
-        assert {"w_meanvar", "lr_gen", "lr_fake", "backward_sim_fresh_noise",
-                "meanvar_mu_target", "meanvar_var_target"} <= set(owned)
+        assert {"w_meanvar", "lr_gen", "lr_fake", "meanvar_mu_target",
+                "meanvar_var_target"} <= set(owned)
         for key, default in owned.items():
             assert run_defaults[key] == default, key
         for key in ("lr_final", "ema_decay"):
@@ -1488,7 +1495,7 @@ RUN_VALUES = {
     "teacher": ["<missing>", "<file>"],
     "out_dir": ["<dir>/run", "<file>", "<file>/run"],
     "lr_gen": [1e-2, 1e40, 0.0], "lr_fake": [1e-2, 1e40, 0.0],
-    "backward_sim_fresh_noise": [False], "meanvar_mu_target": [0.0, 0.5],
+    "meanvar_mu_target": [0.0, 0.5],
     "meanvar_var_target": [0.8, 0.0, 1e-300],
     "radius_mult": [0.5, 0.0, 1e300],
     "step_grid": [[0.0], [0.0, 0.5], [0.0, 0.25, 0.5, 0.75], [0.5],

@@ -1,5 +1,6 @@
 import dataclasses
 import platform
+import struct
 import tempfile
 import tracemalloc
 import warnings
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmdlab import (NULL_LABEL, NetConfig, NetParams, init_params, net_forward,
@@ -16,7 +17,7 @@ from dmdlab import (NULL_LABEL, NetConfig, NetParams, init_params, net_forward,
 from dmdlab.distill import DistillConfig, fake_model_update, init_distill_state
 from dmdlab.net import NonFiniteError, _sigmoid, slot_shapes
 
-from conftest import checkpoint_bytes, write_fp32_checkpoint
+from conftest import checkpoint_bytes, v1_checkpoint_bytes
 
 
 def small_config(dim=2, n_labels=3, hidden=8, n_hidden=2, out_dim=None):
@@ -25,10 +26,25 @@ def small_config(dim=2, n_labels=3, hidden=8, n_hidden=2, out_dim=None):
                      temb_dim=5, n_freq=3)
 
 
+def _header(version=2, extra=0, **fields) -> bytes:
+    """The checkpoint of a small_config network with zero data: its header
+    with version and fields set, then its data padded (extra > 0) or cut
+    (extra < 0) by extra bytes."""
+    cfg = small_config()
+    n = init_params(cfg, np.random.default_rng(0)).flat.size
+    buf = checkpoint_bytes(dataclasses.astuple(dataclasses.replace(
+        cfg, **fields)), n, version) + bytes(max(extra, 0))
+    return buf[:len(buf) + extra] if extra < 0 else buf
+
+
+V1_FILE = v1_checkpoint_bytes(init_params(small_config(),
+                                          np.random.default_rng(0)))
+
+
 def oracle_forward(params, x, tau, cond):
     """Independent re-implementation: per-sample loops, no shared helpers."""
     cfg = params.config
-    out = np.zeros((x.shape[0], cfg.output_dim))
+    out = np.zeros((x.shape[0], cfg.out_dim))
     for i in range(x.shape[0]):
         t = float(np.atleast_1d(tau)[i] if np.ndim(tau) else tau)
         c = int(np.atleast_1d(cond)[i] if np.ndim(cond) else cond)
@@ -216,7 +232,7 @@ class TestBackward:
         x = rng.standard_normal((3, cfg.dim))
         tau = rng.uniform(0, 1, size=3)
         cond = np.array([0, NULL_LABEL, 2])
-        u = rng.standard_normal((3, cfg.output_dim))
+        u = rng.standard_normal((3, cfg.out_dim))
         _, cache = net_forward_cached(params, x, tau, cond)
         grads = net_backward(params, cache, u)
         for (name, arr), (_, g) in zip(params.slots(), grads.slots()):
@@ -242,7 +258,7 @@ class TestBackward:
             x = rng.standard_normal((n, cfg.dim))
             tau = rng.uniform(0, 1, size=n)
             cond = rng.integers(-1, cfg.n_labels, size=n)
-            u = rng.standard_normal((n, cfg.output_dim))
+            u = rng.standard_normal((n, cfg.out_dim))
             _, cache = net_forward_cached(params, x, tau, cond)
             grads = net_backward(params, cache, u)
             slot_list = list(params.slots())
@@ -261,7 +277,7 @@ class TestBackward:
         cfg = small_config()
         params = init_params(cfg, rng)
         x = rng.standard_normal((2, cfg.dim))
-        u = rng.standard_normal((2, cfg.output_dim))
+        u = rng.standard_normal((2, cfg.out_dim))
         _, cache = net_forward_cached(params, x, 0.3, 0)
         dx = net_backward(params, cache, u, input_grad=True)
         h = 1e-6
@@ -425,18 +441,35 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
         assert path.read_bytes()[:4] == b"DMDL"
 
-    def test_fp32_flag(self, tmp_path):
-        # the lab is fp64-only: float32 networks are neither saved nor loaded
+    def test_float32_not_saved(self, tmp_path):
+        # the lab is fp64-only, so a file has no precision to declare
         params = init_params(small_config(), np.random.default_rng(19))
         params32 = NetParams(params.config, params.flat.astype(np.float32))
         path = tmp_path / "net32.ckpt"
         with pytest.raises(ValueError, match="float64"):
             save_params(params32, path)
         assert not path.exists()
-        write_fp32_checkpoint(params, path)
-        assert path.read_bytes()[8] == 1
-        with pytest.raises(ValueError, match="precision flag 1"):
+
+    @pytest.mark.parametrize("buf,match", [
+        (V1_FILE, "unsupported version 1 "),
+        (_header(version=3), "unsupported version 3 "),
+        (_header()[:39], "truncated header"),
+        *[(_header(**{name: 0}), f"{name} must be > 0")
+          for name in ("dim", "n_labels", "hidden", "out_dim", "cond_dim",
+                       "temb_dim", "n_freq")],
+        (_header(n_hidden=2 ** 32 - 1), "n_hidden 4294967295 needs more"),
+        (_header(extra=-8), "flat buffer has shape"),
+        (_header(extra=8), "flat buffer has shape"),
+        (_header(extra=4), "multiple of element size"),
+    ], ids=["version_1", "version_3", "truncated", "dim_0", "n_labels_0",
+            "hidden_0", "out_dim_0", "cond_dim_0", "temb_dim_0", "n_freq_0",
+            "huge_n_hidden", "short_data", "long_data", "ragged_data"])
+    def test_rejection_names_file(self, tmp_path, buf, match):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(buf)
+        with pytest.raises(ValueError, match=match) as err:
             load_params(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -651,28 +684,21 @@ _NET_CONFIGS = st.builds(
 
 
 @st.composite
-def _shape_tables(draw):
-    """The slot shapes of a drawn config after one to three edits: drop, add
-    or swap an entry, or change one dimension."""
-    shapes = slot_shapes(draw(_NET_CONFIGS))
-    dims = st.integers(0, 9)
+def _edited_checkpoints(draw):
+    """A drawn network's checkpoint after one to three edits: set the version
+    or one NetConfig field, or cut or pad the file by up to 20 bytes."""
+    cfg = draw(_NET_CONFIGS)
+    n = init_params(cfg, np.random.default_rng(0)).flat.size
+    buf = bytearray(checkpoint_bytes(dataclasses.astuple(cfg), n))
+    values = st.sampled_from([0, 1, 2, 2 ** 32 - 1]) | st.integers(0, 12)
     for _ in range(draw(st.integers(1, 3))):
-        edit = draw(st.sampled_from(["drop", "add", "swap", "resize"]))
-        at = draw(st.integers(0, len(shapes)))
-        if edit == "add":
-            shapes.insert(at, tuple(draw(st.lists(dims, max_size=3))))
-        elif at == len(shapes):
-            continue
-        elif edit == "drop":
-            del shapes[at]
-        elif edit == "swap":
-            other = draw(st.integers(0, len(shapes) - 1))
-            shapes[at], shapes[other] = shapes[other], shapes[at]
-        elif shapes[at]:
-            shape = list(shapes[at])
-            shape[draw(st.integers(0, len(shape) - 1))] = draw(dims)
-            shapes[at] = tuple(shape)
-    return shapes
+        if draw(st.booleans()):
+            struct.pack_into("<I", buf, 4 * draw(st.integers(1, 9)),
+                             draw(values))
+        else:
+            cut = draw(st.integers(-20, 20))
+            buf = buf[:cut] if cut < 0 else buf + bytes(cut)
+    return bytes(buf)
 
 
 class TestCheckpointProperty:
@@ -687,26 +713,33 @@ class TestCheckpointProperty:
             resaved = Path(tmp) / "again.ckpt"
             save_params(loaded, resaved)
             assert resaved.read_bytes() == path.read_bytes()
-        assert loaded.config == dataclasses.replace(cfg,
-                                                    out_dim=cfg.output_dim)
+        assert loaded.config == cfg
         assert loaded.flat.dtype == np.float64
         assert np.array_equal(loaded.flat, params.flat)
         assert_slots_view_flat(loaded)
 
     @settings(max_examples=150, deadline=None)
-    @given(shapes=_shape_tables())
-    def test_edited_table_loads_or_names_file(self, shapes):
-        # a table is a network's exactly when slot_shapes gives it back;
-        # any other is a ValueError that names the file
+    @given(buf=_edited_checkpoints())
+    @example(buf=_header())
+    @example(buf=V1_FILE)
+    @example(buf=_header(hidden=0))
+    @example(buf=_header(n_hidden=2 ** 32 - 1))
+    @example(buf=_header(extra=-8))
+    @example(buf=_header(extra=4))
+    def test_edited_header_loads_or_names_file(self, buf):
+        # a header and data length are a network's exactly when the network
+        # saves back to the same bytes; any other is a ValueError naming the
+        # file
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "edited.ckpt"
-            path.write_bytes(checkpoint_bytes(shapes))
+            path.write_bytes(buf)
             try:
                 loaded = load_params(path)
             except ValueError as err:
-                assert str(path) in str(err)
+                assert str(err).startswith(f"{path}: ")
                 return
-        assert slot_shapes(loaded.config) == shapes
+            save_params(loaded, path)
+            assert path.read_bytes() == buf
 
 
 def reference_forward_cached(params, x, tau, cond):
@@ -788,7 +821,7 @@ def _net_cases(draw):
     x = 3.0 * rng.standard_normal((n, dim))
     tau = rng.uniform(0.0, 1.0, size=n) if per_sample_tau else rng.uniform()
     cond = rng.integers(NULL_LABEL, cfg.n_labels, size=n)  # NULL_LABEL rows
-    u = rng.standard_normal((n, cfg.output_dim))
+    u = rng.standard_normal((n, cfg.out_dim))
     return params, x, tau, cond, u
 
 
