@@ -48,9 +48,6 @@ def load_params(path) -> NetParams:
     n = (len(buf) - _HEADER.size) // _DTYPE.itemsize
     try:
         config = NetConfig(*fields)
-        zero = [k for k, v in vars(config).items() if v == 0 and k != "n_hidden"]
-        if zero:
-            raise ValueError(f"{', '.join(zero)} must be > 0")
         # bound before slot_shapes, which lists n_hidden + 1 layers
         if config.n_hidden >= n:
             raise ValueError(f"n_hidden {config.n_hidden} needs more than the "

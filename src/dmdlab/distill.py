@@ -26,10 +26,11 @@ from enum import Enum
 import numpy as np
 
 from .data import MixtureSpec, expected_sample_stats, sample_points_for_labels
-from .flow import _check_alpha, _is_int, regression_loss_and_grads, renoise
+from .flow import _check_alpha, regression_loss_and_grads, renoise
 from .metrics import batch_sample_stats
-from .net import (NULL_LABEL, NetConfig, NetParams, NonFiniteError, _sigmoid,
-                  init_params, net_backward, net_forward, net_forward_cached)
+from .net import (NULL_LABEL, NetConfig, NetParams, NonFiniteError, _is_int,
+                  _sigmoid, init_params, net_backward, net_forward,
+                  net_forward_cached)
 from .optim import AdamState, adam_step, init_adam
 
 
@@ -79,8 +80,6 @@ class DistillConfig:
     batch: int = 256
     lr_gen: float = 1e-4
     lr_fake: float = 1e-4
-    meanvar_mu_target: float | None = None
-    meanvar_var_target: float | None = None
     observer_mode: bool = False
     schedule_policy: SchedulePolicy = SchedulePolicy.COUPLED_SHARED
     tau_ca_range: tuple | None = None
@@ -133,15 +132,6 @@ class DistillConfig:
             raise ValueError("lr_gen must be finite and positive")
         if not 0 < self.lr_fake < math.inf:
             raise ValueError("lr_fake must be finite and positive")
-        mu, var = self.meanvar_mu_target, self.meanvar_var_target
-        if mu is not None and not math.isfinite(mu):
-            raise ValueError("meanvar_mu_target must be finite")
-        if var is not None and not 0 < var < math.inf:
-            raise ValueError("meanvar_var_target must be finite and > 0")
-        if (mu is None) != (var is None):
-            missing = "meanvar_mu_target" if mu is None else "meanvar_var_target"
-            raise ValueError(f"{missing} must be set too: one moment target "
-                             "alone would be ignored")
         for name in ("tau_ca_range", "tau_dm_range"):
             r = getattr(self, name)
             if r is not None and not (
@@ -209,15 +199,11 @@ def init_distill_state(teacher: NetParams, config: DistillConfig,
         disc_opt = init_adam(disc, lr=config.lr_fake)
     reg_targets = []
     if config.regularizer == Regularizer.MEANVAR_KL:  # their only reader
-        if config.meanvar_mu_target is not None:  # validate(): so is var
-            reg_targets = [(config.meanvar_mu_target,
-                            config.meanvar_var_target)] * teacher.config.n_labels
-        elif spec is not None:
-            reg_targets = [expected_sample_stats(spec, lb)
-                           for lb in range(spec.label_count)]
-        else:
-            raise ValueError("MEANVAR_KL regularizer needs a data spec or "
-                             "both moment targets")
+        if spec is None:
+            raise ValueError("MEANVAR_KL regularizer needs a data spec for "
+                             "its moment targets")
+        reg_targets = [expected_sample_stats(spec, lb)
+                       for lb in range(spec.label_count)]
     generator = teacher.copy()
     fake, fake_opt = teacher, None
     if config.trains_fake:

@@ -8,14 +8,15 @@ a velocity.
 
 import csv
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .data import LabeledBatch, MixtureSpec, sample_dataset
-from .net import (NULL_LABEL, NetConfig, NetParams, NonFiniteError,
+from .net import (NULL_LABEL, NetConfig, NetParams, NonFiniteError, _is_int,
                   init_params, net_backward, net_forward_cached)
 from .optim import init_adam, adam_step, ema_update
+
+LOG_EVERY = 100  # train_teacher's loss log: iteration 1 and every 100th
 
 
 @dataclass
@@ -23,10 +24,9 @@ class TeacherConfig:
     iterations: int = 20_000
     batch: int = 256
     lr: float = 1e-3
-    lr_final: float | None = 1e-5  # cosine decay target; None keeps lr fixed
+    lr_final: float = 1e-5  # cosine decay target; equal to lr keeps lr fixed
     p_uncond: float = 0.1
     ema_decay: float | None = None
-    log_every: int = 100
 
     def __post_init__(self):
         self.validate()
@@ -41,17 +41,10 @@ class TeacherConfig:
             raise ValueError("p_uncond must lie in (0, 1)")
         if not 0 < self.lr < np.inf:
             raise ValueError("lr must be finite and > 0")
-        if self.lr_final is not None and not 0.0 < self.lr_final <= self.lr:
+        if not 0.0 < self.lr_final <= self.lr:
             raise ValueError("lr_final must lie in (0, lr]")
         if self.ema_decay is not None and not 0.0 <= self.ema_decay <= 1.0:
             raise ValueError("ema_decay must lie in [0, 1]")
-        if not _is_int(self.log_every) or self.log_every <= 0:
-            raise ValueError("log_every must be a positive integer")
-
-
-def _is_int(value) -> bool:
-    """An integer, numpy's included, that is not a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def renoise(x: np.ndarray, tau, eps: np.ndarray) -> np.ndarray:
@@ -127,10 +120,9 @@ def train_teacher(spec: MixtureSpec, config: TeacherConfig,
     ema = params.copy() if config.ema_decay is not None else None
     rows = []
     for it in range(1, config.iterations + 1):
-        if config.lr_final is not None:
-            frac = (it - 1) / max(config.iterations - 1, 1)
-            opt.lr = config.lr_final + 0.5 * (config.lr - config.lr_final) * (
-                1.0 + np.cos(np.pi * frac))
+        frac = (it - 1) / max(config.iterations - 1, 1)
+        opt.lr = config.lr_final + 0.5 * (config.lr - config.lr_final) * (
+            1.0 + np.cos(np.pi * frac))
         batch = sample_dataset(spec, config.batch, rng)
         try:
             loss, grads = teacher_loss(params, batch, rng, config.p_uncond)
@@ -140,7 +132,7 @@ def train_teacher(spec: MixtureSpec, config: TeacherConfig,
             raise
         if ema is not None:
             ema_update(ema, params, config.ema_decay)
-        if it % config.log_every == 0 or it == 1:
+        if it % LOG_EVERY == 0 or it == 1:
             rows.append((it, loss))
     if log_path is not None:
         with open(log_path, "w", newline="") as fh:

@@ -42,7 +42,6 @@ class Key:
     kind: object = float      # float, int, bool, str, an Enum, RANGE or LEVELS
     default: object = REQUIRED
     lo: float | None = None   # the lower bound no typed config checks
-    nullable: bool = False    # null is allowed (always when the default is)
 
 
 RUN_KEYS = {
@@ -69,9 +68,6 @@ RUN_KEYS = {
     "out_dir": Key(str, None),
     "lr_gen": Key(float, DistillConfig.lr_gen),
     "lr_fake": Key(float, DistillConfig.lr_fake),
-    "meanvar_mu_target": Key(float, DistillConfig.meanvar_mu_target),
-    "meanvar_var_target": Key(float, DistillConfig.meanvar_var_target),
-    "radius_mult": Key(float, 3.0, lo=1e-9),
     "step_grid": Key(LEVELS, DistillConfig.step_grid),
     "observer_mode": Key(bool, DistillConfig.observer_mode),
 }
@@ -85,7 +81,7 @@ TEACHER_KEYS = {
     "data": Key(str, "gmm8"),
     "out": Key(str, "teacher.ckpt"),
     "log": Key(str, None),
-    "lr_final": Key(float, TeacherConfig.lr_final, nullable=True),
+    "lr_final": Key(float, TeacherConfig.lr_final),
     "ema_decay": Key(float, TeacherConfig.ema_decay),
 }
 
@@ -114,7 +110,7 @@ def _check(key, spec: Key, value):
     """The value once its kind and bound are checked: integers become int
     and ranges [float, float] (the snapshot bytes depend on both)."""
     kind = spec.kind
-    if value is None and (spec.nullable or spec.default is None):
+    if value is None and spec.default is None:
         return None
     if kind is bool:
         if not isinstance(value, bool):

@@ -211,7 +211,7 @@ def run_config(cfg: dict, out_dir, key: str = "--out") -> RunArtifacts:
                         sliced_wasserstein2(cloud, ref, 128, sw_rng)
                         for cloud, ref in zip(clouds, ref_by_label)]))
                     record["mode_coverage"] = float(np.mean([
-                        mode_coverage(cloud, spec, label, cfg["radius_mult"])
+                        mode_coverage(cloud, spec, label)
                         for label, cloud in enumerate(clouds)]))
                     means, variances = batch_sample_stats(np.concatenate(clouds))
                     record["mean_of_means"] = float(means.mean())

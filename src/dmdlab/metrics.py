@@ -13,6 +13,8 @@ CSV_COLUMNS = ["iteration", "sw2", "mean_of_means", "mean_of_vars",
                "mode_coverage", "loss_proxy", "loss_fake", "loss_reg",
                "tau_ca", "tau_dm", "t"]
 
+RADIUS_MULT = 3.0  # mode_coverage's hit radius, in sigmas
+
 
 def csv_row(values: dict) -> list:
     """One metrics.csv row: the CSV_COLUMNS of values in order, the iteration
@@ -112,12 +114,9 @@ def batch_sample_stats(batch: np.ndarray):
     return means, variances
 
 
-def mode_coverage(samples: np.ndarray, spec: MixtureSpec, cond: int,
-                  radius_mult: float = 3.0) -> float:
+def mode_coverage(samples: np.ndarray, spec: MixtureSpec, cond: int) -> float:
     """Fraction of the condition's modes with at least one sample within
-    radius_mult sigmas (per-coordinate normalized distance) of the center."""
-    if not 0 < radius_mult < math.inf:
-        raise ValueError("radius_mult must be finite and positive")
+    RADIUS_MULT sigmas (per-coordinate normalized distance) of the center."""
     comps = spec.components_for(cond)
     samples = np.asarray(samples)
     if samples.size == 0:
@@ -125,6 +124,6 @@ def mode_coverage(samples: np.ndarray, spec: MixtureSpec, cond: int,
     hit = 0
     for c in comps:
         z = (samples - c.center) / np.sqrt(c.cov)
-        if np.any(np.sqrt((z ** 2).sum(axis=1)) <= radius_mult):
+        if np.any(np.sqrt((z ** 2).sum(axis=1)) <= RADIUS_MULT):
             hit += 1
     return hit / len(comps)

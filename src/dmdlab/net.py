@@ -16,6 +16,7 @@ keep freed heap memory in the process (see _keep_freed_heap).
 import ctypes
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -60,6 +61,11 @@ class NonFiniteError(ValueError):
         self.params = params
 
 
+def _is_int(value) -> bool:
+    """An integer, numpy's included, that is not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class NetConfig:
     dim: int
@@ -72,8 +78,15 @@ class NetConfig:
     n_freq: int = 8
 
     def __post_init__(self):
+        """Every size is a positive integer, n_hidden a non-negative one."""
         if self.out_dim is None:
             self.out_dim = self.dim
+        for name, value in vars(self).items():
+            least = 0 if name == "n_hidden" else 1
+            if not _is_int(value) or value < least:
+                kind = "non-negative" if least == 0 else "positive"
+                raise ValueError(f"{name} must be a {kind} integer, "
+                                 f"got {value!r}")
 
     @property
     def input_dim(self) -> int:

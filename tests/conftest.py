@@ -20,7 +20,7 @@ CACHE_DIR = Path(__file__).parent / ".cache"
 CACHE_VERSION = 3  # bump when training numerics change (invalidates cache)
 TEACHER_SEED = 1234
 TEACHER_CONFIG = TeacherConfig(iterations=20_000, batch=256, lr=1e-3,
-                               p_uncond=0.1, log_every=100)
+                               p_uncond=0.1)
 
 
 def _teacher_key() -> str:

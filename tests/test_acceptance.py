@@ -281,7 +281,7 @@ def test_criterion_06_teacher_quality_gate(teacher_bundle):
         ref = r2.points[r2.labels == label]
         sw_vals.append(sliced_wasserstein2(out, ref, 128,
                                            np.random.default_rng(505)))
-        cov_hits += mode_coverage(out, spec, label, 3.0) * len(
+        cov_hits += mode_coverage(out, spec, label) * len(
             spec.components_for(label))
     sw2 = float(np.mean(sw_vals))
     ok = sw2 <= threshold and cov_hits >= 7 and seconds <= 600.0

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import dmdlab.net as net_mod
 from dmdlab import NULL_LABEL, NetConfig, init_params, net_forward
-from dmdlab.data import Component, MixtureSpec, gmm8
+from dmdlab.data import Component, MixtureSpec, expected_sample_stats, gmm8
 from dmdlab.distill import (DistillConfig, DistillState, Mode, NonFiniteError,
                             Regularizer, SchedulePolicy, backward_simulate,
                             delta_ca, delta_dm, dmd_direction_coupled,
@@ -930,13 +930,12 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field", [
         "alpha", "lam", "ttur_ratio", "batch", "w_gan", "w_meanvar", "lr_gen",
-        "lr_fake", "meanvar_mu_target", "meanvar_var_target"])
+        "lr_fake"])
     def test_nan_rejected_under_its_key(self, field):
         key = "lambda" if field == "lam" else field
-        kw = {"meanvar_mu_target": 0.0, "meanvar_var_target": 1.0}
         for value in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=f"^{key} "):
-                DistillConfig(**{**kw, field: value})
+                DistillConfig(**{field: value})
 
     @pytest.mark.parametrize("field,value", [
         ("batch", 2.5), ("batch", 4.0), ("ttur_ratio", 1.5),
@@ -962,14 +961,6 @@ class TestConfigValidation:
                             n_steps=np.int64(2))
         assert (cfg.batch, cfg.ttur_ratio, cfg.grid) == (4, 2, (0.0, 0.5))
 
-    def test_mu_target_must_be_finite(self):
-        for mu in (np.inf, -np.inf):
-            with pytest.raises(ValueError,
-                               match="^meanvar_mu_target must be finite$"):
-                DistillConfig(meanvar_mu_target=mu, meanvar_var_target=1.0)
-        # an int past int64's range, which numpy's isfinite cannot take
-        DistillConfig(meanvar_mu_target=-2 ** 63 - 1, meanvar_var_target=1.0)
-
     def test_default_grids(self):
         assert DistillConfig(n_steps=1).grid == (0.0,)
         assert DistillConfig(n_steps=2).grid == (0.0, 0.5)
@@ -977,33 +968,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DistillConfig(n_steps=3).validate()
 
-    def test_meanvar_target_override(self):
-        teacher = tiny_net(200)
-        cfg = base_config(regularizer=Regularizer.MEANVAR_KL,
-                          meanvar_mu_target=0.25, meanvar_var_target=0.5)
-        state = init_distill_state(teacher, cfg, gmm8(), seed=1)
-        assert all(t == (0.25, 0.5) for t in state.reg_targets)
-
-    def test_meanvar_targets_need_no_spec(self):
-        teacher = tiny_net(201)
-        cfg = base_config(regularizer=Regularizer.MEANVAR_KL,
-                          meanvar_mu_target=0.25, meanvar_var_target=0.5)
-        state = init_distill_state(teacher, cfg, None, seed=2)
-        assert state.reg_targets == [(0.25, 0.5)] * teacher.config.n_labels
-        rec = generator_update(state, teacher, cfg)
-        assert np.isfinite(rec["loss_reg"]) and rec["loss_reg"] > 0.0
-
-    def test_meanvar_without_spec_or_targets_rejected(self):
+    def test_meanvar_targets_are_the_data_moments(self):
+        spec = gmm8()
         cfg = base_config(regularizer=Regularizer.MEANVAR_KL)
-        with pytest.raises(ValueError, match="MEANVAR_KL"):
+        state = init_distill_state(tiny_net(200), cfg, spec, seed=1)
+        assert state.reg_targets == [expected_sample_stats(spec, label)
+                                     for label in range(spec.label_count)]
+
+    def test_meanvar_without_spec_rejected(self):
+        cfg = base_config(regularizer=Regularizer.MEANVAR_KL)
+        with pytest.raises(ValueError, match="^MEANVAR_KL regularizer needs "
+                           "a data spec for its moment targets$"):
             init_distill_state(tiny_net(202), cfg, None, seed=3)
 
     @pytest.mark.parametrize("regularizer", [Regularizer.NONE,
                                              Regularizer.GAN])
-    @pytest.mark.parametrize("targets", [{}, {"meanvar_mu_target": 0.25,
-                                              "meanvar_var_target": 0.5}])
-    def test_moment_targets_only_for_meanvar(self, regularizer, targets):
-        cfg = base_config(regularizer=regularizer, **targets)
+    def test_moment_targets_only_for_meanvar(self, regularizer):
+        cfg = base_config(regularizer=regularizer)
         state = init_distill_state(tiny_net(203), cfg, gmm8(), seed=4)
         assert state.reg_targets == []
 

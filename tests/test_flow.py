@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import dmdlab.flow as flow
 from dmdlab import NULL_LABEL, NetConfig, init_params
 from dmdlab.data import Component, MixtureSpec, LabeledBatch, gmm8, sample_dataset
-from dmdlab.flow import (TeacherConfig, cfg_combine, renoise,
+from dmdlab.flow import (LOG_EVERY, TeacherConfig, cfg_combine, renoise,
                          sample_teacher, teacher_loss, train_teacher)
+from dmdlab.optim import adam_step
 
 
 class ForcedRng:
@@ -252,7 +254,7 @@ class TestTeacherTraining:
     def test_small_run_learns_something(self, tmp_path):
         spec = MixtureSpec(dim=2, label_count=1, components=[
             Component(0, np.array([1.0, 1.0]), np.array([0.01, 0.01]), 1.0)])
-        cfg = TeacherConfig(iterations=400, batch=64, lr=3e-3, log_every=50)
+        cfg = TeacherConfig(iterations=400, batch=64, lr=3e-3)
         log = tmp_path / "log.csv"
         params = train_teacher(spec, cfg, np.random.default_rng(14), log_path=log)
         rng = np.random.default_rng(15)
@@ -260,25 +262,36 @@ class TestTeacherTraining:
         assert np.all(np.abs(out.mean(axis=0) - 1.0) < 0.3)
         lines = log.read_text().strip().splitlines()
         assert lines[0] == "iteration,loss"
-        assert len(lines) > 2
+        # iteration 1 and every LOG_EVERY-th
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [
+            1, *range(LOG_EVERY, 401, LOG_EVERY)]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TeacherConfig(p_uncond=0.0).validate()
         with pytest.raises(ValueError):
             TeacherConfig(lr=1e-3, lr_final=1e-2).validate()
-        with pytest.raises(ValueError,
-                           match="^log_every must be a positive integer$"):
-            TeacherConfig(log_every=0)
 
-    @pytest.mark.parametrize("lr_final", [None, 1e-5])
-    def test_lr_must_be_positive(self, lr_final):
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_lr_must_be_positive(self, fixed):
         for lr in (-1.0, 0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="^lr "):
-                TeacherConfig(lr=lr, lr_final=lr_final).validate()
+                TeacherConfig(lr=lr, lr_final=lr if fixed else 1e-5)
+
+    def test_lr_final_equal_to_lr_keeps_lr_fixed(self, monkeypatch):
+        lrs = []
+
+        def record(opt, params, grads):
+            lrs.append(opt.lr)
+            adam_step(opt, params, grads)
+
+        monkeypatch.setattr(flow, "adam_step", record)
+        cfg = TeacherConfig(iterations=7, batch=8, lr=3e-3, lr_final=3e-3)
+        train_teacher(gmm8(), cfg, np.random.default_rng(16))
+        assert lrs == [3e-3] * 7
 
     @pytest.mark.parametrize("key", ["iterations", "batch", "lr_final",
-                                     "p_uncond", "ema_decay", "log_every"])
+                                     "p_uncond", "ema_decay"])
     def test_nan_rejected_under_its_key(self, key):
         for value in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=f"^{key} "):
@@ -286,8 +299,7 @@ class TestTeacherTraining:
 
     @pytest.mark.parametrize("key,value", [
         ("iterations", 2.5), ("iterations", 4.0), ("batch", 2.5),
-        ("log_every", 2.5), ("iterations", True), ("batch", True),
-        ("log_every", True)])
+        ("iterations", True), ("batch", True)])
     def test_fractional_count_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be a positive "
                            "integer$"):
@@ -296,8 +308,7 @@ class TestTeacherTraining:
     def test_ema_smoothed_training(self):
         spec = MixtureSpec(dim=2, label_count=1, components=[
             Component(0, np.array([0.5, 0.5]), np.array([0.04, 0.04]), 1.0)])
-        cfg = TeacherConfig(iterations=60, batch=16, ema_decay=0.9,
-                            log_every=20)
+        cfg = TeacherConfig(iterations=60, batch=16, ema_decay=0.9)
         params = train_teacher(spec, cfg, np.random.default_rng(30))
         assert all(np.isfinite(a).all() for _, a in params.slots())
 

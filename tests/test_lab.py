@@ -77,9 +77,11 @@ class TestConfigValidation:
         assert "alpha" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tiny_teacher_ckpt):
-        # backward_sim_fresh_noise is retired: backward simulation always
-        # draws fresh noise
-        for key in ("bogus", "backward_sim_fresh_noise"):
+        # retired keys: backward simulation always draws fresh noise,
+        # MEANVAR_KL always targets the data's moments, and mode coverage
+        # always counts a hit within metrics.RADIUS_MULT sigmas
+        for key in ("bogus", "backward_sim_fresh_noise", "meanvar_mu_target",
+                    "meanvar_var_target", "radius_mult"):
             with pytest.raises(ConfigError) as err:
                 run_config_from_dict(small_cfg(tiny_teacher_ckpt, **{key: True}))
             assert err.value.key == key
@@ -557,7 +559,7 @@ class TestMalformedValues:
     @pytest.mark.parametrize("key,value", [
         ("lr_gen", NAN), ("lambda", INF), ("alpha", NAN), ("w_gan", NAN),
         ("mode", []), ("schedule_policy", {}), ("step_grid", [0, NAN]),
-        ("meanvar_mu_target", "a"), ("radius_mult", INF), ("data", 3),
+        ("data", 3),
         ("teacher", 3), ("normalizer_on", 1), ("tau_ca_range", [0, True]),
         ("step_grid", [0.0, 0.7, 0.4]), ("n_steps", 3),
         ("teacher", "no/such/teacher.ckpt"), ("data", "no/such/spec.json"),
@@ -729,7 +731,7 @@ class TestMalformedValues:
             {**TEACHER_CFG, "data": str(tmp_path / "spec.json")}, "data")
 
     @pytest.mark.parametrize("key,value", [
-        ("lr", NAN), ("ema_decay", 5), ("lr_final", "x"),
+        ("lr", NAN), ("ema_decay", 5), ("lr_final", "x"), ("lr_final", None),
         ("tau_law", "cosine"), ("iterations", INF), ("p_uncond", 1.0),
         ("out", None), ("data", "no/such/spec.json"), ("batch", 0),
         ("log", "log\0.csv"),
@@ -805,11 +807,8 @@ class TestRangesOwnedByTypedConfigs:
         ({"lambda": 0}, "lambda"), ({"batch": 0}, "batch"),
         ({"w_gan": -1.0}, "w_gan"), ({"w_meanvar": -1e-3}, "w_meanvar"),
         ({"lr_gen": -1e-4}, "lr_gen"),
-        ({"meanvar_var_target": 0}, "meanvar_var_target"),
         ({"tau_dm_range": [0.5, 0.5]}, "tau_dm_range"),
         ({"tau_ca_range": [-0.1, 0.5]}, "tau_ca_range"),
-        ({"meanvar_mu_target": 5.0}, "meanvar_var_target"),
-        ({"meanvar_var_target": 9.0}, "meanvar_mu_target"),
         # COUPLED_SHARED makes one draw, so a second range would be dropped
         ({"tau_ca_range": [0.0, 0.2], "tau_dm_range": [0.8, 1.0]},
          "tau_dm_range"),
@@ -820,7 +819,7 @@ class TestRangesOwnedByTypedConfigs:
         assert err.value.key == key
 
     @pytest.mark.parametrize("over,key", [
-        ({"lr": -1e-3, "lr_final": None}, "lr"), ({"lr": 0.0}, "lr"),
+        ({"lr": -1e-3, "lr_final": -1e-3}, "lr"), ({"lr": 0.0}, "lr"),
         ({"iterations": 0}, "iterations"), ({"batch": -2}, "batch"),
     ])
     def test_teacher_range(self, over, key):
@@ -1239,8 +1238,7 @@ class TestConfigSchema:
                  for key, f in zip(field_keys(DistillConfig),
                                    dataclasses.fields(DistillConfig))
                  if key in run_defaults}
-        assert {"w_meanvar", "lr_gen", "lr_fake", "meanvar_mu_target",
-                "meanvar_var_target"} <= set(owned)
+        assert {"w_meanvar", "lr_gen", "lr_fake"} <= set(owned)
         for key, default in owned.items():
             assert run_defaults[key] == default, key
         for key in ("lr_final", "ema_decay"):
@@ -1248,8 +1246,7 @@ class TestConfigSchema:
 
     def test_every_typed_field_is_fed_by_a_key(self):
         assert set(field_keys(DistillConfig)) <= set(RUN_KEYS)
-        assert set(field_keys(TeacherConfig)) - set(TEACHER_KEYS) == {
-            "log_every"}
+        assert set(field_keys(TeacherConfig)) <= set(TEACHER_KEYS)
 
     def test_every_other_key_is_read_by_name(self):
         lab = Path(dmdlab.__file__).resolve().parent / "lab"
@@ -1266,7 +1263,8 @@ class TestConfigSchema:
 
     def test_readme_defaults_match_the_loader(self):
         # README gives defaults as `key` (value); each JSON literal among
-        # them must equal the loader's default for that config file
+        # them must equal the loader's default for that config file, and
+        # every number or true/false default is given that way
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         run_part, teacher_part = readme.split("### Run config", 1)[1].split(
             "Teacher config keys", 1)
@@ -1274,6 +1272,7 @@ class TestConfigSchema:
         checked = 0
         for text, keys in ((run_part, RUN_KEYS), (teacher_part, TEACHER_KEYS)):
             optional = defaults(keys)
+            seen = set()
             for key, value in re.findall(r"`(\w+)`\s+\(([^()]*)\)", text):
                 try:
                     literal = json.loads(value)
@@ -1281,8 +1280,11 @@ class TestConfigSchema:
                     continue
                 assert key in optional, key
                 assert literal == optional[key], key
+                seen.add(key)
                 checked += 1
-        assert checked >= 12
+            assert {key for key, value in optional.items()
+                    if isinstance(value, (bool, int, float))} <= seen
+        assert checked >= 11
 
 
 def tree(root: Path) -> list:
@@ -1495,9 +1497,6 @@ RUN_VALUES = {
     "teacher": ["<missing>", "<file>"],
     "out_dir": ["<dir>/run", "<file>", "<file>/run"],
     "lr_gen": [1e-2, 1e40, 0.0], "lr_fake": [1e-2, 1e40, 0.0],
-    "meanvar_mu_target": [0.0, 0.5],
-    "meanvar_var_target": [0.8, 0.0, 1e-300],
-    "radius_mult": [0.5, 0.0, 1e300],
     "step_grid": [[0.0], [0.0, 0.5], [0.0, 0.25, 0.5, 0.75], [0.5],
                   [0.0, 1.0], [0.0, 0.5, 0.4]],
     "observer_mode": [True],

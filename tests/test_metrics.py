@@ -4,9 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmdlab.data import Component, MixtureSpec, gmm8
-from dmdlab.metrics import (_PROJ_BLOCK, _quantile_grid, batch_sample_stats,
-                            csv_row, mode_coverage, sliced_wasserstein2,
-                            wasserstein2_1d)
+from dmdlab.metrics import (RADIUS_MULT, _PROJ_BLOCK, _quantile_grid,
+                            batch_sample_stats, csv_row, mode_coverage,
+                            sliced_wasserstein2, wasserstein2_1d)
 from dmdlab.net import NonFiniteError
 
 
@@ -203,11 +203,12 @@ class TestModeCoverage:
         with pytest.raises(ValueError):
             mode_coverage(np.zeros((1, 2)), gmm8(), 17)
 
-    @pytest.mark.parametrize("radius_mult", [0.0, -1.0, np.nan, np.inf])
-    def test_nonpositive_radius_rejected(self, radius_mult):
-        with pytest.raises(ValueError,
-                           match="^radius_mult must be finite and positive$"):
-            mode_coverage(np.zeros((1, 2)), gmm8(), 0, radius_mult)
+    def test_hit_radius_is_three_sigmas(self):
+        spec = MixtureSpec(dim=2, label_count=1, components=[
+            Component(0, np.array([0.0, 0.0]), np.array([4.0, 4.0]), 1.0)])
+        assert RADIUS_MULT == 3.0
+        assert mode_coverage(np.array([[6.0, 0.0]]), spec, 0) == 1.0
+        assert mode_coverage(np.array([[6.001, 0.0]]), spec, 0) == 0.0
 
 
 class TestCsvRow:

@@ -32,8 +32,10 @@ def _header(version=2, extra=0, **fields) -> bytes:
     (extra < 0) by extra bytes."""
     cfg = small_config()
     n = init_params(cfg, np.random.default_rng(0)).flat.size
-    buf = checkpoint_bytes(dataclasses.astuple(dataclasses.replace(
-        cfg, **fields)), n, version) + bytes(max(extra, 0))
+    # the fields go straight into the header: NetConfig would reject a zero
+    header = {**dataclasses.asdict(cfg), **fields}
+    buf = checkpoint_bytes(tuple(header.values()), n, version) + bytes(
+        max(extra, 0))
     return buf[:len(buf) + extra] if extra < 0 else buf
 
 
@@ -427,6 +429,44 @@ class TestEma:
             ema_update(p, init_params(small_config(hidden=4), rng), 0.5)
 
 
+class TestNetConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("dim", 0), ("hidden", 0), ("n_labels", 0), ("dim", 2.5),
+        ("dim", True), ("out_dim", 0), ("n_freq", -1), ("n_hidden", -1),
+        ("n_hidden", 1.0), ("cond_dim", None)])
+    def test_bad_size_rejected(self, field, value):
+        kind = "non-negative" if field == "n_hidden" else "positive"
+        with pytest.raises(ValueError, match=f"^{field} must be a {kind} "
+                           f"integer, got {value!r}$"):
+            NetConfig(**{"dim": 2, "n_labels": 4, field: value})
+
+    def test_numpy_integers_and_no_hidden_layer_accepted(self):
+        cfg = NetConfig(dim=np.int64(3), n_labels=np.int32(4), n_hidden=0)
+        assert (cfg.out_dim, cfg.n_hidden) == (3, 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 3), min_size=8, max_size=8))
+    @example(sizes=[0, 4, 8, 1, 2, 2, 2, 2])
+    @example(sizes=[2, 0, 8, 1, 2, 2, 2, 2])
+    @example(sizes=[2, 4, 0, 1, 2, 2, 2, 2])
+    @example(sizes=[2, 4, 8, 0, 2, 2, 2, 2])
+    def test_a_config_that_constructs_saves_and_loads(self, sizes):
+        # a config either fails to construct, naming its first bad field,
+        # or saves a checkpoint that load_params reads back
+        try:
+            cfg = NetConfig(*sizes)
+        except ValueError as err:
+            names = [f.name for f in dataclasses.fields(NetConfig)]
+            first_bad = next(name for name, v in zip(names, sizes)
+                             if v < (name != "n_hidden"))
+            assert str(err).startswith(f"{first_bad} must be a ")
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "net.ckpt"
+            save_params(init_params(cfg, np.random.default_rng(0)), path)
+            assert load_params(path).config == cfg
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(18)
@@ -454,7 +494,7 @@ class TestCheckpoint:
         (V1_FILE, "unsupported version 1 "),
         (_header(version=3), "unsupported version 3 "),
         (_header()[:39], "truncated header"),
-        *[(_header(**{name: 0}), f"{name} must be > 0")
+        *[(_header(**{name: 0}), f"{name} must be a positive integer, got 0$")
           for name in ("dim", "n_labels", "hidden", "out_dim", "cond_dim",
                        "temb_dim", "n_freq")],
         (_header(n_hidden=2 ** 32 - 1), "n_hidden 4294967295 needs more"),

@@ -22,7 +22,9 @@ of two checkouts:
 ``compare`` reads every file under either tree. It skips manifest.json,
 which holds wall-clock times, and drops the teacher path, which names the
 tree, from config_snapshot.json and preset.json before comparing them; every
-other file must match byte for byte. It exits 0 when nothing differs, else 1.
+other file must match byte for byte. For a differing JSON object it prints
+the top-level keys that differ: ``-key`` only in A, ``+key`` only in B, and
+``key`` in both with other values. It exits 0 when nothing differs, else 1.
 """
 
 import argparse
@@ -39,8 +41,9 @@ PRESET_BUDGET = {"iterations": 6, "batch": 16, "eval_every": 3}
 # teacher config: the default TeacherConfig at a 200-iteration budget
 TEACHER = {"iterations": 200, "batch": 256, "lr": 1e-3, "p_uncond": 0.1,
            "seed": 0}
-# the only teacher training that exercises the EMA update
-EMA_TEACHER = {**TEACHER, "ema_decay": 0.99, "lr_final": None,
+# the only teacher training that exercises the EMA update, at a fixed
+# learning rate: lr_final equal to lr
+EMA_TEACHER = {**TEACHER, "ema_decay": 0.99, "lr_final": TEACHER["lr"],
                "out": "teacher_ema.ckpt"}
 
 # run name -> keys laid over the presets' BASE_RUN (FULL_DMD, coupled,
@@ -56,10 +59,8 @@ SHAPES = {
     "full_ca_meanvar_2step": {"mode": "CA_ONLY", "n_steps": 2,
                               "schedule_policy": "DECOUPLED_FULL",
                               "regularizer": "MEANVAR_KL"},
-    "dmd_meanvar_targets": {"regularizer": "MEANVAR_KL",
-                            "meanvar_mu_target": 0.5,
-                            "meanvar_var_target": 0.8,
-                            "normalizer_on": False},
+    "dmd_meanvar_unnormalized": {"regularizer": "MEANVAR_KL",
+                                 "normalizer_on": False},
     "theory_alpha3": {"mode": "THEORY_DMD", "alpha": 3.0,
                       "normalizer_on": False},
     "ca_observer": {"mode": "CA_ONLY", "observer_mode": True},
@@ -129,6 +130,22 @@ def _comparable(path: Path) -> bytes:
     return json.dumps(doc, sort_keys=True).encode()
 
 
+def _differing_keys(a: Path, b: Path) -> str:
+    """' (keys: ...)' naming the top-level keys in which two JSON objects
+    differ, or '' when either file is not one."""
+    try:
+        docs = [json.loads(_comparable(p)) for p in (a, b)]
+    except ValueError:
+        return ""
+    if not all(isinstance(doc, dict) for doc in docs):
+        return ""
+    da, db = docs
+    keys = [("-" if k not in db else "+" if k not in da else "") + k
+            for k in sorted(da.keys() | db.keys())
+            if k not in da or k not in db or da[k] != db[k]]
+    return f" (keys: {', '.join(keys)})"
+
+
 def compare(a: Path, b: Path) -> int:
     files = sorted({p.relative_to(root) for root in (a, b)
                     for p in root.rglob("*") if p.is_file()})
@@ -139,7 +156,7 @@ def compare(a: Path, b: Path) -> int:
         elif not ((a / rel).is_file() and (b / rel).is_file()):
             differ.append(f"{rel} (only in one tree)")
         elif _comparable(a / rel) != _comparable(b / rel):
-            differ.append(str(rel))
+            differ.append(f"{rel}{_differing_keys(a / rel, b / rel)}")
         else:
             same += 1
     for rel in differ:
