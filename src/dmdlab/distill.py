@@ -29,7 +29,7 @@ from .data import MixtureSpec, expected_sample_stats, sample_points_for_labels
 from .flow import _check_alpha, regression_loss_and_grads, renoise
 from .metrics import batch_sample_stats
 from .net import (NULL_LABEL, NetConfig, NetParams, NonFiniteError, _is_int,
-                  _sigmoid, init_params, net_backward, net_forward,
+                  _is_real, _sigmoid, init_params, net_backward, net_forward,
                   net_forward_cached)
 from .optim import AdamState, adam_step, init_adam
 
@@ -107,7 +107,7 @@ class DistillConfig:
     def validate(self) -> None:
         """Each message starts with the run-config key at fault."""
         _check_alpha(self.alpha)
-        if not 0 < self.lam < math.inf:
+        if not (_is_real(self.lam) and 0 < self.lam < math.inf):
             raise ValueError("lambda must be finite and > 0")
         if self.step_grid is None and self.n_steps not in _DEFAULT_GRIDS:
             raise ValueError("n_steps must be one of {1, 2, 4} (or give step_grid)")
@@ -124,13 +124,13 @@ class DistillConfig:
             raise ValueError("ttur_ratio must be an integer >= 0")
         if not _is_int(self.batch) or self.batch <= 0:
             raise ValueError("batch must be a positive integer")
-        if not 0 <= self.w_gan < math.inf:
+        if not (_is_real(self.w_gan) and 0 <= self.w_gan < math.inf):
             raise ValueError("w_gan must be finite and >= 0")
-        if not 0 <= self.w_meanvar < math.inf:
+        if not (_is_real(self.w_meanvar) and 0 <= self.w_meanvar < math.inf):
             raise ValueError("w_meanvar must be finite and >= 0")
-        if not 0 < self.lr_gen < math.inf:
+        if not (_is_real(self.lr_gen) and 0 < self.lr_gen < math.inf):
             raise ValueError("lr_gen must be finite and positive")
-        if not 0 < self.lr_fake < math.inf:
+        if not (_is_real(self.lr_fake) and 0 < self.lr_fake < math.inf):
             raise ValueError("lr_fake must be finite and positive")
         for name in ("tau_ca_range", "tau_dm_range"):
             r = getattr(self, name)

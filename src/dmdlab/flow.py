@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import LabeledBatch, MixtureSpec, sample_dataset
 from .net import (NULL_LABEL, NetConfig, NetParams, NonFiniteError, _is_int,
-                  init_params, net_backward, net_forward_cached)
+                  _is_real, init_params, net_backward, net_forward_cached)
 from .optim import init_adam, adam_step, ema_update
 
 LOG_EVERY = 100  # train_teacher's loss log: iteration 1 and every 100th
@@ -37,13 +37,14 @@ class TeacherConfig:
             raise ValueError("iterations must be a positive integer")
         if not _is_int(self.batch) or self.batch <= 0:
             raise ValueError("batch must be a positive integer")
-        if not 0.0 < self.p_uncond < 1.0:
+        if not (_is_real(self.p_uncond) and 0.0 < self.p_uncond < 1.0):
             raise ValueError("p_uncond must lie in (0, 1)")
-        if not 0 < self.lr < np.inf:
+        if not (_is_real(self.lr) and 0 < self.lr < np.inf):
             raise ValueError("lr must be finite and > 0")
-        if not 0.0 < self.lr_final <= self.lr:
+        if not (_is_real(self.lr_final) and 0.0 < self.lr_final <= self.lr):
             raise ValueError("lr_final must lie in (0, lr]")
-        if self.ema_decay is not None and not 0.0 <= self.ema_decay <= 1.0:
+        if self.ema_decay is not None and not (
+                _is_real(self.ema_decay) and 0.0 <= self.ema_decay <= 1.0):
             raise ValueError("ema_decay must lie in [0, 1]")
 
 
@@ -62,7 +63,7 @@ def renoise(x: np.ndarray, tau, eps: np.ndarray) -> np.ndarray:
 
 
 def _check_alpha(alpha) -> None:
-    if not 0 <= alpha < np.inf:
+    if not (_is_real(alpha) and 0 <= alpha < np.inf):
         raise ValueError("alpha must be finite and >= 0")
 
 

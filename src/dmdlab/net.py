@@ -16,7 +16,7 @@ keep freed heap memory in the process (see _keep_freed_heap).
 import ctypes
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -64,6 +64,11 @@ class NonFiniteError(ValueError):
 def _is_int(value) -> bool:
     """An integer, numpy's included, that is not a bool."""
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real number, numpy's included: one a range check can compare."""
+    return isinstance(value, Real)
 
 
 @dataclass

@@ -937,6 +937,14 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=f"^{key} "):
                 DistillConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", [
+        "alpha", "lam", "w_gan", "w_meanvar", "lr_gen", "lr_fake"])
+    def test_non_number_rejected_under_its_key(self, field):
+        key = "lambda" if field == "lam" else field
+        for value in (None, "x", [0.5]):
+            with pytest.raises(ValueError, match=f"^{key} "):
+                DistillConfig(**{field: value})
+
     @pytest.mark.parametrize("field,value", [
         ("batch", 2.5), ("batch", 4.0), ("ttur_ratio", 1.5),
         ("batch", True), ("ttur_ratio", False), ("ttur_ratio", True),

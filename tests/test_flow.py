@@ -297,6 +297,17 @@ class TestTeacherTraining:
             with pytest.raises(ValueError, match=f"^{key} "):
                 TeacherConfig(**{key: value})
 
+    @pytest.mark.parametrize("key", ["lr", "lr_final", "p_uncond",
+                                     "ema_decay"])
+    def test_non_number_rejected_under_its_key(self, key):
+        # a library caller's None (lr_final's old "fixed lr") or string fails
+        # the range check, not the comparison inside it
+        for value in ("x", [0.5], None):
+            if key == "ema_decay" and value is None:
+                continue  # None turns the EMA off
+            with pytest.raises(ValueError, match=f"^{key} "):
+                TeacherConfig(**{key: value})
+
     @pytest.mark.parametrize("key,value", [
         ("iterations", 2.5), ("iterations", 4.0), ("batch", 2.5),
         ("iterations", True), ("batch", True)])
