@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .net import check_number
+
 
 @dataclass
 class Component:
@@ -173,8 +175,7 @@ def sample_dataset(spec: MixtureSpec, n: int,
                    rng: np.random.Generator) -> LabeledBatch:
     """Draw n i.i.d. labelled points: label uniform, component by weight
     within the label, point Gaussian around the component center."""
-    if n <= 0:
-        raise ValueError("n must be positive")
+    check_number("n", n, 1, integer=True)
     labels = rng.integers(0, spec.label_count, size=n)
     return LabeledBatch(points=sample_points_for_labels(spec, labels, rng),
                         labels=labels)

@@ -26,11 +26,11 @@ from enum import Enum
 import numpy as np
 
 from .data import MixtureSpec, expected_sample_stats, sample_points_for_labels
-from .flow import _check_alpha, regression_loss_and_grads, renoise
+from .flow import regression_loss_and_grads, renoise
 from .metrics import batch_sample_stats
 from .net import (NULL_LABEL, NetConfig, NetParams, NonFiniteError, _is_int,
-                  _is_real, _sigmoid, init_params, net_backward, net_forward,
-                  net_forward_cached)
+                  _sigmoid, check_number, init_params, net_backward,
+                  net_forward, net_forward_cached)
 from .optim import AdamState, adam_step, init_adam
 
 
@@ -106,36 +106,32 @@ class DistillConfig:
 
     def validate(self) -> None:
         """Each message starts with the run-config key at fault."""
-        _check_alpha(self.alpha)
-        if not (_is_real(self.lam) and 0 < self.lam < math.inf):
-            raise ValueError("lambda must be finite and > 0")
+        check_number("alpha", self.alpha, 0)
+        check_number("lambda", self.lam, 0, ends="()")
         if self.step_grid is None and self.n_steps not in _DEFAULT_GRIDS:
             raise ValueError("n_steps must be one of {1, 2, 4} (or give step_grid)")
         grid = self.grid
+        for level in grid:
+            check_number("step_grid level", level, 0, 1)
         if not grid or grid[0] != 0.0:
             raise ValueError("step_grid must start at 0")
-        if (any(not a < b for a, b in zip(grid, grid[1:]))
-                or not grid[-1] < 1.0):
+        if any(not a < b for a, b in zip(grid, grid[1:])):
             raise ValueError("step_grid must be strictly increasing within [0, 1)")
         if not _is_int(self.n_steps) or len(grid) != self.n_steps:
             raise ValueError(f"n_steps must be the integer {len(grid)}, the "
                              f"step_grid's length, got {self.n_steps!r}")
-        if not _is_int(self.ttur_ratio) or self.ttur_ratio < 0:
-            raise ValueError("ttur_ratio must be an integer >= 0")
-        if not _is_int(self.batch) or self.batch <= 0:
-            raise ValueError("batch must be a positive integer")
-        if not (_is_real(self.w_gan) and 0 <= self.w_gan < math.inf):
-            raise ValueError("w_gan must be finite and >= 0")
-        if not (_is_real(self.w_meanvar) and 0 <= self.w_meanvar < math.inf):
-            raise ValueError("w_meanvar must be finite and >= 0")
-        if not (_is_real(self.lr_gen) and 0 < self.lr_gen < math.inf):
-            raise ValueError("lr_gen must be finite and positive")
-        if not (_is_real(self.lr_fake) and 0 < self.lr_fake < math.inf):
-            raise ValueError("lr_fake must be finite and positive")
+        check_number("ttur_ratio", self.ttur_ratio, 0, integer=True)
+        check_number("batch", self.batch, 1, integer=True)
+        check_number("w_gan", self.w_gan, 0)
+        check_number("w_meanvar", self.w_meanvar, 0)
+        check_number("lr_gen", self.lr_gen, 0, ends="()")
+        check_number("lr_fake", self.lr_fake, 0, ends="()")
         for name in ("tau_ca_range", "tau_dm_range"):
             r = getattr(self, name)
             if r is not None and not (
-                    len(r) == 2 and 0.0 <= float(r[0]) < float(r[1]) <= 1.0):
+                    isinstance(r, (list, tuple)) and len(r) == 2
+                    and check_number(f"{name} endpoint", r[0], 0, 1, ends="[]")
+                    < check_number(f"{name} endpoint", r[1], 0, 1, ends="[]")):
                 raise ValueError(f"{name} must be [lo, hi] with 0 <= lo < hi <= 1")
         for name in ("normalizer_on", "observer_mode"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
@@ -249,7 +245,7 @@ def delta_dm(real, fake, x_tau: np.ndarray, tau, cond) -> np.ndarray:
 
 def delta_ca(real, x_tau: np.ndarray, tau, cond, alpha: float) -> np.ndarray:
     """(alpha - 1) * (conditional - unconditional real prediction)."""
-    _check_alpha(alpha)
+    check_number("alpha", alpha, 0)
     if alpha == 1.0:  # the term is zero: evaluate nothing
         return np.zeros(np.shape(x_tau))
     p_cond = real(x_tau, tau, cond)
@@ -304,9 +300,7 @@ def backward_simulate(gen, grid, k_target: int, cond, rng: np.random.Generator,
     steps with gradients stopped: predict clean, renoise to the next grid
     level with fresh noise."""
     grid = tuple(grid)
-    if not _is_int(k_target) or not 1 <= k_target <= len(grid):
-        raise ValueError(f"k_target must be an integer in [1, {len(grid)}], "
-                         f"got {k_target!r}")
+    check_number("k_target", k_target, 1, len(grid), integer=True, ends="[]")
     if isinstance(gen, NetParams):
         dim = gen.config.dim
     elif dim is None:
@@ -349,10 +343,8 @@ def meanvar_kl_loss(batch: np.ndarray, mu_target: float, var_target: float):
     Returns (loss, gradient w.r.t. the batch). Vanishing per-sample variance
     is clamped away from the log singularity with a warning.
     """
-    if not 0 < var_target < math.inf:
-        raise ValueError("var_target must be finite and > 0")
-    if not math.isfinite(mu_target):
-        raise ValueError("mu_target must be finite")
+    check_number("var_target", var_target, 0, ends="()")
+    check_number("mu_target", mu_target, -math.inf, ends="()")
     batch = np.asarray(batch)
     mu, var = batch_sample_stats(batch)
     n, d = batch.shape

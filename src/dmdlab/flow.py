@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledBatch, MixtureSpec, sample_dataset
-from .net import (NULL_LABEL, NetConfig, NetParams, NonFiniteError, _is_int,
-                  _is_real, init_params, net_backward, net_forward_cached)
+from .net import (NULL_LABEL, NetConfig, NetParams, NonFiniteError,
+                  check_number, init_params, net_backward, net_forward_cached)
 from .optim import init_adam, adam_step, ema_update
 
 LOG_EVERY = 100  # train_teacher's loss log: iteration 1 and every 100th
@@ -33,19 +33,13 @@ class TeacherConfig:
 
     def validate(self) -> None:
         """Each message starts with the teacher-config key at fault."""
-        if not _is_int(self.iterations) or self.iterations <= 0:
-            raise ValueError("iterations must be a positive integer")
-        if not _is_int(self.batch) or self.batch <= 0:
-            raise ValueError("batch must be a positive integer")
-        if not (_is_real(self.p_uncond) and 0.0 < self.p_uncond < 1.0):
-            raise ValueError("p_uncond must lie in (0, 1)")
-        if not (_is_real(self.lr) and 0 < self.lr < np.inf):
-            raise ValueError("lr must be finite and > 0")
-        if not (_is_real(self.lr_final) and 0.0 < self.lr_final <= self.lr):
-            raise ValueError("lr_final must lie in (0, lr]")
-        if self.ema_decay is not None and not (
-                _is_real(self.ema_decay) and 0.0 <= self.ema_decay <= 1.0):
-            raise ValueError("ema_decay must lie in [0, 1]")
+        check_number("iterations", self.iterations, 1, integer=True)
+        check_number("batch", self.batch, 1, integer=True)
+        check_number("p_uncond", self.p_uncond, 0, 1, ends="()")
+        check_number("lr", self.lr, 0, ends="()")
+        check_number("lr_final", self.lr_final, 0, self.lr, ends="(]")
+        if self.ema_decay is not None:
+            check_number("ema_decay", self.ema_decay, 0, 1, ends="[]")
 
 
 def renoise(x: np.ndarray, tau, eps: np.ndarray) -> np.ndarray:
@@ -62,14 +56,9 @@ def renoise(x: np.ndarray, tau, eps: np.ndarray) -> np.ndarray:
     return (1.0 - tau) * eps + tau * x
 
 
-def _check_alpha(alpha) -> None:
-    if not (_is_real(alpha) and 0 <= alpha < np.inf):
-        raise ValueError("alpha must be finite and >= 0")
-
-
 def cfg_combine(s_cond: np.ndarray, s_uncond: np.ndarray, alpha: float) -> np.ndarray:
     """Guided prediction s_uncond + alpha * (s_cond - s_uncond)."""
-    _check_alpha(alpha)
+    check_number("alpha", alpha, 0)
     s_cond = np.asarray(s_cond)
     s_uncond = np.asarray(s_uncond)
     if s_cond.shape != s_uncond.shape:
@@ -153,9 +142,8 @@ def sample_teacher(model, n_steps: int, alpha: float, cond, n: int,
     equals 1 - t, lands on the prediction up to rounding. cond may be a
     scalar label or a per-sample array.
     """
-    if not _is_int(n_steps) or n_steps < 1:
-        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
-    _check_alpha(alpha)
+    check_number("n_steps", n_steps, 1, integer=True)
+    check_number("alpha", alpha, 0)
     if isinstance(model, NetParams):
         dim = model.config.dim
     elif dim is None:

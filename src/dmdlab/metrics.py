@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .data import MixtureSpec
-from .net import NonFiniteError
+from .net import NonFiniteError, check_number
 
 
 CSV_COLUMNS = ["iteration", "sw2", "mean_of_means", "mean_of_vars",
@@ -75,8 +75,7 @@ def sliced_wasserstein2(A: np.ndarray, B: np.ndarray, n_proj: int,
         raise ValueError("dimension mismatch between sample sets")
     if A.shape[1] == 0:
         raise ValueError("zero-dimensional samples")
-    if n_proj < 1:
-        raise ValueError(f"n_proj must be at least 1, got {n_proj}")
+    check_number("n_proj", n_proj, 1, integer=True)
     n, m = len(A), len(B)
     if n == 0 or m == 0:
         raise ValueError("empty sample set")

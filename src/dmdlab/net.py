@@ -15,6 +15,8 @@ keep freed heap memory in the process (see _keep_freed_heap).
 
 import ctypes
 import math
+import reprlib
+import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -67,8 +69,24 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    """A real number, numpy's included: one a range check can compare."""
-    return isinstance(value, Real)
+    """A real number, numpy's included, that is not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def check_number(name, value, lo, hi=math.inf, integer=False, ends="[)"):
+    """value if it is a finite real (an integer when integer is set), not a
+    bool, in the interval from lo to hi that ends brackets; else a ValueError
+    that starts with name. An integer past the float range fails here."""
+    ok = _is_int(value) if integer else _is_real(value)
+    x = value if ok and abs(value) <= sys.float_info.max else math.nan
+    if not ((lo < x or ends[0] == "[" and lo == x)
+            and (x < hi or ends[1] == "]" and x == hi)):
+        got = ("an integer past the float range"
+               if _is_int(value) and x != x else reprlib.repr(value))
+        kind = "an integer" if integer else "a finite number"
+        raise ValueError(f"{name} must be {kind} in {ends[0]}{lo}, "
+                         f"{hi}{ends[1]}, got {got}")
+    return value
 
 
 @dataclass
@@ -87,11 +105,8 @@ class NetConfig:
         if self.out_dim is None:
             self.out_dim = self.dim
         for name, value in vars(self).items():
-            least = 0 if name == "n_hidden" else 1
-            if not _is_int(value) or value < least:
-                kind = "non-negative" if least == 0 else "positive"
-                raise ValueError(f"{name} must be a {kind} integer, "
-                                 f"got {value!r}")
+            check_number(name, value, 0 if name == "n_hidden" else 1,
+                         integer=True)
 
     @property
     def input_dim(self) -> int:

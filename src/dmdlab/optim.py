@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import NetParams, NonFiniteError, zeros_like_params
+from .net import NetParams, NonFiniteError, check_number, zeros_like_params
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -65,8 +65,7 @@ def adam_step(state: AdamState, params: NetParams, grads: NetParams):
 
 def ema_update(ema: NetParams, live: NetParams, decay: float) -> NetParams:
     """ema <- decay * ema + (1 - decay) * live, elementwise and in place."""
-    if not 0.0 <= decay <= 1.0:
-        raise ValueError("decay must lie in [0, 1]")
+    check_number("decay", decay, 0, 1, ends="[]")
     if ema.flat.shape != live.flat.shape:
         raise ValueError("ema/live shape mismatch")
     ema.flat *= decay
