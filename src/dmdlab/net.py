@@ -68,16 +68,12 @@ def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    """A real number, numpy's included, that is not a bool."""
-    return isinstance(value, Real) and not isinstance(value, bool)
-
-
 def check_number(name, value, lo, hi=math.inf, integer=False, ends="[)"):
     """value if it is a finite real (an integer when integer is set), not a
     bool, in the interval from lo to hi that ends brackets; else a ValueError
     that starts with name. An integer past the float range fails here."""
-    ok = _is_int(value) if integer else _is_real(value)
+    ok = (isinstance(value, Integral if integer else Real)
+          and not isinstance(value, bool))
     x = value if ok and abs(value) <= sys.float_info.max else math.nan
     if not ((lo < x or ends[0] == "[" and lo == x)
             and (x < hi or ends[1] == "]" and x == hi)):
